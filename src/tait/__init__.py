@@ -9,150 +9,27 @@ integer and Laurent-polynomial weights (:mod:`tait.reduction`,
 each other; the ``tait`` command line fronts the lot.
 """
 
-from .catalog import GENERATORS, circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
-from .coloring import count_tait, enumerate_tait
-from .laurent import (
-    LaurentParseError,
-    LaurentPoly,
-    NotBipartiteError,
-    P3_WEIGHTS,
-    p3,
-    p3_trace,
-    parse_laurent,
-    quantum_integer,
-)
-from .planar import (
-    CombinatorialMap,
-    Face,
-    MapError,
-    NonPlanarError,
-    ParseError,
-    build_map,
-    disjoint_union,
-    edge_bfs_order,
-    parse_map,
-    serialize_map,
-)
-from .reduction import (
-    EULER_WEIGHTS,
-    InvalidMoveError,
-    IrreducibleError,
-    Move,
-    MoveKind,
-    RelationWeights,
-    TraceNode,
-    apply_bigon,
-    apply_loop,
-    apply_move,
-    apply_square,
-    apply_triangle,
-    available_moves,
-    classify_face,
-    euler_characteristic,
-    find_move,
-    format_trace,
-    reduce_map,
-)
-from .su3 import (
-    InadmissibleDecorationError,
-    OrderTwoProductReport,
-    RetriesExhaustedError,
-    STANDARD_INVOLUTION,
-    admissibility_deviation,
-    axis_of,
-    check_order_two_product,
-    decoration_to_representation,
-    is_admissible,
-    is_order_two,
-    is_special_unitary,
-    line_overlap,
-    random_line,
-    random_special_unitary,
-    reflection_from_line,
-    representation_to_decoration,
-    same_line,
-    sample_admissible_decoration,
-    vertex_product_deviation,
-)
+from . import catalog, coloring, laurent, planar, reduction, su3
+from .catalog import *  # noqa: F403
+from .coloring import *  # noqa: F403
+from .laurent import *  # noqa: F403
+from .planar import *  # noqa: F403
+from .reduction import *  # noqa: F403
+from .su3 import *  # noqa: F403
+
+# only the suite table and its report: the rest of verify.__all__ are helpers
 from .verify import SUITES, SuiteReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # planar
-    "CombinatorialMap",
-    "Face",
-    "MapError",
-    "NonPlanarError",
-    "ParseError",
-    "build_map",
-    "disjoint_union",
-    "edge_bfs_order",
-    "parse_map",
-    "serialize_map",
-    # catalog
-    "GENERATORS",
-    "circle",
-    "cube",
-    "dodecahedron",
-    "k4",
-    "necklace",
-    "petersen",
-    "prism",
-    "theta",
-    # coloring
-    "count_tait",
-    "enumerate_tait",
-    # reduction
-    "EULER_WEIGHTS",
-    "InvalidMoveError",
-    "IrreducibleError",
-    "Move",
-    "MoveKind",
-    "RelationWeights",
-    "TraceNode",
-    "apply_bigon",
-    "apply_loop",
-    "apply_move",
-    "apply_square",
-    "apply_triangle",
-    "available_moves",
-    "classify_face",
-    "euler_characteristic",
-    "find_move",
-    "format_trace",
-    "reduce_map",
-    # laurent
-    "LaurentParseError",
-    "LaurentPoly",
-    "NotBipartiteError",
-    "P3_WEIGHTS",
-    "p3",
-    "p3_trace",
-    "parse_laurent",
-    "quantum_integer",
-    # su3
-    "InadmissibleDecorationError",
-    "OrderTwoProductReport",
-    "RetriesExhaustedError",
-    "STANDARD_INVOLUTION",
-    "admissibility_deviation",
-    "axis_of",
-    "check_order_two_product",
-    "decoration_to_representation",
-    "is_admissible",
-    "is_order_two",
-    "is_special_unitary",
-    "line_overlap",
-    "random_line",
-    "random_special_unitary",
-    "reflection_from_line",
-    "representation_to_decoration",
-    "same_line",
-    "sample_admissible_decoration",
-    "vertex_product_deviation",
-    # verify
+    *planar.__all__,
+    *catalog.__all__,
+    *coloring.__all__,
+    *reduction.__all__,
+    *laurent.__all__,
+    *su3.__all__,
     "SUITES",
     "SuiteReport",
 ]

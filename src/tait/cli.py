@@ -10,6 +10,7 @@ where bipartiteness is required.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -27,9 +28,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IRREDUCIBLE = 2
 EXIT_NOT_BIPARTITE = 3
-
-_CLI_FAMILIES = ("circle", "theta", "k4", "prism", "cube", "dodecahedron", "petersen")
-
 
 class _UsageError(Exception):
     pass
@@ -89,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a catalog graph to stdout")
-    p.add_argument("family", choices=_CLI_FAMILIES)
-    p.add_argument("n", nargs="?", type=int, help="ring size (prism only)")
+    p.add_argument("family", choices=GENERATORS)
+    p.add_argument("n", nargs="?", type=int, help="size, for families that take one")
     p.set_defaults(func=_cmd_gen)
 
     return parser
@@ -139,14 +137,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "prism":
-        if args.n is None:
-            raise _UsageError("prism needs a ring size, e.g. 'tait gen prism 4'")
-        cmap = GENERATORS["prism"](args.n)
-    else:
-        if args.n is not None:
+    make = GENERATORS[args.family]
+    params = inspect.signature(make).parameters.values()
+    if args.n is not None:
+        if not params:
             raise _UsageError(f"{args.family} takes no size argument")
-        cmap = GENERATORS[args.family]()
+        cmap = make(args.n)
+    elif any(p.default is p.empty for p in params):
+        example = f"tait gen {args.family} 4"
+        raise _UsageError(f"{args.family} needs a ring size, e.g. '{example}'")
+    else:
+        cmap = make()
     sys.stdout.write(serialize_map(cmap))
     return EXIT_OK
 

@@ -24,7 +24,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Generic, TypeVar
 
-from .planar import CombinatorialMap, Face, MapError, NonPlanarError, build_map
+from .planar import CombinatorialMap, Face, MapError, NonPlanarError
+from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
 
 __all__ = [
     "MoveKind",
@@ -88,13 +89,21 @@ class InvalidMoveError(MapError):
 class IrreducibleError(Exception):
     """Raised when a non-empty map admits none of the four moves.
 
-    The stuck map is kept on the ``graph`` attribute.
+    The message gives the smallest face degree and how many faces of
+    degree at most 4 are degenerate; the stuck map is kept on ``graph``.
     """
 
     def __init__(self, graph: CombinatorialMap):
-        super().__init__(
-            f"no reducible face in {graph!r}; every face has five or more sides"
-        )
+        small = [f for f in graph.faces() if f.degree <= 4]
+        smallest = min((f.degree for f in graph.faces()), default=0)
+        reason = f"every face has five or more sides (smallest face degree {smallest})"
+        if small:
+            degenerate = sum(classify_face(graph, f) is None for f in small)
+            reason = (
+                f"smallest face degree {smallest}, and {degenerate} faces of degree "
+                "at most 4 are degenerate (a monogon, or a repeated vertex or edge)"
+            )
+        super().__init__(f"no reducible face in {graph!r}; {reason}")
         self.graph = graph
 
 
@@ -168,21 +177,14 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
     return min(moves, key=lambda m: (_PRIORITY[m.kind], m.half_edges))
 
 
-def _face_by_half_edges(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> Face:
-    for face in cmap.faces():
-        if face.half_edges == tuple(half_edges):
-            return face
-    raise InvalidMoveError(f"no face with half-edge cycle {tuple(half_edges)}")
-
-
 def _checked_face(
     cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
 ) -> Face:
-    face = _face_by_half_edges(cmap, half_edges)
+    face = next((f for f in cmap.faces() if f.half_edges == half_edges), None)
+    if face is None:
+        raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
     if classify_face(cmap, face) is not kind:
-        raise InvalidMoveError(
-            f"face {tuple(half_edges)} does not match a {kind.value} move"
-        )
+        raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
     return face
 
 
@@ -190,7 +192,6 @@ def _rebuild(
     cmap: CombinatorialMap,
     dead_half: set[int],
     glue: dict[int, int],
-    dead_vertices: set[int],
     new_rotations: list[tuple[int, int, int]],
 ) -> CombinatorialMap:
     """Remove ``dead_half``, welding edges across the ``glue`` pairing.
@@ -200,35 +201,42 @@ def _rebuild(
     through any run of welds.  Chains that close up without ever meeting
     a surviving half-edge are circles, and each one becomes a free loop.
     New vertices (for the triangle collapse) list their rotations in old
-    half-edge ids.
+    half-edge ids.  Surviving half-edges and vertices keep their relative
+    order, and new vertices come last.
     """
     twin = cmap.twin
+    sigma = list(cmap.next_at_vertex)
+    vertex_of = list(cmap.vertex_of)
+    for v, (a, b, c) in enumerate(new_rotations, start=cmap.n_vertices):
+        sigma[a], sigma[b], sigma[c] = b, c, a
+        vertex_of[a] = vertex_of[b] = vertex_of[c] = v
     survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
-
-    partner: dict[int, int] = {}
+    hid = {h: i for i, h in enumerate(survivors)}
+    vid = {v: i for i, v in enumerate(sorted({vertex_of[h] for h in survivors}))}
+    new_sigma = [hid[sigma[h]] for h in survivors]
+    new_vof = [vid[vertex_of[h]] for h in survivors]
+    new_twin = [-1] * len(survivors)
     used_stubs: set[int] = set()
-    for h in survivors:
-        if h in partner:
+    # hid's int objects, not fresh ones: the tables share them, and traces keep every map
+    for h, i in hid.items():
+        if new_twin[i] >= 0:
             continue
         z = twin[h]
         hops = 0
         while z in dead_half:
-            used_stubs.add(z)
-            used_stubs.add(glue[z])
+            used_stubs.update((z, glue[z]))
             z = twin[glue[z]]
             hops += 1
             if hops > len(glue) + 1:
                 raise AssertionError("weld chain failed to terminate")
-        partner[h] = z
-        partner[z] = h
-    pairs = sorted({tuple(sorted((h, p))) for h, p in partner.items()})
+        new_twin[i] = hid[z]
+        new_twin[hid[z]] = i
 
     # welds never reached from a surviving half-edge close into circles
     new_loops = 0
-    remaining = {s for s in glue if s not in used_stubs}
+    remaining = set(glue) - used_stubs
     while remaining:
-        start = min(remaining)
-        z = start
+        z = start = remaining.pop()
         while True:
             remaining.discard(z)
             remaining.discard(glue[z])
@@ -237,14 +245,7 @@ def _rebuild(
                 break
         new_loops += 1
 
-    rotations = [
-        (v, cmap.rotation(v)) for v in range(cmap.n_vertices) if v not in dead_vertices
-    ]
-    next_vid = cmap.n_vertices
-    for rot in new_rotations:
-        rotations.append((next_vid, rot))
-        next_vid += 1
-    return build_map(rotations, pairs, cmap.free_loops + new_loops)
+    return CombinatorialMap(new_twin, new_sigma, new_vof, cmap.free_loops + new_loops)
 
 
 def apply_loop(cmap: CombinatorialMap) -> CombinatorialMap:
@@ -269,7 +270,7 @@ def apply_bigon(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> Combinat
     outer = (sigma[k0], sigma[k1])
     dead = {k0, k1, twin[k0], twin[k1], *outer}
     glue = {outer[0]: outer[1], outer[1]: outer[0]}
-    return _rebuild(cmap, dead, glue, set(face.vertices), [])
+    return _rebuild(cmap, dead, glue, [])
 
 
 def apply_triangle(
@@ -283,7 +284,7 @@ def apply_triangle(
     x = (sigma[k0], sigma[k1], sigma[k2])
     dead = {k0, k1, k2, twin[k0], twin[k1], twin[k2]}
     # reversed face order keeps the collapsed rotation planar
-    return _rebuild(cmap, dead, {}, set(face.vertices), [(x[0], x[2], x[1])])
+    return _rebuild(cmap, dead, {}, [(x[0], x[2], x[1])])
 
 
 def apply_square(
@@ -295,13 +296,9 @@ def apply_square(
     twin = cmap.twin
     x = tuple(sigma[k] for k in face.half_edges)
     dead = set(face.half_edges) | {twin[k] for k in face.half_edges} | set(x)
-    dead_v = set(face.vertices)
     glue_a = {x[0]: x[1], x[1]: x[0], x[2]: x[3], x[3]: x[2]}
     glue_b = {x[1]: x[2], x[2]: x[1], x[3]: x[0], x[0]: x[3]}
-    return (
-        _rebuild(cmap, dead, glue_a, dead_v, []),
-        _rebuild(cmap, dead, glue_b, dead_v, []),
-    )
+    return _rebuild(cmap, dead, glue_a, []), _rebuild(cmap, dead, glue_b, [])
 
 
 def apply_move(
@@ -335,9 +332,10 @@ def reduce_map(
 
     Moves are chosen by priority; pass a ``random.Random`` as ``rng`` to
     pick uniformly among all matches instead.  Runs that finish agree on
-    the value whatever the order, but a randomized run can occasionally
-    strand on a zero-count intermediate map (a vertex self-loop blocks
-    every move) where the priority order happens to finish.
+    the value whatever the order, but any order, the default included,
+    can strand on a zero-count intermediate map (a vertex self-loop
+    blocks every move): priority order strands on 14-16% of random
+    planar cubic maps with 60-100 vertices.  See ROADMAP.md, item 1.
 
     Raises :class:`NonPlanarError` for maps that do not embed in the
     sphere and :class:`IrreducibleError` when no move matches.

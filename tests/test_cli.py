@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tait.catalog import cube, dodecahedron, petersen, theta
+from tait.catalog import cube, dodecahedron, necklace, petersen, theta
 from tait.cli import (
     EXIT_INVALID,
     EXIT_IRREDUCIBLE,
@@ -124,6 +124,9 @@ def test_gen_writes_map_text(capsys):
     code, out, _ = run(["gen", "theta"], capsys)
     assert (code, out) == (EXIT_OK, serialize_map(theta()))
     assert run(["gen", "circle"], capsys)[:2] == (EXIT_OK, "loops 1\n")
+    assert run(["gen", "circle", "2"], capsys)[:2] == (EXIT_OK, "loops 2\n")
+    code, out, _ = run(["gen", "necklace", "3"], capsys)
+    assert (code, out) == (EXIT_OK, serialize_map(necklace(3)))
 
 
 def test_gen_pipes_back_in(capsys, monkeypatch):
@@ -147,6 +150,7 @@ def test_gen_other_families_reject_size(capsys):
 
 
 def test_gen_unknown_family(capsys):
+    # necklace is a known family, but it needs a size
     assert run(["gen", "necklace"], capsys)[0] == EXIT_INVALID
     assert run(["gen", "moebius"], capsys)[0] == EXIT_INVALID
 

@@ -170,6 +170,7 @@ def test_p3_frozen_values():
     assert str(p3(circle())) == "q^2 + 1 + q^-2"
     assert str(p3(theta())) == "q^3 + 2*q + 2*q^-1 + q^-3"
     assert str(p3(cube())) == "2*q^4 + 6*q^2 + 8 + 6*q^-2 + 2*q^-4"
+    assert str(p3(necklace(3))) == "q^5 + 4*q^3 + 7*q + 7*q^-1 + 4*q^-3 + q^-5"
     assert p3(theta()) == quantum_integer(2) * quantum_integer(3)
     assert p3(theta())(Fraction(1, 2)) == Fraction(105, 8)
 

@@ -1,0 +1,44 @@
+"""The package's public names."""
+
+import tait
+
+PUBLIC_NAMES = {
+    "__version__",
+    # planar
+    "CombinatorialMap", "Face", "MapError", "NonPlanarError", "ParseError",
+    "build_map", "disjoint_union", "edge_bfs_order", "parse_map", "serialize_map",
+    # catalog
+    "GENERATORS", "circle", "cube", "dodecahedron", "k4", "necklace", "petersen",
+    "prism", "theta",
+    # coloring
+    "count_tait", "enumerate_tait",
+    # reduction
+    "EULER_WEIGHTS", "InvalidMoveError", "IrreducibleError", "Move", "MoveKind",
+    "RelationWeights", "TraceNode", "apply_bigon", "apply_loop", "apply_move",
+    "apply_square", "apply_triangle", "available_moves", "classify_face",
+    "euler_characteristic", "find_move", "format_trace", "reduce_map",
+    # laurent
+    "LaurentParseError", "LaurentPoly", "NotBipartiteError", "P3_WEIGHTS", "p3",
+    "p3_trace", "parse_laurent", "quantum_integer",
+    # su3
+    "InadmissibleDecorationError", "OrderTwoProductReport", "RetriesExhaustedError",
+    "STANDARD_INVOLUTION", "admissibility_deviation", "axis_of",
+    "check_order_two_product", "decoration_to_representation", "is_admissible",
+    "is_order_two", "is_special_unitary", "line_overlap", "random_line",
+    "random_special_unitary", "reflection_from_line", "representation_to_decoration",
+    "same_line", "sample_admissible_decoration", "vertex_product_deviation",
+    # verify
+    "SUITES", "SuiteReport",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 69
+    assert len(tait.__all__) == len(set(tait.__all__))
+    assert set(tait.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in tait.__all__:
+        assert hasattr(tait, name), name
+

@@ -6,7 +6,13 @@ import pytest
 
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.coloring import count_tait
-from tait.planar import CombinatorialMap, NonPlanarError, build_map, disjoint_union
+from tait.planar import (
+    CombinatorialMap,
+    NonPlanarError,
+    build_map,
+    disjoint_union,
+    serialize_map,
+)
 from tait.reduction import (
     EULER_WEIGHTS,
     InvalidMoveError,
@@ -146,6 +152,85 @@ def test_trace_first_lines():
     assert format_trace(reduce_map(cube())).splitlines()[0] == "0 square 0,6,12,18 1"
 
 
+# Whole traces print the half-edge ids of every move site, so they pin
+# how a rebuilt child numbers its half-edges.
+GOLDEN_TRACES = {
+    "k4": (
+        k4,
+        """\
+0 triangle 0,3,6 1
+  1 bigon 0,4 2
+    2 loop - 3
+      3 empty 1""",
+    ),
+    "cube": (
+        cube,
+        """\
+0 square 0,6,12,18 1
+  1 bigon 1,3 2
+    2 bigon 0,4 2
+      3 loop - 3
+        4 empty 1
+  1 bigon 0,10 2
+    2 bigon 0,4 2
+      3 loop - 3
+        4 empty 1""",
+    ),
+    "necklace(3)": (
+        lambda: necklace(3),
+        """\
+0 bigon 1,5 2
+  1 bigon 1,5 2
+    2 bigon 0,3 2
+      3 loop - 3
+        4 empty 1""",
+    ),
+    "prism(5)": (
+        lambda: prism(5),
+        """\
+0 square 1,4,9,8 1
+  1 bigon 2,3 2
+    2 bigon 2,3 2
+      3 bigon 0,5 2
+        4 loop - 3
+          5 empty 1
+  1 triangle 0,6,12 1
+    2 triangle 0,2,5 1
+      3 bigon 0,5 2
+        4 loop - 3
+          5 empty 1""",
+    ),
+    "necklace(2) + k4": (
+        lambda: disjoint_union(necklace(2), k4()),
+        """\
+0 bigon 1,5 2
+  1 bigon 0,3 2
+    2 loop - 3
+      3 triangle 0,3,6 1
+        4 bigon 0,4 2
+          5 loop - 3
+            6 empty 1""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRACES)
+def test_golden_traces(name):
+    make, expected = GOLDEN_TRACES[name]
+    assert format_trace(reduce_map(make())) == expected
+
+
+def test_rebuilt_child_ids():
+    # survivors keep their relative order; a collapsed triangle's vertex comes last
+    assert serialize_map(apply_bigon(necklace(2), (1, 5))) == (
+        "vertex 0: 0 1 2\nvertex 1: 3 4 5\nedge 0: 0 5\nedge 1: 1 4\nedge 2: 2 3\n"
+    )
+    assert serialize_map(apply_triangle(prism(3), (0, 6, 12))) == (
+        "vertex 0: 1 2 3\nvertex 1: 5 6 7\nvertex 2: 9 10 11\nvertex 3: 0 8 4\n"
+        "edge 0: 0 1\nedge 1: 2 7\nedge 2: 3 10\nedge 3: 4 5\nedge 4: 6 11\nedge 5: 8 9\n"
+    )
+
+
 def test_reduce_empty_map():
     trace = reduce_map(CombinatorialMap((), (), (), 0))
     assert trace.move is None and trace.children == ()
@@ -186,12 +271,16 @@ def test_dodecahedron_is_irreducible():
         reduce_map(dodecahedron())
     assert info.value.graph == dodecahedron()
     assert "five or more" in str(info.value)
+    assert str(info.value).endswith("(smallest face degree 5)")
 
 
 def test_dumbbell_is_irreducible_with_zero_count():
     with pytest.raises(IrreducibleError) as info:
         reduce_map(dumbbell())
     assert count_tait(info.value.graph) == 0
+    message = str(info.value)
+    assert "five or more" not in message
+    assert "smallest face degree 1, and 3 faces of degree at most 4 are degenerate" in message
 
 
 def test_randomized_order_agrees_on_bipartite_maps():
