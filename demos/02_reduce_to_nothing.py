@@ -21,7 +21,7 @@ from tait.reduction import IrreducibleError, euler_characteristic
 trace = reduce_map(theta())
 print("theta reduction:")
 print(format_trace(trace))
-print("value:", trace.value(), "  brute force:", count_tait(theta()))
+print("value:", trace.value(), "  count:", count_tait(theta()))
 
 # K4 starts with a triangle collapse; the cube has only squares, so
 # its trace branches.  Either way the value matches the count.

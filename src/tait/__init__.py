@@ -1,12 +1,13 @@
 """Tait colorings of planar trivalent graphs and their reduction calculus.
 
 The package has four layers: combinatorial maps and their faces
-(:mod:`tait.planar`, :mod:`tait.catalog`), the brute-force coloring
-oracle (:mod:`tait.coloring`), the face-collapse reduction engine with
-integer and Laurent-polynomial weights (:mod:`tait.reduction`,
-:mod:`tait.laurent`), and the unitary realization of decorations
-(:mod:`tait.su3`).  :mod:`tait.verify` cross-checks the layers against
-each other; the ``tait`` command line fronts the lot.
+(:mod:`tait.planar`, :mod:`tait.catalog`), the coloring count, a
+frontier DP over incidences (:mod:`tait.coloring`), the face-collapse
+reduction engine with integer and Laurent-polynomial weights
+(:mod:`tait.reduction`, :mod:`tait.laurent`), and the unitary
+realization of decorations (:mod:`tait.su3`).  :mod:`tait.verify`
+cross-checks the layers against each other; the ``tait`` command line
+fronts the lot.
 """
 
 from . import catalog, coloring, laurent, planar, reduction, su3

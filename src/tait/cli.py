@@ -3,8 +3,9 @@
 ``tait <count|euler|p3|reduce|verify|gen> [args]``; graph files use the
 plain-text map format, with ``-`` (the default) meaning stdin.  Exit
 codes are a stable contract: 0 success, 1 parse or validation failure
-(including usage errors), 2 irreducible graph, 3 non-bipartite input
-where bipartiteness is required.
+(including usage errors, and a map too large for the recursion limit or
+for memory), 2 irreducible graph, 3 non-bipartite input where
+bipartiteness is required.
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (MapError, ValueError, OSError) as exc:
         print(f"tait: error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (RecursionError, MemoryError) as exc:
+        reason = type(exc).__name__
+        print(f"tait: error: map too large for this command ({reason})", file=sys.stderr)
         return EXIT_INVALID
 
 

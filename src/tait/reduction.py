@@ -177,12 +177,36 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
     return min(moves, key=lambda m: (_PRIORITY[m.kind], m.half_edges))
 
 
+def _face_orbit(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> list[int]:
+    """The face orbit from ``half_edges[0]``, cut one step past its length.
+
+    Empty when there is no first id or it is not a half-edge of ``cmap``.
+    """
+    try:
+        start = range(cmap.n_half_edges).index(half_edges[0])
+    except (IndexError, ValueError):
+        return []
+    twin, sigma = cmap.twin, cmap.next_at_vertex
+    orbit = [start]
+    h = sigma[twin[start]]
+    while h != start and len(orbit) <= len(half_edges):
+        orbit.append(h)
+        h = sigma[twin[h]]
+    return orbit
+
+
 def _checked_face(
     cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
 ) -> Face:
-    face = next((f for f in cmap.faces() if f.half_edges == half_edges), None)
-    if face is None:
+    """The face whose cycle, from its smallest half-edge, is ``half_edges``."""
+    orbit = _face_orbit(cmap, half_edges)
+    if not orbit or tuple(orbit) != half_edges or min(orbit) != orbit[0]:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
+    face = Face(
+        half_edges=tuple(orbit),
+        vertices=tuple(cmap.vertex_of[h] for h in orbit),
+        edges=tuple(cmap.edge_of(h) for h in orbit),
+    )
     if classify_face(cmap, face) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
     return face

@@ -1,7 +1,7 @@
 """Property campaigns run by the tests and the ``tait verify`` command.
 
 Each suite pits two independent computations against each other: the
-reduction value against the brute-force count, the quantum polynomial
+reduction value against the frontier-DP count, the quantum polynomial
 at q = 1 against the same count, the order-2-product criterion against
 raw matrix arithmetic, and the decoration roundtrip against sampled
 inputs.  Suites report deterministic fixed-format text (and a dict for
@@ -99,7 +99,7 @@ def bipartite_corpus() -> list[tuple[str, CombinatorialMap]]:
 
 
 def conservation_corpus() -> list[tuple[str, CombinatorialMap]]:
-    """Planar fixtures of at most 12 edges, brute-forceable at every step."""
+    """Planar fixtures of at most 12 edges, small enough to count at every step."""
     return [
         ("circle", circle()),
         ("theta", theta()),
@@ -130,7 +130,7 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 
 
 def run_theorem1(trials=None, tol=None, seed=None) -> SuiteReport:
-    """Reduction value equals the brute-force count on bipartite fixtures.
+    """Reduction value equals the frontier-DP count on bipartite fixtures.
 
     Deterministic; the parameters are accepted for interface uniformity
     and ignored.

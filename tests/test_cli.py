@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including the exit-code contract."""
 
+import inspect
 import io
 import json
 import sys
@@ -193,3 +194,31 @@ def test_verify_json_report(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "perpetual-motion"], capsys)[0] == EXIT_INVALID
+
+
+def test_count_on_long_necklace(tmp_path, capsys):
+    code, out, err = run(["count", graph_file(tmp_path, necklace(400))], capsys)
+    assert (code, out, err) == (EXIT_OK, f"{3 * 2**400}\n", "")
+
+
+def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys):
+    path = graph_file(tmp_path, necklace(100))
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code, out, err = run(["reduce", path], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: map too large for this command (RecursionError)\n"
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(cmap):
+        raise MemoryError
+
+    monkeypatch.setattr("tait.cli.p3", exhausted)
+    code, out, err = run(["p3", graph_file(tmp_path, theta())], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: map too large for this command (MemoryError)\n"

@@ -1,11 +1,23 @@
 """Tait-coloring counts against an independent exhaustive oracle."""
 
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
-from tait.catalog import circle, cube, k4, necklace, petersen, prism, theta
+from tait.catalog import (
+    circle,
+    cube,
+    dodecahedron,
+    k4,
+    necklace,
+    petersen,
+    prism,
+    theta,
+)
 from tait.coloring import count_tait, enumerate_tait
-from tait.planar import CombinatorialMap, build_map, disjoint_union
+from tait.planar import CombinatorialMap, build_map, disjoint_union, serialize_map
 
 
 def dumbbell() -> CombinatorialMap:
@@ -129,3 +141,98 @@ def test_enumerate_free_loops_are_unconstrained():
         (1, 2, 3, 3),
         (1, 3, 2, 1),
     ]
+
+
+# ----------------------------------------------------------------------
+# the frontier count against the backtracking enumerator
+
+
+def random_planar_cubic(n_vertices: int, seed: int) -> CombinatorialMap:
+    """Planar cubic map grown from ``theta`` by chords across random faces.
+
+    Each step picks a face uniformly, then two of its half-edges,
+    subdivides their edges (one edge twice if both picks fall on it) and
+    joins the two new vertices.  Of the four rotation choices for the new
+    vertices, the first that passes the Euler check is kept.
+    """
+    rng = random.Random(seed)
+    g = theta()
+    while g.n_vertices < n_vertices:
+        face = rng.choice(g.faces()).half_edges
+        x, y = rng.choice(face), rng.choice(face)
+        rotations, pairs, _ = g.to_rotations_and_pairs()
+        n, v = g.n_half_edges, g.n_vertices
+        p, q = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
+        tx, ty = g.twin[x], g.twin[y]
+        pairs = [pr for pr in pairs if not {x, y} & set(pr)]
+        if y in (x, tx):
+            pairs += [(x, p[0]), (p[1], q[0]), (q[1], tx)]
+        else:
+            pairs += [(x, p[0]), (p[1], tx), (y, q[0]), (q[1], ty)]
+        pairs.append((p[2], q[2]))
+        for rp, rq in product((p, (p[0], p[2], p[1])), (q, (q[0], q[2], q[1]))):
+            g = build_map(rotations + [(v, rp), (v + 1, rq)], pairs, check_planar=False)
+            if g.is_planar:
+                break
+    return g
+
+
+def backtrack_count(cmap: CombinatorialMap) -> int:
+    """Count by the enumerating backtracker, for maps small enough to list."""
+    bound = 10**6
+    colorings = enumerate_tait(cmap, bound)
+    assert len(colorings) < bound
+    return len(colorings)
+
+
+CATALOG_MAPS = [
+    ("circle", circle()),
+    ("circle3", circle(3)),
+    ("theta", theta()),
+    ("k4", k4()),
+    ("cube", cube()),
+    ("dodecahedron", dodecahedron()),
+    ("petersen", petersen()),
+    *[(f"prism{n}", prism(n)) for n in range(2, 10)],
+    *[(f"necklace{k}", necklace(k)) for k in range(1, 8)],
+]
+
+UNIONS = [
+    ("theta+circle2", disjoint_union(theta(), circle(2))),
+    ("k4+necklace2+circle", disjoint_union(disjoint_union(k4(), necklace(2)), circle())),
+    ("petersen+circle", disjoint_union(petersen(), circle())),
+    ("prism3+cube", disjoint_union(prism(3), cube())),
+    ("dumbbell", dumbbell()),
+    ("dumbbell+theta", disjoint_union(dumbbell(), theta())),
+]
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in CATALOG_MAPS + UNIONS], ids=[n for n, _ in CATALOG_MAPS + UNIONS]
+)
+def test_count_matches_backtracker_and_oracle(cmap):
+    count = count_tait(cmap)
+    assert count == backtrack_count(cmap)
+    if cmap.n_paired_edges <= 9:  # ORACLE_GRAPHS covers up to 12 edges
+        assert count == oracle_count(cmap)
+
+
+@pytest.mark.parametrize("n_vertices", range(4, 31, 2))
+def test_count_matches_backtracker_on_random_maps(n_vertices):
+    cmap = random_planar_cubic(n_vertices, seed=n_vertices)
+    assert cmap.is_planar
+    count = count_tait(cmap)
+    assert count == backtrack_count(cmap)
+    if cmap.n_paired_edges <= 9:
+        assert count == oracle_count(cmap)
+
+
+def test_random_planar_cubic_is_seeded():
+    a, b = random_planar_cubic(20, 7), random_planar_cubic(20, 7)
+    assert serialize_map(a) == serialize_map(b)
+    assert a.n_vertices == 20
+
+
+def test_count_has_no_depth_limit():
+    assert count_tait(necklace(400)) == 3 * 2**400
+    assert count_tait(prism(60)) == 2**60 + 8

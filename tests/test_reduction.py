@@ -107,6 +107,27 @@ def test_apply_bigon_rejects_bad_sites():
         apply_bigon(k4(), (0, 3, 6))
 
 
+@pytest.mark.parametrize(
+    "cmap, cycle, apply",
+    [
+        pytest.param(theta(), (), apply_bigon, id="empty"),
+        pytest.param(theta(), (6, 7), apply_bigon, id="past-last-half-edge"),
+        pytest.param(theta(), (-1, 0), apply_bigon, id="negative"),
+        pytest.param(theta(), (0, 99), apply_bigon, id="later-id-out-of-range"),
+        pytest.param(theta(), (5, 0), apply_bigon, id="bigon-not-from-smallest"),
+        pytest.param(k4(), (3, 6, 0), apply_triangle, id="triangle-rotated-once"),
+        pytest.param(k4(), (6, 0, 3), apply_triangle, id="triangle-rotated-twice"),
+        pytest.param(cube(), (6, 12, 18, 0), apply_square, id="square-rotated"),
+        pytest.param(k4(), (0, 3), apply_bigon, id="prefix-of-a-face"),
+        pytest.param(theta(), (0, 5, 0), apply_triangle, id="face-walked-past-its-end"),
+        pytest.param(theta(), ("0", 5), apply_bigon, id="not-an-id"),
+    ],
+)
+def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, apply):
+    with pytest.raises(InvalidMoveError, match="no face with half-edge cycle"):
+        apply(cmap, cycle)
+
+
 def test_apply_triangle_collapses_k4_to_theta():
     g = apply_triangle(k4(), (0, 3, 6))
     assert (g.n_vertices, g.n_edges) == (2, 3)
