@@ -23,8 +23,6 @@ from .planar import CombinatorialMap
 
 __all__ = ["count_tait", "enumerate_tait"]
 
-COLORS = (1, 2, 3)
-
 # The ways to color a vertex's new edges with colors 0, 1, 2, keyed by
 # the colors its open edges already carry; a repeated color has no key.
 _FILLS = {
@@ -170,17 +168,24 @@ def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:
                     return False
         return True
 
-    def search(e: int) -> bool:
+    # depth-first over the edges with an explicit cursor: edges before
+    # ``e`` hold their current colors 1-3, and ``color[e]`` is the last
+    # color tried at ``e`` (0 when none yet)
+    e = 0
+    while e >= 0:
         if e == n_total:
             found.append(tuple(color))
-            return len(found) >= limit
-        for c in COLORS:
-            if e >= n_edges or admits(e, c):
-                color[e] = c
-                if search(e + 1):
-                    return True
-        color[e] = 0
-        return False
-
-    search(0)
+            if len(found) >= limit:
+                break
+            e -= 1
+            continue
+        c = color[e] + 1
+        while c <= 3 and e < n_edges and not admits(e, c):
+            c += 1
+        if c <= 3:
+            color[e] = c
+            e += 1
+        else:
+            color[e] = 0
+            e -= 1
     return found

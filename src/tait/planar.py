@@ -8,6 +8,11 @@ rotation system describes an embedding in the sphere exactly when every
 connected component satisfies Euler's formula V - E + F = 2; maps are
 checked for this at construction unless explicitly told not to be.
 
+Every map, including each intermediate map of a reduction, runs every
+structural check and the Euler count at construction.  The constructor
+traces the face orbits as tuples of half-edge ids, which is all the
+Euler count needs; :class:`Face` records are built on demand.
+
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
 one edge of the graph, so the total edge count is ``n/2 + free_loops``.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -71,6 +77,9 @@ class CombinatorialMap:
 
     Construct through :func:`build_map` (which accepts arbitrary integer
     ids and relabels them densely) unless you already hold dense tables.
+    Every structural check runs on every construction, each as a
+    comparison of whole tables; :meth:`faces` builds its records on the
+    first call and keeps them.
     """
 
     __slots__ = (
@@ -82,6 +91,7 @@ class CombinatorialMap:
         "_edges",
         "_edge_of",
         "_rotations",
+        "_orbits",
         "_faces",
         "_planar",
     )
@@ -104,30 +114,49 @@ class CombinatorialMap:
         if not isinstance(free_loops, int) or free_loops < 0:
             raise MapError("free_loops must be a non-negative integer")
 
-        for h in range(n):
-            t = twin[h]
-            if not (0 <= t < n) or twin[t] != h:
-                raise MapError(f"twin is not an involution at half-edge {h}")
-            if t == h:
-                raise MapError(f"twin fixes half-edge {h}")
-        if sorted(sigma) != list(range(n)):
+        # Each check compares whole tables at once; only a failed
+        # comparison scans for the first offending index, so the error
+        # raised is the one the per-index loops below report.
+        halves = list(range(n))
+        try:
+            twin_ok = [twin[t] for t in twin] == halves and not any(map(eq, twin, halves))
+        except (IndexError, TypeError):
+            twin_ok = False
+        if not twin_ok:
+            for h in range(n):
+                t = twin[h]
+                if not (0 <= t < n) or twin[t] != h:
+                    raise MapError(f"twin is not an involution at half-edge {h}")
+                if t == h:
+                    raise MapError(f"twin fixes half-edge {h}")
+        if sorted(sigma) != halves:
             raise MapError("next_at_vertex is not a permutation of the half-edges")
 
         n_vertices = (max(vof) + 1) if n else 0
-        degree = [0] * n_vertices
-        for h in range(n):
-            v = vof[h]
-            if v < 0:
-                raise MapError(f"half-edge {h} has negative vertex id")
-            degree[v] += 1
-            if vof[sigma[h]] != v:
-                raise MapError(f"rotation moves half-edge {h} to another vertex")
-        for v, d in enumerate(degree):
-            if d != 3:
-                raise MapError(f"vertex {v} has degree {d}, expected 3")
-        for h in range(n):
-            if sigma[h] == h or sigma[sigma[h]] == h:
-                raise MapError(f"rotation at vertex {vof[h]} is not a single 3-cycle")
+        if n and (min(vof) < 0 or [vof[s] for s in sigma] != list(vof)):
+            for h in range(n):
+                if vof[h] < 0:
+                    raise MapError(f"half-edge {h} has negative vertex id")
+                if vof[sigma[h]] != vof[h]:
+                    raise MapError(f"rotation moves half-edge {h} to another vertex")
+        # sigma keeps every vertex, so with sigma^3 = 1 and no fixed point
+        # each vertex id in use carries a whole number of 3-cycles
+        sigma2 = [sigma[s] for s in sigma]
+        if (
+            n != 3 * n_vertices
+            or len(set(vof)) != n_vertices
+            or [sigma[s] for s in sigma2] != halves
+            or any(map(eq, sigma, halves))
+        ):
+            degree = [0] * n_vertices
+            for v in vof:
+                degree[v] += 1
+            for v, d in enumerate(degree):
+                if d != 3:
+                    raise MapError(f"vertex {v} has degree {d}, expected 3")
+            for h in range(n):
+                if sigma[h] == h or sigma[sigma[h]] == h:
+                    raise MapError(f"rotation at vertex {vof[h]} is not a single 3-cycle")
 
         self._twin = twin
         self._sigma = sigma
@@ -136,7 +165,7 @@ class CombinatorialMap:
         self._n_vertices = n_vertices
 
         # edge table, ordered by smaller half-edge
-        edges = tuple((h, twin[h]) for h in range(n) if h < twin[h])
+        edges = tuple((h, t) for h, t in enumerate(twin) if h < t)
         edge_of = [0] * n
         for e, (a, b) in enumerate(edges):
             edge_of[a] = edge_of[b] = e
@@ -144,78 +173,69 @@ class CombinatorialMap:
         self._edge_of = tuple(edge_of)
 
         # canonical rotation per vertex, starting at its smallest half-edge
-        first = [-1] * n_vertices
-        for h in range(n):
-            if first[vof[h]] < 0:
-                first[vof[h]] = h
+        # (filled from the last half-edge down, so the smallest one stays)
+        first = dict(zip(reversed(vof), reversed(halves)))
         self._rotations = tuple(
-            (h, sigma[h], sigma[sigma[h]]) for h in first
+            (h, sigma[h], sigma2[h]) for h in map(first.__getitem__, range(n_vertices))
         )
 
-        self._faces = self._trace_faces()
+        self._orbits = self._trace_orbits()
+        self._faces: tuple[Face, ...] | None = None
         self._planar = self._check_euler(check_planar)
 
-    def _trace_faces(self) -> tuple[Face, ...]:
-        n = len(self._twin)
-        seen = [False] * n
-        faces = []
-        for h0 in range(n):
+    def _trace_orbits(self) -> tuple[tuple[int, ...], ...]:
+        phi = [self._sigma[t] for t in self._twin]
+        seen = [False] * len(phi)
+        orbits = []
+        for h0, h in enumerate(phi):
             if seen[h0]:
                 continue
-            orbit = []
-            h = h0
-            while not seen[h]:
+            seen[h0] = True
+            orbit = [h0]
+            while h != h0:
                 seen[h] = True
                 orbit.append(h)
-                h = self._sigma[self._twin[h]]
-            cyc = tuple(orbit)
-            faces.append(
-                Face(
-                    half_edges=cyc,
-                    vertices=tuple(self._vertex_of[x] for x in cyc),
-                    edges=tuple(self._edge_of[x] for x in cyc),
-                )
-            )
-        return tuple(faces)
+                h = phi[h]
+            orbits.append(tuple(orbit))
+        return tuple(orbits)
 
     def _check_euler(self, raise_on_failure: bool) -> bool:
-        # connected components of the half-edge set under twin and sigma
-        n = len(self._twin)
-        comp = [-1] * n
+        # connected components over vertices, numbered by smallest half-edge
+        twin, vof, rotations = self._twin, self._vertex_of, self._rotations
+        comp = [-1] * self._n_vertices
         n_comps = 0
-        for h0 in range(n):
-            if comp[h0] >= 0:
+        for v0 in vof:
+            if comp[v0] >= 0:
                 continue
-            queue = deque([h0])
-            comp[h0] = n_comps
-            while queue:
-                h = queue.popleft()
-                for g in (self._twin[h], self._sigma[h]):
-                    if comp[g] < 0:
-                        comp[g] = n_comps
-                        queue.append(g)
+            comp[v0] = n_comps
+            stack = [v0]
+            while stack:
+                for h in rotations[stack.pop()]:
+                    u = vof[twin[h]]
+                    if comp[u] < 0:
+                        comp[u] = n_comps
+                        stack.append(u)
             n_comps += 1
 
-        verts = [set() for _ in range(n_comps)]
-        halves = [0] * n_comps
-        faces = [0] * n_comps
-        for h in range(n):
-            verts[comp[h]].add(self._vertex_of[h])
-            halves[comp[h]] += 1
-        for f in self._faces:
-            faces[comp[f.half_edges[0]]] += 1
-
-        planar = True
-        for c in range(n_comps):
-            chi = len(verts[c]) - halves[c] // 2 + faces[c]
-            if chi != 2:
-                planar = False
-                if raise_on_failure:
+        # V - E + F is at most 2 on every component, so the total is 2 per
+        # component exactly when each one is planar; E is 3V/2 (trivalence)
+        if self._n_vertices - len(twin) // 2 + len(self._orbits) == 2 * n_comps:
+            return True
+        if raise_on_failure:
+            verts = [0] * n_comps
+            faces = [0] * n_comps
+            for c in comp:
+                verts[c] += 1
+            for orbit in self._orbits:
+                faces[comp[vof[orbit[0]]]] += 1
+            for c in range(n_comps):
+                chi = faces[c] - verts[c] // 2
+                if chi != 2:
                     raise NonPlanarError(
                         f"component {c}: V - E + F = {chi}, expected 2 "
                         "(rotation system is not planar)"
                     )
-        return planar
+        return False
 
     # ------------------------------------------------------------------
     # basic queries
@@ -281,7 +301,18 @@ class CombinatorialMap:
         a, b = self._edges[e]
         return (self._vertex_of[a], self._vertex_of[b])
 
+    def face_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Half-edge cycle of every face, in the order of :meth:`faces`."""
+        return self._orbits
+
     def faces(self) -> tuple[Face, ...]:
+        """Every face, by smallest half-edge; built on the first call."""
+        if self._faces is None:
+            vof, edge_of = self._vertex_of, self._edge_of
+            self._faces = tuple(
+                Face(orbit, tuple([vof[h] for h in orbit]), tuple([edge_of[h] for h in orbit]))
+                for orbit in self._orbits
+            )
         return self._faces
 
     def is_bipartite(self) -> bool:

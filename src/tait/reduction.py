@@ -130,51 +130,62 @@ class TraceNode(Generic[W]):
         return self.multiplier * total
 
 
+_KIND_BY_DEGREE = {2: MoveKind.BIGON, 3: MoveKind.TRIANGLE, 4: MoveKind.SQUARE}
+
+
+def _match(degree: int, vertices, edges) -> MoveKind | None:
+    kind = _KIND_BY_DEGREE.get(degree)
+    if kind is None or len(set(vertices)) != degree or len(set(edges)) != degree:
+        return None
+    return kind
+
+
 def classify_face(cmap: CombinatorialMap, face: Face) -> MoveKind | None:
     """The move matching ``face``, or ``None``.
 
     Degenerate small faces (repeated vertex or edge, as around a vertex
     self-loop) match nothing.
     """
-    kind = {2: MoveKind.BIGON, 3: MoveKind.TRIANGLE, 4: MoveKind.SQUARE}.get(face.degree)
-    if kind is None:
+    return _match(face.degree, face.vertices, face.edges)
+
+
+def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
+    """:func:`classify_face` on a face orbit, without building its :class:`Face`."""
+    if not 2 <= len(orbit) <= 4:
         return None
-    d = face.degree
-    if len(set(face.vertices)) != d or len(set(face.edges)) != d:
-        return None
-    return kind
+    vertex_of, edge_of = cmap.vertex_of, cmap.edge_of
+    return _match(len(orbit), [vertex_of[h] for h in orbit], [edge_of(h) for h in orbit])
 
 
 def available_moves(cmap: CombinatorialMap) -> list[Move]:
     """Every matching move, loop first, then faces by smallest half-edge."""
-    moves = []
-    if cmap.free_loops > 0:
-        moves.append(Move(MoveKind.LOOP))
-    for face in cmap.faces():
-        kind = classify_face(cmap, face)
+    moves = [Move(MoveKind.LOOP)] if cmap.free_loops > 0 else []
+    for orbit in cmap.face_orbits():
+        kind = _orbit_kind(cmap, orbit)
         if kind is not None:
-            moves.append(Move(kind, face.half_edges))
+            moves.append(Move(kind, orbit))
     return moves
-
-
-_PRIORITY = {
-    MoveKind.LOOP: 0,
-    MoveKind.BIGON: 1,
-    MoveKind.TRIANGLE: 2,
-    MoveKind.SQUARE: 3,
-}
 
 
 def find_move(cmap: CombinatorialMap) -> Move | None:
     """Highest-priority move: loop, then bigon, triangle, square.
 
-    Ties between faces go to the one with the smallest half-edge, which
-    is their order in ``available_moves``.
+    Priority follows the face degree, so one pass over the faces by
+    smallest half-edge keeps the first match of the fewest sides; ties go
+    to the smallest half-edge, as in ``available_moves``.  The pass stops
+    at the first bigon.
     """
-    moves = available_moves(cmap)
-    if not moves:
-        return None
-    return min(moves, key=lambda m: (_PRIORITY[m.kind], m.half_edges))
+    if cmap.free_loops > 0:
+        return Move(MoveKind.LOOP)
+    best, limit = None, 5
+    for orbit in cmap.face_orbits():
+        if len(orbit) < limit:
+            kind = _orbit_kind(cmap, orbit)
+            if kind is not None:
+                best, limit = Move(kind, orbit), len(orbit)
+                if kind is MoveKind.BIGON:
+                    break
+    return best
 
 
 def _face_orbit(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> list[int]:
@@ -197,19 +208,14 @@ def _face_orbit(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> list[int
 
 def _checked_face(
     cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
-) -> Face:
-    """The face whose cycle, from its smallest half-edge, is ``half_edges``."""
+) -> tuple[int, ...]:
+    """``half_edges``, once checked to be a face cycle from its smallest half-edge."""
     orbit = _face_orbit(cmap, half_edges)
     if not orbit or tuple(orbit) != half_edges or min(orbit) != orbit[0]:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
-    face = Face(
-        half_edges=tuple(orbit),
-        vertices=tuple(cmap.vertex_of[h] for h in orbit),
-        edges=tuple(cmap.edge_of(h) for h in orbit),
-    )
-    if classify_face(cmap, face) is not kind:
+    if _orbit_kind(cmap, half_edges) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
-    return face
+    return half_edges
 
 
 def _rebuild(
@@ -239,13 +245,15 @@ def _rebuild(
     vid = {v: i for i, v in enumerate(sorted({vertex_of[h] for h in survivors}))}
     new_sigma = [hid[sigma[h]] for h in survivors]
     new_vof = [vid[vertex_of[h]] for h in survivors]
-    new_twin = [-1] * len(survivors)
-    used_stubs: set[int] = set()
     # hid's int objects, not fresh ones: the tables share them, and traces keep every map
-    for h, i in hid.items():
-        if new_twin[i] >= 0:
+    new_twin = [hid.get(twin[h], -1) for h in survivors]
+    # only a half-edge across a glue stub lost its twin
+    used_stubs: set[int] = set()
+    for stub in glue:
+        h = twin[stub]
+        if h in dead_half or new_twin[hid[h]] >= 0:
             continue
-        z = twin[h]
+        z = stub
         hops = 0
         while z in dead_half:
             used_stubs.update((z, glue[z]))
@@ -253,8 +261,8 @@ def _rebuild(
             hops += 1
             if hops > len(glue) + 1:
                 raise AssertionError("weld chain failed to terminate")
-        new_twin[i] = hid[z]
-        new_twin[hid[z]] = i
+        new_twin[hid[h]] = hid[z]
+        new_twin[hid[z]] = hid[h]
 
     # welds never reached from a surviving half-edge close into circles
     new_loops = 0
@@ -287,10 +295,9 @@ def apply_loop(cmap: CombinatorialMap) -> CombinatorialMap:
 
 def apply_bigon(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> CombinatorialMap:
     """Delete a 2-gon face and weld the two edges left dangling."""
-    face = _checked_face(cmap, tuple(half_edges), MoveKind.BIGON)
+    k0, k1 = _checked_face(cmap, tuple(half_edges), MoveKind.BIGON)
     sigma = cmap.next_at_vertex
     twin = cmap.twin
-    k0, k1 = face.half_edges
     outer = (sigma[k0], sigma[k1])
     dead = {k0, k1, twin[k0], twin[k1], *outer}
     glue = {outer[0]: outer[1], outer[1]: outer[0]}
@@ -301,10 +308,9 @@ def apply_triangle(
     cmap: CombinatorialMap, half_edges: tuple[int, ...]
 ) -> CombinatorialMap:
     """Collapse a 3-gon face to one vertex carrying the outer half-edges."""
-    face = _checked_face(cmap, tuple(half_edges), MoveKind.TRIANGLE)
+    k0, k1, k2 = _checked_face(cmap, tuple(half_edges), MoveKind.TRIANGLE)
     sigma = cmap.next_at_vertex
     twin = cmap.twin
-    k0, k1, k2 = face.half_edges
     x = (sigma[k0], sigma[k1], sigma[k2])
     dead = {k0, k1, k2, twin[k0], twin[k1], twin[k2]}
     # reversed face order keeps the collapsed rotation planar
@@ -318,8 +324,8 @@ def apply_square(
     face = _checked_face(cmap, tuple(half_edges), MoveKind.SQUARE)
     sigma = cmap.next_at_vertex
     twin = cmap.twin
-    x = tuple(sigma[k] for k in face.half_edges)
-    dead = set(face.half_edges) | {twin[k] for k in face.half_edges} | set(x)
+    x = tuple(sigma[k] for k in face)
+    dead = set(face) | {twin[k] for k in face} | set(x)
     glue_a = {x[0]: x[1], x[1]: x[0], x[2]: x[3], x[3]: x[2]}
     glue_b = {x[1]: x[2], x[2]: x[1], x[3]: x[0], x[0]: x[3]}
     return _rebuild(cmap, dead, glue_a, []), _rebuild(cmap, dead, glue_b, [])

@@ -236,3 +236,11 @@ def test_random_planar_cubic_is_seeded():
 def test_count_has_no_depth_limit():
     assert count_tait(necklace(400)) == 3 * 2**400
     assert count_tait(prism(60)) == 2**60 + 8
+
+
+def test_enumerate_has_no_depth_limit():
+    g = necklace(400)
+    (coloring,) = enumerate_tait(g, 1)
+    assert len(coloring) == g.n_edges
+    for v in range(g.n_vertices):
+        assert sorted(coloring[e] for e in g.vertex_edges(v)) == [1, 2, 3]

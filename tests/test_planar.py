@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
@@ -239,3 +241,178 @@ def test_to_rotations_and_pairs_rebuilds():
     for g in (theta(), k4(), necklace(2)):
         rotations, pairs, loops = g.to_rotations_and_pairs()
         assert build_map(rotations, pairs, loops, check_planar=False) == g
+
+
+# ----------------------------------------------------------------------
+# the constructor's table comparisons against per-index loops
+
+
+def reference_validate(twin, sigma, vof, check_planar=True):
+    """The constructor's checks written as one loop per check.
+
+    Returns ``(exception type, message)`` for the first failure, or
+    ``None`` when the tables describe a valid map.
+    """
+    n = len(twin)
+    try:
+        for h in range(n):
+            t = twin[h]
+            if not (0 <= t < n) or twin[t] != h:
+                raise MapError(f"twin is not an involution at half-edge {h}")
+            if t == h:
+                raise MapError(f"twin fixes half-edge {h}")
+        if sorted(sigma) != list(range(n)):
+            raise MapError("next_at_vertex is not a permutation of the half-edges")
+        n_vertices = (max(vof) + 1) if n else 0
+        degree = [0] * n_vertices
+        for h in range(n):
+            v = vof[h]
+            if v < 0:
+                raise MapError(f"half-edge {h} has negative vertex id")
+            degree[v] += 1
+            if vof[sigma[h]] != v:
+                raise MapError(f"rotation moves half-edge {h} to another vertex")
+        for v, d in enumerate(degree):
+            if d != 3:
+                raise MapError(f"vertex {v} has degree {d}, expected 3")
+        for h in range(n):
+            if sigma[h] == h or sigma[sigma[h]] == h:
+                raise MapError(f"rotation at vertex {vof[h]} is not a single 3-cycle")
+        if check_planar:
+            # components of the half-edges under twin and sigma, by smallest half-edge
+            comp = [-1] * n
+            n_comps = 0
+            for h0 in range(n):
+                if comp[h0] < 0:
+                    comp[h0] = n_comps
+                    todo = [h0]
+                    while todo:
+                        h = todo.pop()
+                        for g in (twin[h], sigma[h]):
+                            if comp[g] < 0:
+                                comp[g] = n_comps
+                                todo.append(g)
+                    n_comps += 1
+            chi = [0] * n_comps
+            seen = [False] * n
+            for h0 in range(n):
+                if not seen[h0]:
+                    chi[comp[h0]] += 1  # one face
+                    h = h0
+                    while not seen[h]:
+                        seen[h] = True
+                        h = sigma[twin[h]]
+            for c in range(n_comps):
+                vertices = {vof[h] for h in range(n) if comp[h] == c}
+                halves = sum(1 for h in range(n) if comp[h] == c)
+                chi[c] += len(vertices) - halves // 2
+                if chi[c] != 2:
+                    raise NonPlanarError(
+                        f"component {c}: V - E + F = {chi[c]}, expected 2 "
+                        "(rotation system is not planar)"
+                    )
+    except MapError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def constructor_outcome(twin, sigma, vof, check_planar=True):
+    try:
+        CombinatorialMap(twin, sigma, vof, check_planar=check_planar)
+    except MapError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def corrupt(cmap, rng):
+    """Tables of ``cmap`` with one to three seeded faults of the kinds below."""
+    twin, sigma, vof = list(cmap.twin), list(cmap.next_at_vertex), list(cmap.vertex_of)
+    n = len(twin)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.choice(
+            [
+                "twin-entry", "twin-fixed", "twin-repair",
+                "sigma-duplicate", "sigma-two-cycle", "sigma-swap",
+                "vertex-negative", "vertex-range", "vertex-move", "vertex-relabel",
+                "vertex-gap", "vertex-merge",
+            ]
+        )
+        if kind == "twin-entry":
+            twin[i] = rng.randint(-2, n + 2)
+        elif kind == "twin-fixed":
+            twin[i] = i
+        elif kind == "twin-repair":
+            # rejoin two edges crosswise: still an involution, maybe not planar
+            a, b = i, twin[i]
+            c, d = j, twin[j]
+            if len({a, b, c, d}) == 4 and 0 <= b < n and 0 <= d < n:
+                twin[a], twin[c], twin[b], twin[d] = c, a, d, b
+        elif kind == "sigma-duplicate":
+            sigma[i] = sigma[j]
+        elif kind == "sigma-two-cycle":
+            k = sigma[i]
+            if 0 <= k < n:
+                sigma[i], sigma[k], sigma[sigma[k]] = k, i, sigma[k]
+        elif kind == "sigma-swap":
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+        elif kind == "vertex-negative":
+            vof[i] = -rng.randint(1, 3)
+        elif kind == "vertex-range":
+            vof[i] = max(vof) + rng.randint(1, 3)
+        elif kind == "vertex-move":
+            vof[i] = vof[j]
+        elif kind == "vertex-gap":
+            # renumber one whole vertex past the others: lower ids go unused
+            old, new = vof[i], max(vof) + rng.randint(1, 3)
+            vof = [new if v == old else v for v in vof]
+        elif kind == "vertex-merge":
+            # two rotations on one vertex id: degree 6
+            vof = [vof[j] if v == vof[i] else v for v in vof]
+        else:
+            perm = list(range(max(vof) + 1))
+            rng.shuffle(perm)
+            vof = [perm[v] if 0 <= v < len(perm) else v for v in vof]
+    return twin, sigma, vof
+
+
+@pytest.mark.parametrize(
+    "cmap",
+    [
+        theta(), k4(), cube(), prism(5), necklace(3), dumbbell(),
+        disjoint_union(k4(), theta()), disjoint_union(theta(), cube()),
+    ],
+    ids=["theta", "k4", "cube", "prism5", "necklace3", "dumbbell", "k4+theta", "theta+cube"],
+)
+def test_constructor_matches_loop_reference(cmap):
+    rng = random.Random(cmap.n_half_edges)
+    outcomes = set()
+    for _ in range(400):
+        twin, sigma, vof = corrupt(cmap, rng)
+        for check_planar in (True, False):
+            expected = reference_validate(twin, sigma, vof, check_planar)
+            assert constructor_outcome(twin, sigma, vof, check_planar) == expected
+            outcomes.add(None if expected is None else expected[1].split(" ")[0])
+    assert None in outcomes and len(outcomes) >= 5
+
+
+def test_constructor_reports_first_fault():
+    t = list(theta().twin)
+    s, v = theta().next_at_vertex, theta().vertex_of
+    fixed_then_bad = [0] + t[1:4] + [9] + t[5:]
+    bad_then_fixed = t[:1] + [9] + t[2:4] + [4] + t[5:]
+    assert constructor_outcome(fixed_then_bad, s, v) == (MapError, "twin fixes half-edge 0")
+    assert constructor_outcome(bad_then_fixed, s, v) == (
+        MapError,
+        "twin is not an involution at half-edge 1",
+    )
+    for twin in (fixed_then_bad, bad_then_fixed):
+        assert constructor_outcome(twin, s, v) == reference_validate(twin, s, v)
+
+
+def test_non_planar_component_is_named():
+    u = disjoint_union(theta(), petersen())
+    with pytest.raises(NonPlanarError) as info:
+        CombinatorialMap(u.twin, u.next_at_vertex, u.vertex_of)
+    assert str(info.value) == "component 1: V - E + F = -2, expected 2 (rotation system is not planar)"
+    assert reference_validate(u.twin, u.next_at_vertex, u.vertex_of) == (NonPlanarError, str(info.value))

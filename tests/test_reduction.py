@@ -8,6 +8,7 @@ from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, pri
 from tait.coloring import count_tait
 from tait.planar import (
     CombinatorialMap,
+    Face,
     NonPlanarError,
     build_map,
     disjoint_union,
@@ -33,6 +34,7 @@ from tait.reduction import (
     format_trace,
     reduce_map,
 )
+from test_coloring import CATALOG_MAPS, UNIONS, random_planar_cubic
 
 
 def dumbbell() -> CombinatorialMap:
@@ -327,3 +329,67 @@ def test_randomized_order_on_nonbipartite_maps():
 
 def test_euler_weights_constant():
     assert EULER_WEIGHTS == RelationWeights(loop=3, bigon=2, one=1)
+
+
+# ----------------------------------------------------------------------
+# the one-pass move search against its eager definition
+
+PRIORITY = {MoveKind.LOOP: 0, MoveKind.BIGON: 1, MoveKind.TRIANGLE: 2, MoveKind.SQUARE: 3}
+
+
+def eager_faces(g: CombinatorialMap) -> tuple[Face, ...]:
+    """Every face record, traced from each unseen half-edge in order."""
+    seen, faces = set(), []
+    for h0 in range(g.n_half_edges):
+        orbit, h = [], h0
+        while h not in seen:
+            seen.add(h)
+            orbit.append(h)
+            h = g.next_at_vertex[g.twin[h]]
+        if orbit:
+            vertices = tuple(g.vertex_of[x] for x in orbit)
+            faces.append(Face(tuple(orbit), vertices, tuple(g.edge_of(x) for x in orbit)))
+    return tuple(faces)
+
+
+def eager_moves(g: CombinatorialMap) -> list[Move]:
+    moves = [Move(MoveKind.LOOP)] if g.free_loops > 0 else []
+    for face in eager_faces(g):
+        kind = classify_face(g, face)
+        if kind is not None:
+            moves.append(Move(kind, face.half_edges))
+    return moves
+
+
+def priority_path_maps(g: CombinatorialMap, limit: int = 400) -> list[CombinatorialMap]:
+    """``g`` and the maps of its priority reduction, up to any strand."""
+    todo, seen = [g], []
+    while todo and len(seen) < limit:
+        x = todo.pop()
+        seen.append(x)
+        move = find_move(x)
+        if move is not None and x.is_planar:
+            todo.extend(apply_move(x, move))
+    return seen
+
+
+SEARCH_MAPS = CATALOG_MAPS + UNIONS + [
+    (f"random{v}", random_planar_cubic(v, seed=1000 + v)) for v in range(8, 61, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in SEARCH_MAPS], ids=[name for name, _ in SEARCH_MAPS]
+)
+def test_move_search_matches_eager_definition(cmap):
+    for g in priority_path_maps(cmap):
+        # a fresh copy, so the search runs before any face record exists
+        fresh = CombinatorialMap(
+            g.twin, g.next_at_vertex, g.vertex_of, g.free_loops, check_planar=False
+        )
+        moves = available_moves(fresh)
+        best = min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
+        assert find_move(fresh) == best
+        assert moves == eager_moves(g)
+        assert fresh.faces() == eager_faces(g)
+        assert fresh.faces() is fresh.faces()
