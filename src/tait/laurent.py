@@ -163,6 +163,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash as that int
+        if self._coeffs.keys() <= {0}:
+            return hash(self.coefficient(0))
         return hash(frozenset(self._coeffs.items()))
 
     def reciprocal(self) -> "LaurentPoly":

@@ -39,10 +39,6 @@ __all__ = [
     "available_moves",
     "find_move",
     "apply_move",
-    "apply_loop",
-    "apply_bigon",
-    "apply_triangle",
-    "apply_square",
     "reduce_map",
     "euler_characteristic",
     "format_trace",
@@ -94,11 +90,11 @@ class IrreducibleError(Exception):
     """
 
     def __init__(self, graph: CombinatorialMap):
-        small = [f for f in graph.faces() if f.degree <= 4]
-        smallest = min((f.degree for f in graph.faces()), default=0)
+        small = [orbit for orbit in graph.face_orbits() if len(orbit) <= 4]
+        smallest = min(map(len, graph.face_orbits()), default=0)
         reason = f"every face has five or more sides (smallest face degree {smallest})"
         if small:
-            degenerate = sum(classify_face(graph, f) is None for f in small)
+            degenerate = sum(_orbit_kind(graph, orbit) is None for orbit in small)
             reason = (
                 f"smallest face degree {smallest}, and {degenerate} faces of degree "
                 "at most 4 are degenerate (a monogon, or a repeated vertex or edge)"
@@ -130,31 +126,24 @@ class TraceNode(Generic[W]):
         return self.multiplier * total
 
 
-_KIND_BY_DEGREE = {2: MoveKind.BIGON, 3: MoveKind.TRIANGLE, 4: MoveKind.SQUARE}
-
-
-def _match(degree: int, vertices, edges) -> MoveKind | None:
-    kind = _KIND_BY_DEGREE.get(degree)
-    if kind is None or len(set(vertices)) != degree or len(set(edges)) != degree:
+def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
+    """The move matching the face with half-edge cycle ``orbit``, or ``None``."""
+    degree = len(orbit)
+    if not 2 <= degree <= 4:
         return None
-    return kind
+    vertex_of, edge_of = cmap.vertex_of, cmap.edge_of
+    if len({vertex_of[h] for h in orbit}) != degree or len({edge_of(h) for h in orbit}) != degree:
+        return None
+    return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
 
 
 def classify_face(cmap: CombinatorialMap, face: Face) -> MoveKind | None:
-    """The move matching ``face``, or ``None``.
+    """The move matching ``face`` of ``cmap``, or ``None``.
 
     Degenerate small faces (repeated vertex or edge, as around a vertex
     self-loop) match nothing.
     """
-    return _match(face.degree, face.vertices, face.edges)
-
-
-def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
-    """:func:`classify_face` on a face orbit, without building its :class:`Face`."""
-    if not 2 <= len(orbit) <= 4:
-        return None
-    vertex_of, edge_of = cmap.vertex_of, cmap.edge_of
-    return _match(len(orbit), [vertex_of[h] for h in orbit], [edge_of(h) for h in orbit])
+    return _orbit_kind(cmap, face.half_edges)
 
 
 def available_moves(cmap: CombinatorialMap) -> list[Move]:
@@ -280,68 +269,39 @@ def _rebuild(
     return CombinatorialMap(new_twin, new_sigma, new_vof, cmap.free_loops + new_loops)
 
 
-def apply_loop(cmap: CombinatorialMap) -> CombinatorialMap:
-    """Remove one free loop."""
-    if cmap.free_loops == 0:
-        raise InvalidMoveError("no free loop to remove")
-    return CombinatorialMap(
-        cmap.twin,
-        cmap.next_at_vertex,
-        cmap.vertex_of,
-        cmap.free_loops - 1,
-        check_planar=False,
-    )
-
-
-def apply_bigon(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> CombinatorialMap:
-    """Delete a 2-gon face and weld the two edges left dangling."""
-    k0, k1 = _checked_face(cmap, tuple(half_edges), MoveKind.BIGON)
-    sigma = cmap.next_at_vertex
-    twin = cmap.twin
-    outer = (sigma[k0], sigma[k1])
-    dead = {k0, k1, twin[k0], twin[k1], *outer}
-    glue = {outer[0]: outer[1], outer[1]: outer[0]}
-    return _rebuild(cmap, dead, glue, [])
-
-
-def apply_triangle(
-    cmap: CombinatorialMap, half_edges: tuple[int, ...]
-) -> CombinatorialMap:
-    """Collapse a 3-gon face to one vertex carrying the outer half-edges."""
-    k0, k1, k2 = _checked_face(cmap, tuple(half_edges), MoveKind.TRIANGLE)
-    sigma = cmap.next_at_vertex
-    twin = cmap.twin
-    x = (sigma[k0], sigma[k1], sigma[k2])
-    dead = {k0, k1, k2, twin[k0], twin[k1], twin[k2]}
-    # reversed face order keeps the collapsed rotation planar
-    return _rebuild(cmap, dead, {}, [(x[0], x[2], x[1])])
-
-
-def apply_square(
-    cmap: CombinatorialMap, half_edges: tuple[int, ...]
-) -> tuple[CombinatorialMap, CombinatorialMap]:
-    """Delete a 4-gon face and rejoin the four stubs both planar ways."""
-    face = _checked_face(cmap, tuple(half_edges), MoveKind.SQUARE)
-    sigma = cmap.next_at_vertex
-    twin = cmap.twin
-    x = tuple(sigma[k] for k in face)
-    dead = set(face) | {twin[k] for k in face} | set(x)
-    glue_a = {x[0]: x[1], x[1]: x[0], x[2]: x[3], x[3]: x[2]}
-    glue_b = {x[1]: x[2], x[2]: x[1], x[3]: x[0], x[0]: x[3]}
-    return _rebuild(cmap, dead, glue_a, []), _rebuild(cmap, dead, glue_b, [])
-
-
 def apply_move(
     cmap: CombinatorialMap, move: Move
 ) -> tuple[CombinatorialMap, ...]:
-    """Children produced by ``move``: two for a square, one otherwise."""
-    if move.kind is MoveKind.LOOP:
-        return (apply_loop(cmap),)
-    if move.kind is MoveKind.BIGON:
-        return (apply_bigon(cmap, move.half_edges),)
-    if move.kind is MoveKind.TRIANGLE:
-        return (apply_triangle(cmap, move.half_edges),)
-    return apply_square(cmap, move.half_edges)
+    """Children produced by ``move``: two for a square, one otherwise.
+
+    A loop move drops one free loop.  A face move cuts out the face's
+    edges; ``x[i] = sigma(k[i])`` is the outer half-edge at its corner
+    ``k[i]``.  A triangle puts ``x`` on one new vertex.  A bigon or square
+    also cuts the spokes through ``x`` and welds the stubs left behind: a
+    bigon its two, a square its four in both planar ways.  Raises
+    :class:`InvalidMoveError` unless the site is a face matching the move.
+    """
+    kind = move.kind
+    if kind is MoveKind.LOOP:
+        if cmap.free_loops == 0:
+            raise InvalidMoveError("no free loop to remove")
+        child = CombinatorialMap(
+            cmap.twin, cmap.next_at_vertex, cmap.vertex_of, cmap.free_loops - 1, check_planar=False
+        )
+        return (child,)
+    face = _checked_face(cmap, tuple(move.half_edges), kind)
+    sigma, twin = cmap.next_at_vertex, cmap.twin
+    x = [sigma[k] for k in face]
+    dead = {*face, *[twin[k] for k in face]}
+    if kind is MoveKind.TRIANGLE:
+        # reversed face order keeps the collapsed rotation planar
+        return (_rebuild(cmap, dead, {}, [(x[0], x[2], x[1])]),)
+    dead.update(x)
+    if kind is MoveKind.BIGON:
+        return (_rebuild(cmap, dead, {x[0]: x[1], x[1]: x[0]}, []),)
+    # a square rejoins both planar ways: x, and x turned by one, each paired i <-> i^1
+    ways = (x, x[1:] + x[:1])
+    return tuple([_rebuild(cmap, dead, {y[i]: y[i ^ 1] for i in range(4)}, []) for y in ways])
 
 
 def _multiplier(move: Move, weights: RelationWeights[W]) -> W:

@@ -12,6 +12,7 @@ and default it, printing it in the report.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,14 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 # suites
 
 
+def _check_campaign(trials: int, tol: float) -> None:
+    """Reject a trial count or tolerance under which no check can fail."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def run_theorem1(trials=None, tol=None, seed=None) -> SuiteReport:
     """Reduction value equals the frontier-DP count on bipartite fixtures.
 
@@ -208,10 +217,12 @@ def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteRep
     Half the pairs come from orthogonal lines (product must again be
     order 2, with its axis orthogonal to both inputs), half from lines
     with overlap at least 0.001 (product must not be order 2).  The
-    biconditional must hold on every pair.
+    biconditional must hold on every pair.  Raises ``ValueError`` for
+    ``trials < 1`` or a ``tol`` that is not positive and finite.
     """
     trials = 1000 if trials is None else trials
     tol = 1e-9 if tol is None else tol
+    _check_campaign(trials, tol)
     seed = 0 if seed is None else seed
     rng = np.random.default_rng(seed)
     n_orth = trials // 2
@@ -272,9 +283,11 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
     Trials rotate through the roundtrip fixtures; each samples a fresh
     admissible decoration, converts it both ways, and measures the line
     recovery defect 1 - |<v, v'>| per edge plus the vertex products.
+    Raises ``ValueError`` as :func:`run_lemma5` does.
     """
     trials = 100 if trials is None else trials
     tol = 1e-9 if tol is None else tol
+    _check_campaign(trials, tol)
     seed = 0 if seed is None else seed
     rng = np.random.default_rng(seed)
     corpus = roundtrip_corpus()

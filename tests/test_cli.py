@@ -196,6 +196,24 @@ def test_verify_unknown_suite(capsys):
     assert run(["verify", "perpetual-motion"], capsys)[0] == EXIT_INVALID
 
 
+@pytest.mark.parametrize("suite", ["lemma5", "roundtrip"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "-4", "trials must be at least 1, got -4"),
+        ("--trials", "0", "trials must be at least 1, got 0"),
+        ("--tol", "-1", "tol must be a positive finite number, got -1.0"),
+        ("--tol", "0", "tol must be a positive finite number, got 0.0"),
+        ("--tol", "nan", "tol must be a positive finite number, got nan"),
+        ("--tol", "inf", "tol must be a positive finite number, got inf"),
+    ],
+)
+def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):
+    # a campaign with no trials or no working tolerance would report PASS
+    code, out, err = run(["verify", suite, flag, value], capsys)
+    assert (code, out, err) == (EXIT_INVALID, "", f"tait: error: {message}\n")
+
+
 def test_count_on_long_necklace(tmp_path, capsys):
     code, out, err = run(["count", graph_file(tmp_path, necklace(400))], capsys)
     assert (code, out, err) == (EXIT_OK, f"{3 * 2**400}\n", "")

@@ -99,6 +99,15 @@ def test_int_mixing():
         p + 1.5  # noqa: B018
 
 
+@pytest.mark.parametrize("c", [0, 1, 3, -5, 2**70])
+def test_constants_hash_as_their_int(c):
+    # equal objects must hash equal, or a set keeps both
+    assert LaurentPoly({0: c}) == c
+    assert hash(LaurentPoly({0: c})) == hash(c)
+    assert len({LaurentPoly({0: c}), c}) == 1
+    assert {c: "int"}[LaurentPoly({0: c})] == "int"
+
+
 def test_pow():
     p = quantum_integer(2)
     assert p**0 == LaurentPoly.one()

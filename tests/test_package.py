@@ -14,8 +14,7 @@ PUBLIC_NAMES = {
     "count_tait", "enumerate_tait",
     # reduction
     "EULER_WEIGHTS", "InvalidMoveError", "IrreducibleError", "Move", "MoveKind",
-    "RelationWeights", "TraceNode", "apply_bigon", "apply_loop", "apply_move",
-    "apply_square", "apply_triangle", "available_moves", "classify_face",
+    "RelationWeights", "TraceNode", "apply_move", "available_moves", "classify_face",
     "euler_characteristic", "find_move", "format_trace", "reduce_map",
     # laurent
     "LaurentParseError", "LaurentPoly", "NotBipartiteError", "P3_WEIGHTS", "p3",
@@ -33,7 +32,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 69
+    assert len(PUBLIC_NAMES) == 65
     assert len(tait.__all__) == len(set(tait.__all__))
     assert set(tait.__all__) == PUBLIC_NAMES
 

@@ -22,11 +22,7 @@ from tait.reduction import (
     MoveKind,
     RelationWeights,
     TraceNode,
-    apply_bigon,
-    apply_loop,
     apply_move,
-    apply_square,
-    apply_triangle,
     available_moves,
     classify_face,
     euler_characteristic,
@@ -87,51 +83,52 @@ def test_find_move_priority():
 
 
 def test_apply_loop():
-    g = apply_loop(circle())
+    (g,) = apply_move(circle(), Move(MoveKind.LOOP))
     assert (g.n_half_edges, g.free_loops) == (0, 0)
     with pytest.raises(InvalidMoveError, match="no free loop"):
-        apply_loop(theta())
+        apply_move(theta(), Move(MoveKind.LOOP))
 
 
 def test_apply_bigon_on_theta():
-    g = apply_bigon(theta(), (0, 5))
+    (g,) = apply_move(theta(), Move(MoveKind.BIGON, (0, 5)))
     assert (g.n_vertices, g.n_half_edges, g.free_loops) == (0, 0, 1)
     assert count_tait(g) == 3
     # any of the three bigons leaves one free loop
     for face in theta().faces():
-        assert apply_bigon(theta(), face.half_edges).free_loops == 1
+        (child,) = apply_move(theta(), Move(MoveKind.BIGON, face.half_edges))
+        assert child.free_loops == 1
 
 
 def test_apply_bigon_rejects_bad_sites():
     with pytest.raises(InvalidMoveError, match="no face"):
-        apply_bigon(theta(), (0, 1))
+        apply_move(theta(), Move(MoveKind.BIGON, (0, 1)))
     with pytest.raises(InvalidMoveError, match="does not match a bigon"):
-        apply_bigon(k4(), (0, 3, 6))
+        apply_move(k4(), Move(MoveKind.BIGON, (0, 3, 6)))
 
 
 @pytest.mark.parametrize(
-    "cmap, cycle, apply",
+    "cmap, cycle, kind",
     [
-        pytest.param(theta(), (), apply_bigon, id="empty"),
-        pytest.param(theta(), (6, 7), apply_bigon, id="past-last-half-edge"),
-        pytest.param(theta(), (-1, 0), apply_bigon, id="negative"),
-        pytest.param(theta(), (0, 99), apply_bigon, id="later-id-out-of-range"),
-        pytest.param(theta(), (5, 0), apply_bigon, id="bigon-not-from-smallest"),
-        pytest.param(k4(), (3, 6, 0), apply_triangle, id="triangle-rotated-once"),
-        pytest.param(k4(), (6, 0, 3), apply_triangle, id="triangle-rotated-twice"),
-        pytest.param(cube(), (6, 12, 18, 0), apply_square, id="square-rotated"),
-        pytest.param(k4(), (0, 3), apply_bigon, id="prefix-of-a-face"),
-        pytest.param(theta(), (0, 5, 0), apply_triangle, id="face-walked-past-its-end"),
-        pytest.param(theta(), ("0", 5), apply_bigon, id="not-an-id"),
+        pytest.param(theta(), (), MoveKind.BIGON, id="empty"),
+        pytest.param(theta(), (6, 7), MoveKind.BIGON, id="past-last-half-edge"),
+        pytest.param(theta(), (-1, 0), MoveKind.BIGON, id="negative"),
+        pytest.param(theta(), (0, 99), MoveKind.BIGON, id="later-id-out-of-range"),
+        pytest.param(theta(), (5, 0), MoveKind.BIGON, id="bigon-not-from-smallest"),
+        pytest.param(k4(), (3, 6, 0), MoveKind.TRIANGLE, id="triangle-rotated-once"),
+        pytest.param(k4(), (6, 0, 3), MoveKind.TRIANGLE, id="triangle-rotated-twice"),
+        pytest.param(cube(), (6, 12, 18, 0), MoveKind.SQUARE, id="square-rotated"),
+        pytest.param(k4(), (0, 3), MoveKind.BIGON, id="prefix-of-a-face"),
+        pytest.param(theta(), (0, 5, 0), MoveKind.TRIANGLE, id="face-walked-past-its-end"),
+        pytest.param(theta(), ("0", 5), MoveKind.BIGON, id="not-an-id"),
     ],
 )
-def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, apply):
+def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, kind):
     with pytest.raises(InvalidMoveError, match="no face with half-edge cycle"):
-        apply(cmap, cycle)
+        apply_move(cmap, Move(kind, cycle))
 
 
 def test_apply_triangle_collapses_k4_to_theta():
-    g = apply_triangle(k4(), (0, 3, 6))
+    (g,) = apply_move(k4(), Move(MoveKind.TRIANGLE, (0, 3, 6)))
     assert (g.n_vertices, g.n_edges) == (2, 3)
     assert sorted(f.degree for f in g.faces()) == [2, 2, 2]
     assert g.is_planar
@@ -139,10 +136,10 @@ def test_apply_triangle_collapses_k4_to_theta():
 
 
 def test_apply_square_splits_count():
-    a, b = apply_square(cube(), (0, 6, 12, 18))
+    a, b = apply_move(cube(), Move(MoveKind.SQUARE, (0, 6, 12, 18)))
     assert count_tait(a) + count_tait(b) == count_tait(cube())
     assert (count_tait(a), count_tait(b)) == (12, 12)
-    a2, b2 = apply_square(necklace(2), (0, 3, 6, 9))
+    a2, b2 = apply_move(necklace(2), Move(MoveKind.SQUARE, (0, 3, 6, 9)))
     assert {count_tait(a2), count_tait(b2)} == {9, 3}
     assert euler_characteristic(a2) + euler_characteristic(b2) == 12
 
@@ -243,15 +240,31 @@ def test_golden_traces(name):
     assert format_trace(reduce_map(make())) == expected
 
 
+def children_text(cmap, kind, cycle=()):
+    return [serialize_map(child) for child in apply_move(cmap, Move(kind, cycle))]
+
+
 def test_rebuilt_child_ids():
     # survivors keep their relative order; a collapsed triangle's vertex comes last
-    assert serialize_map(apply_bigon(necklace(2), (1, 5))) == (
+    assert children_text(necklace(2), MoveKind.BIGON, (1, 5)) == [
         "vertex 0: 0 1 2\nvertex 1: 3 4 5\nedge 0: 0 5\nedge 1: 1 4\nedge 2: 2 3\n"
-    )
-    assert serialize_map(apply_triangle(prism(3), (0, 6, 12))) == (
+    ]
+    assert children_text(prism(3), MoveKind.TRIANGLE, (0, 6, 12)) == [
         "vertex 0: 1 2 3\nvertex 1: 5 6 7\nvertex 2: 9 10 11\nvertex 3: 0 8 4\n"
         "edge 0: 0 1\nedge 1: 2 7\nedge 2: 3 10\nedge 3: 4 5\nedge 4: 6 11\nedge 5: 8 9\n"
-    )
+    ]
+    # the square's first child pairs its stubs x0-x1, x2-x3, the second x1-x2, x3-x0
+    assert children_text(cube(), MoveKind.SQUARE, (0, 6, 12, 18)) == [
+        "vertex 0: 0 1 2\nvertex 1: 3 4 5\nvertex 2: 6 7 8\nvertex 3: 9 10 11\n"
+        "edge 0: 0 3\nedge 1: 1 5\nedge 2: 2 10\nedge 3: 4 8\nedge 4: 6 9\nedge 5: 7 11\n",
+        "vertex 0: 0 1 2\nvertex 1: 3 4 5\nvertex 2: 6 7 8\nvertex 3: 9 10 11\n"
+        "edge 0: 0 9\nedge 1: 1 5\nedge 2: 2 10\nedge 3: 3 6\nedge 4: 4 8\nedge 5: 7 11\n",
+    ]
+    assert children_text(necklace(2), MoveKind.SQUARE, (0, 3, 6, 9)) == ["loops 2\n", "loops 1\n"]
+    # a loop move keeps every table and drops one free loop
+    assert children_text(disjoint_union(theta(), circle()), MoveKind.LOOP) == [
+        "vertex 0: 0 1 2\nvertex 1: 3 5 4\nedge 0: 0 3\nedge 1: 1 4\nedge 2: 2 5\n"
+    ]
 
 
 def test_reduce_empty_map():
