@@ -41,5 +41,5 @@ print("\nrandomized cube runs all give:", values)
 try:
     reduce_map(dodecahedron())
 except IrreducibleError as exc:
-    degrees = sorted(f.degree for f in exc.graph.faces())
+    degrees = sorted(map(len, exc.graph.face_orbits()))
     print("\ndodecahedron is irreducible; face degrees:", degrees)

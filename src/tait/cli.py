@@ -3,9 +3,8 @@
 ``tait <count|euler|p3|reduce|verify|gen> [args]``; graph files use the
 plain-text map format, with ``-`` (the default) meaning stdin.  Exit
 codes are a stable contract: 0 success, 1 parse or validation failure
-(including usage errors, and a map too large for the recursion limit or
-for memory), 2 irreducible graph, 3 non-bipartite input where
-bipartiteness is required.
+(including usage errors, and a map too large for memory), 2 irreducible
+graph, 3 non-bipartite input where bipartiteness is required.
 """
 
 from __future__ import annotations

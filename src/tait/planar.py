@@ -11,7 +11,7 @@ checked for this at construction unless explicitly told not to be.
 Every map, including each intermediate map of a reduction, runs every
 structural check and the Euler count at construction.  The constructor
 traces the face orbits as tuples of half-edge ids, which is all the
-Euler count needs; :class:`Face` records are built on demand.
+Euler count needs.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -25,7 +25,6 @@ keeps every query deterministic under rebuilds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Sequence
 
@@ -33,13 +32,11 @@ __all__ = [
     "MapError",
     "NonPlanarError",
     "ParseError",
-    "Face",
     "CombinatorialMap",
     "build_map",
     "disjoint_union",
     "parse_map",
     "serialize_map",
-    "edge_bfs_order",
 ]
 
 
@@ -55,31 +52,13 @@ class ParseError(MapError):
     """Raised on malformed graph text."""
 
 
-@dataclass(frozen=True)
-class Face:
-    """One orbit of the face permutation, starting at its smallest half-edge.
-
-    ``vertices[i]`` and ``edges[i]`` belong to ``half_edges[i]``; in a
-    multigraph both may repeat even though half-edges never do.
-    """
-
-    half_edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.half_edges)
-
-
 class CombinatorialMap:
     """Immutable validated rotation system plus a free-loop counter.
 
     Construct through :func:`build_map` (which accepts arbitrary integer
     ids and relabels them densely) unless you already hold dense tables.
     Every structural check runs on every construction, each as a
-    comparison of whole tables; :meth:`faces` builds its records on the
-    first call and keeps them.
+    comparison of whole tables.
     """
 
     __slots__ = (
@@ -92,7 +71,6 @@ class CombinatorialMap:
         "_edge_of",
         "_rotations",
         "_orbits",
-        "_faces",
         "_planar",
     )
 
@@ -180,7 +158,6 @@ class CombinatorialMap:
         )
 
         self._orbits = self._trace_orbits()
-        self._faces: tuple[Face, ...] | None = None
         self._planar = self._check_euler(check_planar)
 
     def _trace_orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -302,18 +279,8 @@ class CombinatorialMap:
         return (self._vertex_of[a], self._vertex_of[b])
 
     def face_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Half-edge cycle of every face, in the order of :meth:`faces`."""
+        """Half-edge cycle of every face, by smallest half-edge, which comes first."""
         return self._orbits
-
-    def faces(self) -> tuple[Face, ...]:
-        """Every face, by smallest half-edge; built on the first call."""
-        if self._faces is None:
-            vof, edge_of = self._vertex_of, self._edge_of
-            self._faces = tuple(
-                Face(orbit, tuple([vof[h] for h in orbit]), tuple([edge_of[h] for h in orbit]))
-                for orbit in self._orbits
-            )
-        return self._faces
 
     def is_bipartite(self) -> bool:
         """Whether the vertices 2-color with no monochromatic edge.
@@ -442,37 +409,6 @@ def disjoint_union(a: CombinatorialMap, b: CombinatorialMap) -> CombinatorialMap
     ]
     pairs = pairs_a + [(x + dh, y + dh) for x, y in pairs_b]
     return build_map(rotations, pairs, loops_a + loops_b, check_planar=False)
-
-
-def edge_bfs_order(cmap: CombinatorialMap) -> list[int]:
-    """Paired-edge ids in breadth-first order over shared-vertex adjacency.
-
-    Constraint-propagation style traversals (coloring search, decoration
-    sampling) want neighboring edges to appear close together; this order
-    is also deterministic, so seeded runs reproduce.
-    """
-    n_edges = cmap.n_paired_edges
-    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    neighbors: list[set[int]] = [set() for _ in range(n_edges)]
-    for tri in at_vertex:
-        for e in tri:
-            neighbors[e].update(x for x in tri if x != e)
-
-    order = []
-    seen = [False] * n_edges
-    for e0 in range(n_edges):
-        if seen[e0]:
-            continue
-        seen[e0] = True
-        queue = deque([e0])
-        while queue:
-            e = queue.popleft()
-            order.append(e)
-            for x in sorted(neighbors[e]):
-                if not seen[x]:
-                    seen[x] = True
-                    queue.append(x)
-    return order
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ Four local moves rewrite a map into strictly smaller ones:
   adding the results.
 
 A move only matches a face whose vertices and edges are pairwise
-distinct.  Repeatedly applying moves until the empty map drives a
-recursion whose value, with weights ``loop=3, bigon=2``, counts the
+distinct.  Applying moves until every branch reaches the empty map
+builds a tree whose value, with weights ``loop=3, bigon=2``, counts the
 Tait colorings of the starting map; other weight systems reuse the same
 tree.  Maps whose faces all have five or more sides (the dodecahedron
 is the smallest) admit no move and raise :class:`IrreducibleError`.
@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Generic, TypeVar
 
-from .planar import CombinatorialMap, Face, MapError, NonPlanarError
+from .planar import CombinatorialMap, MapError, NonPlanarError
 from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TraceNode",
     "InvalidMoveError",
     "IrreducibleError",
-    "classify_face",
     "available_moves",
     "find_move",
     "apply_move",
@@ -105,25 +104,36 @@ class IrreducibleError(Exception):
 
 @dataclass(frozen=True)
 class TraceNode(Generic[W]):
-    """One evaluation step: the map seen, the move taken, its factor.
+    """One evaluation step: the move taken and its factor.
 
-    Leaves are empty maps and carry the unit multiplier and no move.
-    The recursion value is ``multiplier * sum(child values)``, or just
-    ``multiplier`` at a leaf.
+    Leaves stand for empty maps and carry the unit multiplier and no
+    move.  The node's value is ``multiplier * sum(child values)``, or just
+    ``multiplier`` at a leaf.  Nodes keep no maps: replaying
+    :func:`apply_move` from the root map along the moves rebuilds them.
     """
 
-    graph: CombinatorialMap
     move: Move | None
     multiplier: W
     children: tuple["TraceNode[W]", ...]
 
     def value(self) -> W:
-        if not self.children:
-            return self.multiplier
-        total = self.children[0].value()
-        for child in self.children[1:]:
-            total = total + child.value()
-        return self.multiplier * total
+        """The node's value, summed bottom-up in reverse pre-order."""
+        order, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(node.children))
+        # a node's children are finished before it, its first child on top
+        values: list[W] = []
+        for node in reversed(order):
+            if not node.children:
+                values.append(node.multiplier)
+                continue
+            total = values.pop()
+            for _ in node.children[1:]:
+                total = total + values.pop()
+            values.append(node.multiplier * total)
+        return values[0]
 
 
 def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
@@ -135,15 +145,6 @@ def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | No
     if len({vertex_of[h] for h in orbit}) != degree or len({edge_of(h) for h in orbit}) != degree:
         return None
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
-
-
-def classify_face(cmap: CombinatorialMap, face: Face) -> MoveKind | None:
-    """The move matching ``face`` of ``cmap``, or ``None``.
-
-    Degenerate small faces (repeated vertex or edge, as around a vertex
-    self-loop) match nothing.
-    """
-    return _orbit_kind(cmap, face.half_edges)
 
 
 def available_moves(cmap: CombinatorialMap) -> list[Move]:
@@ -234,7 +235,7 @@ def _rebuild(
     vid = {v: i for i, v in enumerate(sorted({vertex_of[h] for h in survivors}))}
     new_sigma = [hid[sigma[h]] for h in survivors]
     new_vof = [vid[vertex_of[h]] for h in survivors]
-    # hid's int objects, not fresh ones: the tables share them, and traces keep every map
+    # hid's int objects, not fresh ones, so the three tables share them
     new_twin = [hid.get(twin[h], -1) for h in survivors]
     # only a half-edge across a glue stub lost its twin
     used_stubs: set[int] = set()
@@ -318,7 +319,7 @@ def reduce_map(
     *,
     rng: Any = None,
 ) -> TraceNode[W]:
-    """Reduce to the empty map, recording every step in a trace tree.
+    """Reduce to the empty map, recording every move in a trace tree.
 
     Moves are chosen by priority; pass a ``random.Random`` as ``rng`` to
     pick uniformly among all matches instead.  Runs that finish agree on
@@ -327,15 +328,25 @@ def reduce_map(
     blocks every move): priority order strands on 14-16% of random
     planar cubic maps with 60-100 vertices.  See ROADMAP.md, item 1.
 
+    One loop over an explicit stack visits the maps depth first, children
+    in order, and drops each map once its move has been applied: no
+    depth meets the recursion limit, and only maps still waiting on the
+    stack are held.  The tree is assembled from the recorded steps.
+
     Raises :class:`NonPlanarError` for maps that do not embed in the
     sphere and :class:`IrreducibleError` when no move matches.
     """
     if not cmap.is_planar:
         raise NonPlanarError("reduction moves are only valid for planar maps")
 
-    def recurse(graph: CombinatorialMap) -> TraceNode[W]:
+    # (move, multiplier, number of children) for every node, in pre-order
+    steps: list[tuple[Move | None, W, int]] = []
+    todo = [cmap]
+    while todo:
+        graph = todo.pop()
         if graph.n_half_edges == 0 and graph.free_loops == 0:
-            return TraceNode(graph, None, weights.one, ())
+            steps.append((None, weights.one, 0))
+            continue
         if rng is None:
             move = find_move(graph)
         else:
@@ -343,10 +354,16 @@ def reduce_map(
             move = rng.choice(moves) if moves else None
         if move is None:
             raise IrreducibleError(graph)
-        children = tuple(recurse(child) for child in apply_move(graph, move))
-        return TraceNode(graph, move, _multiplier(move, weights), children)
+        children = apply_move(graph, move)
+        steps.append((move, _multiplier(move, weights), len(children)))
+        todo.extend(reversed(children))
 
-    return recurse(cmap)
+    # as in TraceNode.value: reverse pre-order finishes children first, the first on top
+    nodes: list[TraceNode[W]] = []
+    for move, multiplier, n_children in reversed(steps):
+        children = tuple([nodes.pop() for _ in range(n_children)])
+        nodes.append(TraceNode(move, multiplier, children))
+    return nodes[0]
 
 
 def euler_characteristic(cmap: CombinatorialMap) -> int:
@@ -358,18 +375,16 @@ def euler_characteristic(cmap: CombinatorialMap) -> int:
 
 
 def format_trace(root: TraceNode) -> str:
-    """Indented one-line-per-node rendering of a trace tree."""
+    """Indented one-line-per-node rendering of a trace tree, in pre-order."""
     lines: list[str] = []
-
-    def walk(node: TraceNode, depth: int) -> None:
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         if node.move is None:
             lines.append(f"{pad}{depth} empty {node.multiplier}")
-            return
+            continue
         site = ",".join(str(h) for h in node.move.half_edges) or "-"
         lines.append(f"{pad}{depth} {node.move.kind.value} {site} {node.multiplier}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)

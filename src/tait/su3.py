@@ -15,11 +15,12 @@ magnitude of headroom over double-precision arithmetic on 3x3 products.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .planar import CombinatorialMap, edge_bfs_order
+from .planar import CombinatorialMap
 
 __all__ = [
     "STANDARD_INVOLUTION",
@@ -309,6 +310,36 @@ def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
     return worst
 
 
+def _edge_bfs_order(cmap: CombinatorialMap) -> list[int]:
+    """Paired-edge ids in breadth-first order over shared-vertex adjacency.
+
+    Decoration sampling breaks its ties by this order, which keeps
+    neighboring edges close together and seeded runs reproducible.
+    """
+    n_edges = cmap.n_paired_edges
+    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    neighbors: list[set[int]] = [set() for _ in range(n_edges)]
+    for tri in at_vertex:
+        for e in tri:
+            neighbors[e].update(x for x in tri if x != e)
+
+    order = []
+    seen = [False] * n_edges
+    for e0 in range(n_edges):
+        if seen[e0]:
+            continue
+        seen[e0] = True
+        queue = deque([e0])
+        while queue:
+            e = queue.popleft()
+            order.append(e)
+            for x in sorted(neighbors[e]):
+                if not seen[x]:
+                    seen[x] = True
+                    queue.append(x)
+    return order
+
+
 def sample_admissible_decoration(
     cmap: CombinatorialMap,
     rng=None,
@@ -342,7 +373,7 @@ def sample_admissible_decoration(
         )
     n_paired = cmap.n_paired_edges
     endpoints = [cmap.edge_endpoints(e) for e in range(n_paired)]
-    bfs_rank = {e: i for i, e in enumerate(edge_bfs_order(cmap))}
+    bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(cmap))}
 
     def fixed_neighbors(e: int, lines) -> list[np.ndarray]:
         seen = []

@@ -20,7 +20,7 @@ import numpy as np
 from .catalog import circle, cube, k4, necklace, prism, theta
 from .coloring import count_tait
 from .planar import CombinatorialMap, disjoint_union
-from .reduction import EULER_WEIGHTS, TraceNode, reduce_map
+from .reduction import EULER_WEIGHTS, TraceNode, apply_move, reduce_map
 from .su3 import (
     check_order_two_product,
     decoration_to_representation,
@@ -130,11 +130,14 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 # suites
 
 
-def _check_campaign(trials: int, tol: float) -> None:
-    """Reject a trial count or tolerance under which no check can fail."""
-    if trials < 1:
+def _check_campaign(trials: int | None, tol: float | None) -> None:
+    """Reject a trial count or tolerance under which no check can fail.
+
+    ``None`` means not given and passes.
+    """
+    if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 0 < tol < math.inf:
+    if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
@@ -142,8 +145,10 @@ def run_theorem1(trials=None, tol=None, seed=None) -> SuiteReport:
     """Reduction value equals the frontier-DP count on bipartite fixtures.
 
     Deterministic; the parameters are accepted for interface uniformity
-    and ignored.
+    and ignored, but given values are rejected as :func:`run_lemma5`
+    rejects them.
     """
+    _check_campaign(trials, tol)
     lines = []
     failures = 0
     corpus = bipartite_corpus()
@@ -162,40 +167,44 @@ def run_theorem1(trials=None, tol=None, seed=None) -> SuiteReport:
     )
 
 
-def frontier_conservation(root: TraceNode[int]) -> tuple[int, int]:
-    """(checks, failures) of the frontier-sum invariant on one trace.
+def frontier_conservation(cmap: CombinatorialMap, root: TraceNode[int]) -> tuple[int, int]:
+    """(checks, failures) of the frontier-sum invariant on the trace of ``cmap``.
 
     The frontier starts as the root with coefficient 1; expanding a
     node replaces it by its children, each carrying the accumulated
     coefficient times the node's multiplier.  After every expansion the
     sum of coefficient * count over the frontier must still equal the
-    root count.
+    root count.  Trace nodes keep no maps, so each expansion replays the
+    node's move on its map to get the children's.
     """
-    target = count_tait(root.graph)
-    frontier: list[tuple[int, TraceNode[int]]] = [(1, root)]
+    target = count_tait(cmap)
+    frontier: list[tuple[int, TraceNode[int], CombinatorialMap]] = [(1, root, cmap)]
     checks = failures = 0
     while True:
-        idx = next((i for i, (_, n) in enumerate(frontier) if n.children), None)
+        idx = next((i for i, (_, n, _) in enumerate(frontier) if n.children), None)
         if idx is None:
             return checks, failures
-        acc, node = frontier.pop(idx)
-        frontier[idx:idx] = [(acc * node.multiplier, c) for c in node.children]
+        acc, node, graph = frontier.pop(idx)
+        children = zip(node.children, apply_move(graph, node.move), strict=True)
+        frontier[idx:idx] = [(acc * node.multiplier, c, g) for c, g in children]
         checks += 1
-        if sum(a * count_tait(n.graph) for a, n in frontier) != target:
+        if sum(a * count_tait(g) for a, _, g in frontier) != target:
             failures += 1
 
 
 def run_conservation(trials=None, tol=None, seed=None) -> SuiteReport:
     """Frontier-sum invariance at every step of every fixture reduction.
 
-    Deterministic; parameters are accepted for uniformity and ignored.
+    Deterministic; parameters are accepted for uniformity and ignored,
+    but given values are rejected as :func:`run_lemma5` rejects them.
     """
+    _check_campaign(trials, tol)
     lines = []
     failures = 0
     total_checks = 0
     corpus = conservation_corpus()
     for name, graph in corpus:
-        checks, bad = frontier_conservation(reduce_map(graph, EULER_WEIGHTS))
+        checks, bad = frontier_conservation(graph, reduce_map(graph, EULER_WEIGHTS))
         total_checks += checks
         failures += bad
         lines.append(

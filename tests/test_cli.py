@@ -196,7 +196,7 @@ def test_verify_unknown_suite(capsys):
     assert run(["verify", "perpetual-motion"], capsys)[0] == EXIT_INVALID
 
 
-@pytest.mark.parametrize("suite", ["lemma5", "roundtrip"])
+@pytest.mark.parametrize("suite", ["lemma5", "roundtrip", "theorem1", "conservation"])
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -219,7 +219,8 @@ def test_count_on_long_necklace(tmp_path, capsys):
     assert (code, out, err) == (EXIT_OK, f"{3 * 2**400}\n", "")
 
 
-def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys):
+def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # the reduction runs on an explicit stack, so a tight limit still reduces necklace(100)
     path = graph_file(tmp_path, necklace(100))
     depth = len(inspect.stack())
     limit = sys.getrecursionlimit()
@@ -228,6 +229,15 @@ def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys):
         code, out, err = run(["reduce", path], capsys)
     finally:
         sys.setrecursionlimit(limit)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == f"value {3 * 2**100}"
+
+    # a RecursionError from anywhere below still exits 1 with one line
+    def too_deep(cmap, weights):
+        raise RecursionError
+
+    monkeypatch.setattr("tait.cli.reduce_map", too_deep)
+    code, out, err = run(["reduce", path], capsys)
     assert (code, out) == (EXIT_INVALID, "")
     assert err == "tait: error: map too large for this command (RecursionError)\n"
 

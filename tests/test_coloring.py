@@ -158,7 +158,7 @@ def random_planar_cubic(n_vertices: int, seed: int) -> CombinatorialMap:
     rng = random.Random(seed)
     g = theta()
     while g.n_vertices < n_vertices:
-        face = rng.choice(g.faces()).half_edges
+        face = rng.choice(g.face_orbits())
         x, y = rng.choice(face), rng.choice(face)
         rotations, pairs, _ = g.to_rotations_and_pairs()
         n, v = g.n_half_edges, g.n_vertices

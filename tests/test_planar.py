@@ -10,7 +10,6 @@ from tait.planar import (
     ParseError,
     build_map,
     disjoint_union,
-    edge_bfs_order,
     parse_map,
     serialize_map,
 )
@@ -41,27 +40,28 @@ def test_theta_structure():
 
 def test_theta_faces_are_bigons():
     g = theta()
-    faces = g.faces()
-    assert [f.half_edges for f in faces] == [(0, 5), (1, 3), (2, 4)]
-    for f in faces:
-        assert f.degree == 2
-        assert f.vertices == (0, 1)
-        assert len(set(f.edges)) == 2
+    orbits = g.face_orbits()
+    assert orbits == ((0, 5), (1, 3), (2, 4))
+    for orbit in orbits:
+        assert len(orbit) == 2
+        assert tuple(g.vertex_of[h] for h in orbit) == (0, 1)
+        assert len({g.edge_of(h) for h in orbit}) == 2
 
 
 def test_face_tables_are_consistent():
     g = cube()
-    for face in g.faces():
-        for h, v, e in zip(face.half_edges, face.vertices, face.edges):
-            assert g.vertex_of[h] == v
-            assert g.edge_of(h) == e
+    phi = [g.next_at_vertex[g.twin[h]] for h in range(g.n_half_edges)]
+    assert sorted(h for orbit in g.face_orbits() for h in orbit) == list(range(g.n_half_edges))
+    for orbit in g.face_orbits():
+        assert orbit[0] == min(orbit)
+        assert [phi[h] for h in orbit] == [*orbit[1:], orbit[0]]
 
 
 def test_empty_map():
     g = CombinatorialMap((), (), (), 0)
     assert g.n_vertices == 0
     assert g.n_edges == 0
-    assert g.faces() == ()
+    assert g.face_orbits() == ()
     assert g.is_planar
     assert g.is_bipartite()
 
@@ -153,14 +153,7 @@ def test_disjoint_union_adds_components():
     assert gg.n_vertices == 6
     assert gg.n_paired_edges == 9
     assert gg.is_planar
-    assert len(gg.faces()) == len(theta().faces()) + len(k4().faces())
-
-
-def test_edge_bfs_order_is_permutation_and_deterministic():
-    for g in (theta(), k4(), cube(), necklace(3), disjoint_union(theta(), cube())):
-        order = edge_bfs_order(g)
-        assert sorted(order) == list(range(g.n_paired_edges))
-        assert order == edge_bfs_order(g)
+    assert len(gg.face_orbits()) == len(theta().face_orbits()) + len(k4().face_orbits())
 
 
 def test_equality_and_hash():

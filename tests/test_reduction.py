@@ -1,14 +1,16 @@
 """Reduction moves, traces, and the loop/bigon-weighted evaluation."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.coloring import count_tait
+from tait.laurent import p3
 from tait.planar import (
     CombinatorialMap,
-    Face,
     NonPlanarError,
     build_map,
     disjoint_union,
@@ -21,10 +23,9 @@ from tait.reduction import (
     Move,
     MoveKind,
     RelationWeights,
-    TraceNode,
+    _orbit_kind,
     apply_move,
     available_moves,
-    classify_face,
     euler_characteristic,
     find_move,
     format_trace,
@@ -41,19 +42,23 @@ def dumbbell() -> CombinatorialMap:
     )
 
 
+def kinds(g: CombinatorialMap) -> set:
+    return {_orbit_kind(g, orbit) for orbit in g.face_orbits()}
+
+
 def test_classify_face_by_degree():
-    assert {classify_face(theta(), f) for f in theta().faces()} == {MoveKind.BIGON}
-    assert {classify_face(k4(), f) for f in k4().faces()} == {MoveKind.TRIANGLE}
-    assert {classify_face(cube(), f) for f in cube().faces()} == {MoveKind.SQUARE}
-    assert {classify_face(dodecahedron(), f) for f in dodecahedron().faces()} == {None}
+    assert kinds(theta()) == {MoveKind.BIGON}
+    assert kinds(k4()) == {MoveKind.TRIANGLE}
+    assert kinds(cube()) == {MoveKind.SQUARE}
+    assert kinds(dodecahedron()) == {None}
 
 
 def test_classify_face_rejects_degenerate_faces():
     # A self-loop makes a monogon and a square that revisits its vertices.
     g = dumbbell()
-    degrees = sorted(f.degree for f in g.faces())
+    degrees = sorted(map(len, g.face_orbits()))
     assert degrees == [1, 1, 4]
-    assert all(classify_face(g, f) is None for f in g.faces())
+    assert kinds(g) == {None}
 
 
 def test_available_moves_order():
@@ -94,8 +99,8 @@ def test_apply_bigon_on_theta():
     assert (g.n_vertices, g.n_half_edges, g.free_loops) == (0, 0, 1)
     assert count_tait(g) == 3
     # any of the three bigons leaves one free loop
-    for face in theta().faces():
-        (child,) = apply_move(theta(), Move(MoveKind.BIGON, face.half_edges))
+    for orbit in theta().face_orbits():
+        (child,) = apply_move(theta(), Move(MoveKind.BIGON, orbit))
         assert child.free_loops == 1
 
 
@@ -130,7 +135,7 @@ def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, kind):
 def test_apply_triangle_collapses_k4_to_theta():
     (g,) = apply_move(k4(), Move(MoveKind.TRIANGLE, (0, 3, 6)))
     assert (g.n_vertices, g.n_edges) == (2, 3)
-    assert sorted(f.degree for f in g.faces()) == [2, 2, 2]
+    assert sorted(map(len, g.face_orbits())) == [2, 2, 2]
     assert g.is_planar
     assert count_tait(g) == count_tait(k4()) == 6
 
@@ -152,13 +157,29 @@ def test_apply_move_dispatch():
 
 
 def test_moves_shrink_edge_count():
-    def walk(node: TraceNode) -> None:
-        for child in node.children:
-            assert child.graph.n_edges < node.graph.n_edges
-            walk(child)
-
+    # traces keep no maps: replay each node's move on its map
     for g in (theta(), k4(), cube(), necklace(3), prism(3)):
-        walk(reduce_map(g))
+        todo = [(g, reduce_map(g))]
+        while todo:
+            graph, node = todo.pop()
+            if node.move is None:
+                continue
+            children = apply_move(graph, node.move)
+            assert len(children) == len(node.children)
+            for child, child_node in zip(children, node.children):
+                assert child.n_edges < graph.n_edges
+                todo.append((child, child_node))
+
+
+def test_long_necklace_reduces_without_recursion():
+    # 400 vertices, far deeper than the 100 frames left above this test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert euler_characteristic(necklace(200)) == 3 * 2**200
+        assert p3(necklace(200))(1) == 3 * 2**200
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_theta_trace_is_frozen():
@@ -350,8 +371,8 @@ def test_euler_weights_constant():
 PRIORITY = {MoveKind.LOOP: 0, MoveKind.BIGON: 1, MoveKind.TRIANGLE: 2, MoveKind.SQUARE: 3}
 
 
-def eager_faces(g: CombinatorialMap) -> tuple[Face, ...]:
-    """Every face record, traced from each unseen half-edge in order."""
+def eager_faces(g: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
+    """Every face orbit, traced from each unseen half-edge in order."""
     seen, faces = set(), []
     for h0 in range(g.n_half_edges):
         orbit, h = [], h0
@@ -360,17 +381,16 @@ def eager_faces(g: CombinatorialMap) -> tuple[Face, ...]:
             orbit.append(h)
             h = g.next_at_vertex[g.twin[h]]
         if orbit:
-            vertices = tuple(g.vertex_of[x] for x in orbit)
-            faces.append(Face(tuple(orbit), vertices, tuple(g.edge_of(x) for x in orbit)))
+            faces.append(tuple(orbit))
     return tuple(faces)
 
 
 def eager_moves(g: CombinatorialMap) -> list[Move]:
     moves = [Move(MoveKind.LOOP)] if g.free_loops > 0 else []
-    for face in eager_faces(g):
-        kind = classify_face(g, face)
+    for orbit in eager_faces(g):
+        kind = _orbit_kind(g, orbit)
         if kind is not None:
-            moves.append(Move(kind, face.half_edges))
+            moves.append(Move(kind, orbit))
     return moves
 
 
@@ -396,7 +416,7 @@ SEARCH_MAPS = CATALOG_MAPS + UNIONS + [
 )
 def test_move_search_matches_eager_definition(cmap):
     for g in priority_path_maps(cmap):
-        # a fresh copy, so the search runs before any face record exists
+        # a fresh copy, so the search sees only what the constructor built
         fresh = CombinatorialMap(
             g.twin, g.next_at_vertex, g.vertex_of, g.free_loops, check_planar=False
         )
@@ -404,5 +424,5 @@ def test_move_search_matches_eager_definition(cmap):
         best = min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
         assert find_move(fresh) == best
         assert moves == eager_moves(g)
-        assert fresh.faces() == eager_faces(g)
-        assert fresh.faces() is fresh.faces()
+        assert fresh.face_orbits() == eager_faces(g)
+        assert fresh.face_orbits() is fresh.face_orbits()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tait.catalog import circle, cube, dodecahedron, k4, prism, theta
-from tait.planar import build_map
+from tait.catalog import circle, cube, dodecahedron, k4, necklace, prism, theta
+from tait.planar import build_map, disjoint_union
 from tait.su3 import (
     STANDARD_INVOLUTION,
     InadmissibleDecorationError,
@@ -25,6 +25,7 @@ from tait.su3 import (
     sample_admissible_decoration,
     vertex_product_deviation,
 )
+from tait.su3 import _edge_bfs_order
 
 E = np.eye(3, dtype=complex)
 
@@ -188,6 +189,13 @@ def test_representation_to_decoration_names_bad_edge():
 
 def test_self_loop_decoration_deviation_is_one():
     assert admissibility_deviation(dumbbell(), [E[0], E[1], E[2]]) == 1.0
+
+
+def test_edge_bfs_order_is_permutation_and_deterministic():
+    for g in (theta(), k4(), cube(), necklace(3), disjoint_union(theta(), cube())):
+        order = _edge_bfs_order(g)
+        assert sorted(order) == list(range(g.n_paired_edges))
+        assert order == _edge_bfs_order(g)
 
 
 @pytest.mark.parametrize(
