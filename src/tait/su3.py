@@ -310,22 +310,27 @@ def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
     return worst
 
 
-def _edge_bfs_order(cmap: CombinatorialMap) -> list[int]:
-    """Paired-edge ids in breadth-first order over shared-vertex adjacency.
+def _edge_neighbors(cmap: CombinatorialMap) -> list[list[int]]:
+    """For each paired edge, the other edges at its endpoints.
+
+    An edge appears once per vertex it shares, so the two edges parallel
+    to a theta edge appear twice each.
+    """
+    return [
+        [f for v in cmap.edge_endpoints(e) for f in cmap.vertex_edges(v) if f != e]
+        for e in range(cmap.n_paired_edges)
+    ]
+
+
+def _edge_bfs_order(neighbors: list[list[int]]) -> list[int]:
+    """Paired-edge ids in breadth-first order over a neighbour table.
 
     Decoration sampling breaks its ties by this order, which keeps
     neighboring edges close together and seeded runs reproducible.
     """
-    n_edges = cmap.n_paired_edges
-    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    neighbors: list[set[int]] = [set() for _ in range(n_edges)]
-    for tri in at_vertex:
-        for e in tri:
-            neighbors[e].update(x for x in tri if x != e)
-
     order = []
-    seen = [False] * n_edges
-    for e0 in range(n_edges):
+    seen = [False] * len(neighbors)
+    for e0 in range(len(neighbors)):
         if seen[e0]:
             continue
         seen[e0] = True
@@ -354,6 +359,9 @@ def sample_admissible_decoration(
     is forced to the remaining line, otherwise it gets a Haar-random
     line in the orthogonal complement of whatever is fixed.  If the
     fixed neighbors of some edge span all of C^3 the attempt restarts.
+    Each unfixed edge keeps the rank of its fixed neighbors, and fixing
+    an edge recomputes that rank only for its own unfixed neighbors,
+    the only edges whose constraints changed.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
     the necklaces), which therefore sample without restarts.  Graphs
@@ -363,54 +371,38 @@ def sample_admissible_decoration(
     sampler, not about the decoration space being empty.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts.  Raises
-    :class:`RetriesExhaustedError` after ``max_retries`` conflicts.
+    ``ValueError`` unless ``max_retries`` is at least 1 and ``tol`` is
+    positive and finite, and :class:`RetriesExhaustedError` after
+    ``max_retries`` conflicts.
     """
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(rng)
-    triples = _vertex_edge_triples(cmap)
-    if any(len(set(t)) < 3 for t in triples):
+    if any(len(set(t)) < 3 for t in _vertex_edge_triples(cmap)):
         raise RetriesExhaustedError(
             "a vertex self-loop admits no admissible decoration", retries=0
         )
-    n_paired = cmap.n_paired_edges
-    endpoints = [cmap.edge_endpoints(e) for e in range(n_paired)]
-    bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(cmap))}
-
-    def fixed_neighbors(e: int, lines) -> list[np.ndarray]:
-        seen = []
-        for v in endpoints[e]:
-            for other in triples[v]:
-                if other != e and lines[other] is not None:
-                    seen.append(lines[other])
-        return seen
+    neighbors = _edge_neighbors(cmap)
+    bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(neighbors))}
 
     for _ in range(max_retries):
-        lines: list[np.ndarray | None] = [None] * n_paired
-        conflict = False
-        unfixed = set(range(n_paired))
-        while unfixed and not conflict:
-            best = None
-            for e in unfixed:
-                fixed = fixed_neighbors(e, lines)
-                if fixed:
-                    s = np.linalg.svd(
-                        np.conj(np.array(fixed)), compute_uv=False
-                    )
-                    rank = int(np.count_nonzero(s > s[0] * 1e-8))
-                else:
-                    rank = 0
-                key = (-rank, bfs_rank[e])
-                if best is None or key < best[0]:
-                    best = (key, e, rank)
-            _, e, rank = best
+        lines: list[np.ndarray | None] = [None] * len(neighbors)
+        # (-rank of the fixed neighbors, bfs_rank) for every unfixed edge
+        priority = {e: (0, bfs_rank[e]) for e in range(len(neighbors))}
+        while priority:
+            e = min(priority, key=priority.get)
+            rank = -priority[e][0]
             if rank >= 3:
-                conflict = True
                 break
-            fixed = fixed_neighbors(e, lines)
-            if fixed:
+            del priority[e]
+            if rank:
+                fixed = [lines[f] for f in neighbors[e] if lines[f] is not None]
                 _, _, vh = np.linalg.svd(np.conj(np.array(fixed)))
                 null_basis = np.conj(vh[rank:])
             else:
-                null_basis = np.eye(3, dtype=complex)
+                null_basis = _I3
             if rank == 2:
                 x = null_basis[0]
             else:
@@ -418,12 +410,12 @@ def sample_admissible_decoration(
                     len(null_basis)
                 )
                 x = coef @ null_basis
-            x = x / np.linalg.norm(x)
-            lines[e] = x
-            unfixed.discard(e)
-        if conflict:
-            continue
-        if admissibility_deviation(cmap, lines) <= tol:
+            lines[e] = x / np.linalg.norm(x)
+            for f in priority.keys() & neighbors[e]:
+                fixed = [lines[g] for g in neighbors[f] if lines[g] is not None]
+                s = np.linalg.svd(np.conj(np.array(fixed)), compute_uv=False)
+                priority[f] = (-int(np.count_nonzero(s > s[0] * 1e-8)), bfs_rank[f])
+        if not priority and admissibility_deviation(cmap, lines) <= tol:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines
     raise RetriesExhaustedError(

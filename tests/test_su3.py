@@ -1,5 +1,7 @@
 """Order-2 special unitaries, the product criterion, and map decorations."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from tait.su3 import (
     sample_admissible_decoration,
     vertex_product_deviation,
 )
-from tait.su3 import _edge_bfs_order
+from tait.su3 import _edge_bfs_order, _edge_neighbors
+from test_coloring import random_planar_cubic
 
 E = np.eye(3, dtype=complex)
 
@@ -193,9 +196,9 @@ def test_self_loop_decoration_deviation_is_one():
 
 def test_edge_bfs_order_is_permutation_and_deterministic():
     for g in (theta(), k4(), cube(), necklace(3), disjoint_union(theta(), cube())):
-        order = _edge_bfs_order(g)
+        order = _edge_bfs_order(_edge_neighbors(g))
         assert sorted(order) == list(range(g.n_paired_edges))
-        assert order == _edge_bfs_order(g)
+        assert order == _edge_bfs_order(_edge_neighbors(g))
 
 
 @pytest.mark.parametrize(
@@ -237,3 +240,137 @@ def test_sampler_retry_budget_is_reported():
     with pytest.raises(RetriesExhaustedError) as info:
         sample_admissible_decoration(dodecahedron(), rng=0, max_retries=3)
     assert info.value.retries == 3
+
+
+@pytest.mark.parametrize("max_retries", [0, -2])
+def test_sampler_rejects_bad_retry_budget(max_retries):
+    with pytest.raises(ValueError, match="max_retries"):
+        sample_admissible_decoration(theta(), rng=0, max_retries=max_retries)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_sampler_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        sample_admissible_decoration(theta(), rng=0, tol=tol)
+
+
+def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
+    """Reference: the sampler that rescans every unfixed edge at every step."""
+    rng = np.random.default_rng(rng)
+    triples = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    if any(len(set(t)) < 3 for t in triples):
+        raise RetriesExhaustedError(
+            "a vertex self-loop admits no admissible decoration", retries=0
+        )
+    n_paired = cmap.n_paired_edges
+    endpoints = [cmap.edge_endpoints(e) for e in range(n_paired)]
+    neighbors = [set() for _ in range(n_paired)]
+    for tri in triples:
+        for e in tri:
+            neighbors[e].update(x for x in tri if x != e)
+    order, seen = [], [False] * n_paired
+    for e0 in range(n_paired):
+        if seen[e0]:
+            continue
+        seen[e0] = True
+        queue = deque([e0])
+        while queue:
+            e = queue.popleft()
+            order.append(e)
+            for x in sorted(neighbors[e]):
+                if not seen[x]:
+                    seen[x] = True
+                    queue.append(x)
+    bfs_rank = {e: i for i, e in enumerate(order)}
+
+    def fixed_neighbors(e, lines):
+        return [
+            lines[other]
+            for v in endpoints[e]
+            for other in triples[v]
+            if other != e and lines[other] is not None
+        ]
+
+    for _ in range(max_retries):
+        lines = [None] * n_paired
+        conflict = False
+        unfixed = set(range(n_paired))
+        while unfixed and not conflict:
+            best = None
+            for e in unfixed:
+                fixed = fixed_neighbors(e, lines)
+                if fixed:
+                    s = np.linalg.svd(np.conj(np.array(fixed)), compute_uv=False)
+                    rank = int(np.count_nonzero(s > s[0] * 1e-8))
+                else:
+                    rank = 0
+                key = (-rank, bfs_rank[e])
+                if best is None or key < best[0]:
+                    best = (key, e, rank)
+            _, e, rank = best
+            if rank >= 3:
+                conflict = True
+                break
+            fixed = fixed_neighbors(e, lines)
+            if fixed:
+                _, _, vh = np.linalg.svd(np.conj(np.array(fixed)))
+                null_basis = np.conj(vh[rank:])
+            else:
+                null_basis = np.eye(3, dtype=complex)
+            if rank == 2:
+                x = null_basis[0]
+            else:
+                coef = rng.standard_normal(len(null_basis)) + 1j * rng.standard_normal(
+                    len(null_basis)
+                )
+                x = coef @ null_basis
+            lines[e] = x / np.linalg.norm(x)
+            unfixed.discard(e)
+        if conflict:
+            continue
+        if admissibility_deviation(cmap, lines) <= tol:
+            lines.extend(random_line(rng) for _ in range(cmap.free_loops))
+            return lines
+    raise RetriesExhaustedError(
+        f"no admissible decoration found in {max_retries} attempts",
+        retries=max_retries,
+    )
+
+
+def sampler_outcome(sampler, g, seed, max_retries):
+    """The lines a sampler returns, or the text and budget of its exhaustion."""
+    try:
+        return sampler(g, seed, max_retries=max_retries)
+    except RetriesExhaustedError as exc:
+        return str(exc), exc.retries
+
+
+REFERENCE_MAPS = (
+    [("theta", theta(), 100), ("k4", k4(), 100), ("cube", cube(), 100)]
+    + [(f"prism{n}", prism(n), 100) for n in range(3, 9)]
+    + [(f"necklace{k}", necklace(k), 100) for k in range(1, 7)]
+    + [("necklace2+circle2", disjoint_union(necklace(2), circle(2)), 100)]
+    # seed 3 samples at every size; seed 2 exhausts from V=12 on
+    + [
+        (f"random{v}-{seed}", random_planar_cubic(v, seed), 10)
+        for v in range(8, 23, 2)
+        for seed in (2, 3)
+    ]
+    + [("dodecahedron", dodecahedron(), 3), ("dumbbell", dumbbell(), 100)]
+)
+
+
+@pytest.mark.parametrize(
+    "g, max_retries",
+    [(g, r) for _, g, r in REFERENCE_MAPS],
+    ids=[n for n, _, _ in REFERENCE_MAPS],
+)
+def test_sampler_matches_rescanning_reference(g, max_retries):
+    for seed in range(5):
+        want = sampler_outcome(rescanning_sampler, g, seed, max_retries)
+        got = sampler_outcome(sample_admissible_decoration, g, seed, max_retries)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
