@@ -10,6 +10,7 @@ graph, 3 non-bipartite input where bipartiteness is required.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -152,10 +153,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use.
+
+    Parsing leaves no state in the parser: every call gets a fresh
+    namespace, and the ``_cmd_*`` functions look their helpers up in this
+    module when they run.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"tait: error: {exc}", file=sys.stderr)

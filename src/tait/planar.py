@@ -10,8 +10,14 @@ checked for this at construction unless explicitly told not to be.
 
 Every map, including each intermediate map of a reduction, runs every
 structural check and the Euler count at construction.  The constructor
-traces the face orbits as tuples of half-edge ids, which is all the
-Euler count needs.
+keeps the three half-edge tables and traces the face orbits as tuples
+of half-edge ids; the Euler count finds components by walking ``twin``
+and ``next_at_vertex`` from half-edges, so it needs nothing else.  The
+edge table (``edges``, ``edge_of``, ``edge_endpoints``) and the
+rotation table (``rotation``, ``vertex_edges``,
+``to_rotations_and_pairs``) are built on first use and kept, so a map
+that is only searched for moves and rewritten, as in a reduction,
+never builds them.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -89,7 +95,7 @@ class CombinatorialMap:
         n = len(twin)
         if len(sigma) != n or len(vof) != n:
             raise MapError("half-edge tables have inconsistent lengths")
-        if not isinstance(free_loops, int) or free_loops < 0:
+        if isinstance(free_loops, bool) or not isinstance(free_loops, int) or free_loops < 0:
             raise MapError("free_loops must be a non-negative integer")
 
         # Each check compares whole tables at once; only a failed
@@ -142,23 +148,33 @@ class CombinatorialMap:
         self._free_loops = free_loops
         self._n_vertices = n_vertices
 
-        # edge table, ordered by smaller half-edge
-        edges = tuple((h, t) for h, t in enumerate(twin) if h < t)
-        edge_of = [0] * n
-        for e, (a, b) in enumerate(edges):
-            edge_of[a] = edge_of[b] = e
-        self._edges = edges
-        self._edge_of = tuple(edge_of)
-
-        # canonical rotation per vertex, starting at its smallest half-edge
-        # (filled from the last half-edge down, so the smallest one stays)
-        first = dict(zip(reversed(vof), reversed(halves)))
-        self._rotations = tuple(
-            (h, sigma[h], sigma2[h]) for h in map(first.__getitem__, range(n_vertices))
-        )
-
         self._orbits = self._trace_orbits()
         self._planar = self._check_euler(check_planar)
+
+    def __getattr__(self, name: str):
+        # The edge and rotation tables fill their slots on first read: an
+        # unset slot raises AttributeError, and only then is this called,
+        # so a built table costs its readers nothing extra.
+        if name in ("_edges", "_edge_of"):
+            # edge table, ordered by smaller half-edge
+            edges = tuple((h, t) for h, t in enumerate(self._twin) if h < t)
+            edge_of = [0] * len(self._twin)
+            for e, (a, b) in enumerate(edges):
+                edge_of[a] = edge_of[b] = e
+            self._edges = edges
+            self._edge_of = tuple(edge_of)
+        elif name == "_rotations":
+            # canonical rotation per vertex, starting at its smallest half-edge
+            # (filled from the last half-edge down, so the smallest one stays)
+            vof, sigma = self._vertex_of, self._sigma
+            first = dict(zip(reversed(vof), range(len(vof) - 1, -1, -1)))
+            self._rotations = tuple(
+                (h, sigma[h], sigma[sigma[h]])
+                for h in map(first.__getitem__, range(self._n_vertices))
+            )
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
 
     def _trace_orbits(self) -> tuple[tuple[int, ...], ...]:
         phi = [self._sigma[t] for t in self._twin]
@@ -177,21 +193,25 @@ class CombinatorialMap:
         return tuple(orbits)
 
     def _check_euler(self, raise_on_failure: bool) -> bool:
-        # connected components over vertices, numbered by smallest half-edge
-        twin, vof, rotations = self._twin, self._vertex_of, self._rotations
+        # connected components over vertices, numbered by smallest half-edge;
+        # the walk reaches a vertex through one of its half-edges h, whose
+        # vertex also holds sigma(h) and sigma(sigma(h))
+        twin, sigma, vof = self._twin, self._sigma, self._vertex_of
         comp = [-1] * self._n_vertices
         n_comps = 0
-        for v0 in vof:
+        for h0, v0 in enumerate(vof):
             if comp[v0] >= 0:
                 continue
             comp[v0] = n_comps
-            stack = [v0]
+            stack = [h0]
             while stack:
-                for h in rotations[stack.pop()]:
-                    u = vof[twin[h]]
+                h = stack.pop()
+                s = sigma[h]
+                for t in (twin[h], twin[s], twin[sigma[s]]):
+                    u = vof[t]
                     if comp[u] < 0:
                         comp[u] = n_comps
-                        stack.append(u)
+                        stack.append(t)
             n_comps += 1
 
         # V - E + F is at most 2 on every component, so the total is 2 per
@@ -243,12 +263,12 @@ class CombinatorialMap:
 
     @property
     def n_paired_edges(self) -> int:
-        return len(self._edges)
+        return len(self._twin) // 2
 
     @property
     def n_edges(self) -> int:
         """Total edge count; free loops included."""
-        return len(self._edges) + self._free_loops
+        return len(self._twin) // 2 + self._free_loops
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

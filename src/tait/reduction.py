@@ -141,8 +141,12 @@ def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | No
     degree = len(orbit)
     if not 2 <= degree <= 4:
         return None
-    vertex_of, edge_of = cmap.vertex_of, cmap.edge_of
-    if len({vertex_of[h] for h in orbit}) != degree or len({edge_of(h) for h in orbit}) != degree:
+    # an edge is named by its smaller half-edge, as in the edge table
+    vertex_of, twin = cmap.vertex_of, cmap.twin
+    if (
+        len({vertex_of[h] for h in orbit}) != degree
+        or len({min(h, twin[h]) for h in orbit}) != degree
+    ):
         return None
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
 
@@ -224,12 +228,12 @@ def _rebuild(
     half-edge ids.  Surviving half-edges and vertices keep their relative
     order, and new vertices come last.
     """
-    twin = cmap.twin
-    sigma = list(cmap.next_at_vertex)
-    vertex_of = list(cmap.vertex_of)
-    for v, (a, b, c) in enumerate(new_rotations, start=cmap.n_vertices):
-        sigma[a], sigma[b], sigma[c] = b, c, a
-        vertex_of[a] = vertex_of[b] = vertex_of[c] = v
+    twin, sigma, vertex_of = cmap.twin, cmap.next_at_vertex, cmap.vertex_of
+    if new_rotations:
+        sigma, vertex_of = list(sigma), list(vertex_of)
+        for v, (a, b, c) in enumerate(new_rotations, start=cmap.n_vertices):
+            sigma[a], sigma[b], sigma[c] = b, c, a
+            vertex_of[a] = vertex_of[b] = vertex_of[c] = v
     survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
     hid = {h: i for i, h in enumerate(survivors)}
     vid = {v: i for i, v in enumerate(sorted({vertex_of[h] for h in survivors}))}

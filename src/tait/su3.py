@@ -364,11 +364,14 @@ def sample_admissible_decoration(
     the only edges whose constraints changed.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
-    the necklaces), which therefore sample without restarts.  Graphs
-    whose smallest faces are pentagons leave independent free choices
-    that almost never close up, so the dodecahedron and the Petersen
-    graph exhaust their retries; exhaustion is a statement about this
-    sampler, not about the decoration space being empty.
+    the necklaces), which therefore sample without restarts.  Other
+    graphs leave independent free choices that often never close up:
+    the dodecahedron and the Petersen graph exhaust their retries, and
+    so do most small random planar cubic maps that have Tait colorings
+    (with ``rng=0``, 5 of the 8 colorable ``random_planar_cubic(14,
+    seed)`` maps of the tests at seeds 0-7, and 7 of 8 at 20 vertices).
+    Exhaustion is a statement about this sampler, not about the
+    decoration space being empty.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts.  Raises
     ``ValueError`` unless ``max_retries`` is at least 1 and ``tol`` is

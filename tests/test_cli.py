@@ -3,10 +3,14 @@
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tait
 from tait.catalog import cube, dodecahedron, necklace, petersen, theta
 from tait.cli import (
     EXIT_INVALID,
@@ -250,3 +254,35 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     code, out, err = run(["p3", graph_file(tmp_path, theta())], capsys)
     assert (code, out) == (EXIT_INVALID, "")
     assert err == "tait: error: map too large for this command (MemoryError)\n"
+
+
+def run_alone(argv):
+    """``main(argv)`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(tait.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = "import sys; from tait.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_runs_a_mixed_sequence_like_fresh_ones(tmp_path, capsys):
+    # the parser is shared across calls, so no flag or default may leak into the next
+    theta_path = graph_file(tmp_path, theta(), "theta.txt")
+    cube_path = graph_file(tmp_path, cube(), "cube.txt")
+    sequence = [
+        ["euler", "--trace", theta_path],
+        ["euler", theta_path],
+        ["p3", "--at", "1/2", cube_path],
+        ["p3", cube_path],
+        ["verify", "theorem1", "--json"],
+        ["euler", cube_path, "--at", "1/2"],
+        ["verify", "lemma5", "--trials", "0"],
+        ["gen", "necklace", "3"],
+    ]
+    together = [run(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 1, 1, 0]
+    for argv, outcome in zip(sequence, together):
+        assert outcome == run_alone(argv), argv

@@ -13,6 +13,8 @@ from tait.planar import (
     parse_map,
     serialize_map,
 )
+from test_coloring import CATALOG_MAPS
+from test_reduction import SEARCH_MAPS, priority_path_maps
 
 THETA_ROTATIONS = [(0, (0, 1, 2)), (1, (5, 4, 3))]
 THETA_PAIRS = [(0, 3), (1, 4), (2, 5)]
@@ -112,8 +114,11 @@ def test_constructor_rejects_bad_tables():
 
 
 def test_free_loops_must_be_non_negative():
-    with pytest.raises(MapError, match="non-negative"):
-        CombinatorialMap((), (), (), -1)
+    # a bool would serialize as "loops True", which parse_map rejects
+    for loops in (-1, True, False, 1.0, "1"):
+        with pytest.raises(MapError) as info:
+            CombinatorialMap((), (), (), loops)
+        assert str(info.value) == "free_loops must be a non-negative integer"
 
 
 def test_sparse_ids_relabel_densely():
@@ -409,3 +414,62 @@ def test_non_planar_component_is_named():
         CombinatorialMap(u.twin, u.next_at_vertex, u.vertex_of)
     assert str(info.value) == "component 1: V - E + F = -2, expected 2 (rotation system is not planar)"
     assert reference_validate(u.twin, u.next_at_vertex, u.vertex_of) == (NonPlanarError, str(info.value))
+
+
+# ----------------------------------------------------------------------
+# the edge and rotation tables, built on first use, against an eager build
+
+
+def eager_tables(g):
+    """Every edge and rotation query of ``g``, computed from its three tables."""
+    twin, sigma, vof = g.twin, g.next_at_vertex, g.vertex_of
+    edges = tuple((h, twin[h]) for h in range(g.n_half_edges) if h < twin[h])
+    edge_of = {h: e for e, pair in enumerate(edges) for h in pair}
+    first = {}
+    for h, v in enumerate(vof):
+        first.setdefault(v, h)
+    rotations = [(first[v], sigma[first[v]], sigma[sigma[first[v]]]) for v in range(g.n_vertices)]
+    return {
+        "edges": edges,
+        "edge_of": [edge_of[h] for h in range(g.n_half_edges)],
+        "rotation": rotations,
+        "vertex_edges": [tuple(edge_of[h] for h in rot) for rot in rotations],
+        "edge_endpoints": [(vof[a], vof[b]) for a, b in edges] + [None] * g.free_loops,
+        "to_rotations_and_pairs": (list(enumerate(rotations)), list(edges), g.free_loops),
+    }
+
+
+QUERIES = {
+    "edges": lambda g: g.edges,
+    "edge_of": lambda g: [g.edge_of(h) for h in range(g.n_half_edges)],
+    "rotation": lambda g: [g.rotation(v) for v in range(g.n_vertices)],
+    "vertex_edges": lambda g: [g.vertex_edges(v) for v in range(g.n_vertices)],
+    "edge_endpoints": lambda g: [g.edge_endpoints(e) for e in range(g.n_edges)],
+    "to_rotations_and_pairs": lambda g: g.to_rotations_and_pairs(),
+}
+
+
+def lazy_table_maps():
+    maps = [
+        (f"{name}/{i}", g)
+        for name, root in SEARCH_MAPS
+        for i, g in enumerate(priority_path_maps(root))
+    ]
+    pairs = zip(CATALOG_MAPS, CATALOG_MAPS[1:] + CATALOG_MAPS[:1])
+    maps += [(f"{a}+{b}", disjoint_union(g, h)) for (a, g), (b, h) in pairs]
+    return maps
+
+
+def test_lazy_tables_match_eager_build():
+    for name, g in lazy_table_maps():
+        expected = eager_tables(g)
+        assert g.n_paired_edges == len(expected["edges"]), name
+        assert g.n_edges == len(expected["edges"]) + g.free_loops, name
+        for first in QUERIES:
+            # a fresh copy, so ``first`` is the query that builds its table
+            fresh = CombinatorialMap(
+                g.twin, g.next_at_vertex, g.vertex_of, g.free_loops, check_planar=False
+            )
+            answers = {first: QUERIES[first](fresh)}
+            answers.update((q, ask(fresh)) for q, ask in QUERIES.items() if q != first)
+            assert answers == expected, (name, first)

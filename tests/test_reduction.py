@@ -385,10 +385,22 @@ def eager_faces(g: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
     return tuple(faces)
 
 
+EAGER_KINDS = {2: MoveKind.BIGON, 3: MoveKind.TRIANGLE, 4: MoveKind.SQUARE}
+
+
+def eager_kind(g: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
+    """A face of degree 2-4 matches when its vertices and its edges are distinct."""
+    vertices = {g.vertex_of[h] for h in orbit}
+    edges = {e for e, pair in enumerate(g.edges) for h in pair if h in orbit}
+    if len(vertices) == len(edges) == len(orbit):
+        return EAGER_KINDS.get(len(orbit))
+    return None
+
+
 def eager_moves(g: CombinatorialMap) -> list[Move]:
     moves = [Move(MoveKind.LOOP)] if g.free_loops > 0 else []
     for orbit in eager_faces(g):
-        kind = _orbit_kind(g, orbit)
+        kind = eager_kind(g, orbit)
         if kind is not None:
             moves.append(Move(kind, orbit))
     return moves
@@ -426,3 +438,29 @@ def test_move_search_matches_eager_definition(cmap):
         assert moves == eager_moves(g)
         assert fresh.face_orbits() == eager_faces(g)
         assert fresh.face_orbits() is fresh.face_orbits()
+
+
+def built_tables(g: CombinatorialMap) -> list[str]:
+    """The lazily built tables that ``g`` holds, read without building any."""
+    built = []
+    for name in ("_edges", "_edge_of", "_rotations"):
+        try:
+            getattr(CombinatorialMap, name).__get__(g)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in SEARCH_MAPS], ids=[name for name, _ in SEARCH_MAPS]
+)
+def test_reduction_builds_no_edge_or_rotation_table(cmap):
+    root = CombinatorialMap(
+        cmap.twin, cmap.next_at_vertex, cmap.vertex_of, cmap.free_loops, check_planar=False
+    )
+    for g in priority_path_maps(root):
+        assert built_tables(g) == []
+    # the probe sees a table once something asks for it
+    assert len(root.edges) == root.n_paired_edges
+    assert built_tables(root) == ["_edges", "_edge_of"]
