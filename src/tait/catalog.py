@@ -28,7 +28,7 @@ def circle(n: int = 1) -> CombinatorialMap:
     """``n`` disjoint vertexless circles, each a single free-loop edge."""
     if n < 0:
         raise ValueError("circle count must be non-negative")
-    return CombinatorialMap((), (), (), n)
+    return CombinatorialMap((), (), n)
 
 
 def theta() -> CombinatorialMap:

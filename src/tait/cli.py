@@ -115,8 +115,16 @@ def _cmd_p3(args) -> int:
     poly = p3(cmap)
     if args.at is None:
         print(poly)
-    else:
-        print(poly(Fraction(args.at)))
+        return EXIT_OK
+    try:
+        q = Fraction(args.at)
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {args.at!r}: zero denominator") from None
+    try:
+        value = poly(q)
+    except ZeroDivisionError:
+        raise ValueError("evaluation at q = 0 hits a negative power") from None
+    print(value)
     return EXIT_OK
 
 
@@ -178,9 +186,6 @@ def main(argv=None) -> int:
     except NotBipartiteError as exc:
         print(f"tait: not bipartite: {exc}", file=sys.stderr)
         return EXIT_NOT_BIPARTITE
-    except ZeroDivisionError:
-        print("tait: error: evaluation at q = 0 hits a negative power", file=sys.stderr)
-        return EXIT_INVALID
     except (MapError, ValueError, OSError) as exc:
         print(f"tait: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

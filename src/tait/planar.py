@@ -8,24 +8,27 @@ rotation system describes an embedding in the sphere exactly when every
 connected component satisfies Euler's formula V - E + F = 2; maps are
 checked for this at construction unless explicitly told not to be.
 
-Every map, including each intermediate map of a reduction, runs every
-structural check and the Euler count at construction.  The constructor
-keeps the three half-edge tables and traces the face orbits as tuples
-of half-edge ids; the Euler count finds components by walking ``twin``
-and ``next_at_vertex`` from half-edges, so it needs nothing else.  The
-edge table (``edges``, ``edge_of``, ``edge_endpoints``) and the
-rotation table (``rotation``, ``vertex_edges``,
-``to_rotations_and_pairs``) are built on first use and kept, so a map
-that is only searched for moves and rewritten, as in a reduction,
-never builds them.
+A vertex is a 3-cycle of ``next_at_vertex``, so the two permutations
+are the whole map: vertices are numbered in order of their smallest
+half-edge, and no vertex table is stored.  Every map, including each
+intermediate map of a reduction, runs every structural check and the
+Euler count at construction.  The constructor keeps the two
+permutations and traces the face orbits as tuples of half-edge ids; the
+Euler count finds components by walking ``twin`` and ``next_at_vertex``
+from half-edges, so it needs nothing else.  The vertex table
+(``vertex_of``), the edge table (``edges``, ``edge_of``,
+``edge_endpoints``) and the rotation table (``rotation``,
+``vertex_edges``, ``to_rotations_and_pairs``) are built on first use and
+kept, so a map that is only searched for moves and rewritten, as in a
+reduction, never builds them.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
 one edge of the graph, so the total edge count is ``n/2 + free_loops``.
 
 Vertices, half-edges, edges and faces all use dense integer ids.
-Derived objects are listed in order of their smallest half-edge, which
-keeps every query deterministic under rebuilds.
+Vertices, edges and faces are listed in order of their smallest
+half-edge, which keeps every query deterministic under rebuilds.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class CombinatorialMap:
     """Immutable validated rotation system plus a free-loop counter.
 
     Construct through :func:`build_map` (which accepts arbitrary integer
-    ids and relabels them densely) unless you already hold dense tables.
+    ids and relabels them densely) unless you already hold the two dense
+    permutations.
     Every structural check runs on every construction, each as a
     comparison of whole tables.
     """
@@ -70,9 +74,8 @@ class CombinatorialMap:
     __slots__ = (
         "_twin",
         "_sigma",
-        "_vertex_of",
         "_free_loops",
-        "_n_vertices",
+        "_vertex_of",
         "_edges",
         "_edge_of",
         "_rotations",
@@ -84,16 +87,14 @@ class CombinatorialMap:
         self,
         twin: Sequence[int],
         next_at_vertex: Sequence[int],
-        vertex_of: Sequence[int],
         free_loops: int = 0,
         *,
         check_planar: bool = True,
     ):
         twin = tuple(twin)
         sigma = tuple(next_at_vertex)
-        vof = tuple(vertex_of)
         n = len(twin)
-        if len(sigma) != n or len(vof) != n:
+        if len(sigma) != n:
             raise MapError("half-edge tables have inconsistent lengths")
         if isinstance(free_loops, bool) or not isinstance(free_loops, int) or free_loops < 0:
             raise MapError("free_loops must be a non-negative integer")
@@ -115,46 +116,24 @@ class CombinatorialMap:
                     raise MapError(f"twin fixes half-edge {h}")
         if sorted(sigma) != halves:
             raise MapError("next_at_vertex is not a permutation of the half-edges")
-
-        n_vertices = (max(vof) + 1) if n else 0
-        if n and (min(vof) < 0 or [vof[s] for s in sigma] != list(vof)):
-            for h in range(n):
-                if vof[h] < 0:
-                    raise MapError(f"half-edge {h} has negative vertex id")
-                if vof[sigma[h]] != vof[h]:
-                    raise MapError(f"rotation moves half-edge {h} to another vertex")
-        # sigma keeps every vertex, so with sigma^3 = 1 and no fixed point
-        # each vertex id in use carries a whole number of 3-cycles
+        # sigma^3 = 1 with no fixed point leaves only 3-cycles: the vertices
         sigma2 = [sigma[s] for s in sigma]
-        if (
-            n != 3 * n_vertices
-            or len(set(vof)) != n_vertices
-            or [sigma[s] for s in sigma2] != halves
-            or any(map(eq, sigma, halves))
-        ):
-            degree = [0] * n_vertices
-            for v in vof:
-                degree[v] += 1
-            for v, d in enumerate(degree):
-                if d != 3:
-                    raise MapError(f"vertex {v} has degree {d}, expected 3")
+        if [sigma[s] for s in sigma2] != halves or any(map(eq, sigma, halves)):
             for h in range(n):
-                if sigma[h] == h or sigma[sigma[h]] == h:
-                    raise MapError(f"rotation at vertex {vof[h]} is not a single 3-cycle")
+                if sigma[h] == h or sigma[sigma2[h]] != h:
+                    raise MapError(f"rotation at half-edge {h} is not a single 3-cycle")
 
         self._twin = twin
         self._sigma = sigma
-        self._vertex_of = vof
         self._free_loops = free_loops
-        self._n_vertices = n_vertices
 
         self._orbits = self._trace_orbits()
         self._planar = self._check_euler(check_planar)
 
     def __getattr__(self, name: str):
-        # The edge and rotation tables fill their slots on first read: an
-        # unset slot raises AttributeError, and only then is this called,
-        # so a built table costs its readers nothing extra.
+        # The vertex, edge and rotation tables fill their slots on first
+        # read: an unset slot raises AttributeError, and only then is this
+        # called, so a built table costs its readers nothing extra.
         if name in ("_edges", "_edge_of"):
             # edge table, ordered by smaller half-edge
             edges = tuple((h, t) for h, t in enumerate(self._twin) if h < t)
@@ -164,14 +143,16 @@ class CombinatorialMap:
             self._edges = edges
             self._edge_of = tuple(edge_of)
         elif name == "_rotations":
-            # canonical rotation per vertex, starting at its smallest half-edge
-            # (filled from the last half-edge down, so the smallest one stays)
-            vof, sigma = self._vertex_of, self._sigma
-            first = dict(zip(reversed(vof), range(len(vof) - 1, -1, -1)))
+            # each vertex's 3-cycle, read from its smallest half-edge
+            sigma = self._sigma
             self._rotations = tuple(
-                (h, sigma[h], sigma[sigma[h]])
-                for h in map(first.__getitem__, range(self._n_vertices))
+                (h, s, sigma[s]) for h, s in enumerate(sigma) if h < s and h < sigma[s]
             )
+        elif name == "_vertex_of":
+            vertex_of = [0] * len(self._sigma)
+            for v, (a, b, c) in enumerate(self._rotations):
+                vertex_of[a] = vertex_of[b] = vertex_of[c] = v
+            self._vertex_of = tuple(vertex_of)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return object.__getattribute__(self, name)
@@ -193,40 +174,39 @@ class CombinatorialMap:
         return tuple(orbits)
 
     def _check_euler(self, raise_on_failure: bool) -> bool:
-        # connected components over vertices, numbered by smallest half-edge;
-        # the walk reaches a vertex through one of its half-edges h, whose
-        # vertex also holds sigma(h) and sigma(sigma(h))
-        twin, sigma, vof = self._twin, self._sigma, self._vertex_of
-        comp = [-1] * self._n_vertices
+        # connected components over half-edges, numbered by smallest
+        # half-edge; reaching a half-edge h reaches its whole vertex
+        twin, sigma = self._twin, self._sigma
+        comp = [-1] * len(twin)
         n_comps = 0
-        for h0, v0 in enumerate(vof):
-            if comp[v0] >= 0:
+        for h0 in range(len(twin)):
+            if comp[h0] >= 0:
                 continue
-            comp[v0] = n_comps
             stack = [h0]
             while stack:
                 h = stack.pop()
-                s = sigma[h]
-                for t in (twin[h], twin[s], twin[sigma[s]]):
-                    u = vof[t]
-                    if comp[u] < 0:
-                        comp[u] = n_comps
-                        stack.append(t)
+                if comp[h] < 0:
+                    s = sigma[h]
+                    t = sigma[s]
+                    comp[h] = comp[s] = comp[t] = n_comps
+                    stack += (twin[h], twin[s], twin[t])
             n_comps += 1
 
         # V - E + F is at most 2 on every component, so the total is 2 per
-        # component exactly when each one is planar; E is 3V/2 (trivalence)
-        if self._n_vertices - len(twin) // 2 + len(self._orbits) == 2 * n_comps:
+        # component exactly when each one is planar; V = n/3 and E = n/2
+        n = len(twin)
+        if n // 3 - n // 2 + len(self._orbits) == 2 * n_comps:
             return True
         if raise_on_failure:
-            verts = [0] * n_comps
+            halves = [0] * n_comps
             faces = [0] * n_comps
             for c in comp:
-                verts[c] += 1
+                halves[c] += 1
             for orbit in self._orbits:
-                faces[comp[vof[orbit[0]]]] += 1
+                faces[comp[orbit[0]]] += 1
             for c in range(n_comps):
-                chi = faces[c] - verts[c] // 2
+                # V - E + F = n/3 - n/2 + F on a component with n half-edges
+                chi = faces[c] - halves[c] // 6
                 if chi != 2:
                     raise NonPlanarError(
                         f"component {c}: V - E + F = {chi}, expected 2 "
@@ -247,6 +227,7 @@ class CombinatorialMap:
 
     @property
     def vertex_of(self) -> tuple[int, ...]:
+        """Vertex of each half-edge; vertices go by smallest half-edge."""
         return self._vertex_of
 
     @property
@@ -259,7 +240,7 @@ class CombinatorialMap:
 
     @property
     def n_vertices(self) -> int:
-        return self._n_vertices
+        return len(self._twin) // 3
 
     @property
     def n_paired_edges(self) -> int:
@@ -308,8 +289,8 @@ class CombinatorialMap:
         Free loops impose no constraint; a vertex self-loop makes the
         graph non-bipartite.
         """
-        side = [-1] * self._n_vertices
-        for start in range(self._n_vertices):
+        side = [-1] * self.n_vertices
+        for start in range(self.n_vertices):
             if side[start] >= 0:
                 continue
             side[start] = 0
@@ -332,7 +313,7 @@ class CombinatorialMap:
         self,
     ) -> tuple[list[tuple[int, tuple[int, int, int]]], list[tuple[int, int]], int]:
         """Inverse of :func:`build_map` on dense data."""
-        rotations = [(v, self._rotations[v]) for v in range(self._n_vertices)]
+        rotations = list(enumerate(self._rotations))
         return rotations, list(self._edges), self._free_loops
 
     def __eq__(self, other) -> bool:
@@ -341,16 +322,15 @@ class CombinatorialMap:
         return (
             self._twin == other._twin
             and self._sigma == other._sigma
-            and self._vertex_of == other._vertex_of
             and self._free_loops == other._free_loops
         )
 
     def __hash__(self) -> int:
-        return hash((self._twin, self._sigma, self._vertex_of, self._free_loops))
+        return hash((self._twin, self._sigma, self._free_loops))
 
     def __repr__(self) -> str:
         return (
-            f"CombinatorialMap(vertices={self._n_vertices}, "
+            f"CombinatorialMap(vertices={self.n_vertices}, "
             f"edges={self.n_edges}, free_loops={self._free_loops})"
         )
 
@@ -366,8 +346,10 @@ def build_map(
 
     ``vertex_rotations`` lists ``(vertex, (h1, h2, h3))`` with the three
     half-edges in counterclockwise order; ``edge_pairs`` matches the same
-    half-edge ids two by two.  Ids may be any non-negative integers; they
-    are relabeled densely in sorted order.
+    half-edge ids two by two.  Ids may be any non-negative integers.
+    Half-edges are relabeled densely in sorted order; vertex ids only
+    have to be distinct, and vertices are renumbered by smallest
+    half-edge, as every map numbers them.
     """
     rotations = list(vertex_rotations)
     pairs = list(edge_pairs)
@@ -400,35 +382,27 @@ def build_map(
         raise MapError(f"unmatched half-edge {min(unmatched)} (no edge pair)")
 
     hid = {h: i for i, h in enumerate(sorted(known))}
-    vid = {v: i for i, v in enumerate(sorted(vids))}
 
     n = len(hid)
     twin = [0] * n
     sigma = [0] * n
-    vof = [0] * n
     for a, b in pairs:
         twin[hid[a]] = hid[b]
         twin[hid[b]] = hid[a]
-    for v, rot in rotations:
+    for _, rot in rotations:
         h1, h2, h3 = (hid[h] for h in rot)
         sigma[h1] = h2
         sigma[h2] = h3
         sigma[h3] = h1
-        vof[h1] = vof[h2] = vof[h3] = vid[v]
-    return CombinatorialMap(twin, sigma, vof, free_loops, check_planar=check_planar)
+    return CombinatorialMap(twin, sigma, free_loops, check_planar=check_planar)
 
 
 def disjoint_union(a: CombinatorialMap, b: CombinatorialMap) -> CombinatorialMap:
-    """Relabeled side-by-side copy of two maps; free loops add up."""
-    rot_a, pairs_a, loops_a = a.to_rotations_and_pairs()
-    rot_b, pairs_b, loops_b = b.to_rotations_and_pairs()
+    """Side-by-side copy of two maps, ``b``'s half-edges after ``a``'s; free loops add up."""
     dh = a.n_half_edges
-    dv = a.n_vertices
-    rotations = rot_a + [
-        (v + dv, tuple(h + dh for h in rot)) for v, rot in rot_b
-    ]
-    pairs = pairs_a + [(x + dh, y + dh) for x, y in pairs_b]
-    return build_map(rotations, pairs, loops_a + loops_b, check_planar=False)
+    twin = a.twin + tuple(t + dh for t in b.twin)
+    sigma = a.next_at_vertex + tuple(s + dh for s in b.next_at_vertex)
+    return CombinatorialMap(twin, sigma, a.free_loops + b.free_loops, check_planar=False)
 
 
 # ----------------------------------------------------------------------

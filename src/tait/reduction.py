@@ -11,10 +11,13 @@ Four local moves rewrite a map into strictly smaller ones:
   adding the results.
 
 A move only matches a face whose vertices and edges are pairwise
-distinct.  Applying moves until every branch reaches the empty map
-builds a tree whose value, with weights ``loop=3, bigon=2``, counts the
-Tait colorings of the starting map; other weight systems reuse the same
-tree.  Maps whose faces all have five or more sides (the dodecahedron
+distinct.  In a cubic map a face that meets one vertex at two corners
+runs along the edge between them on both sides, so distinct edges imply
+distinct vertices: the matcher compares edges only, and the reduction
+reads no vertex data.  Applying moves until every branch reaches the
+empty map builds a tree whose value, with weights ``loop=3, bigon=2``,
+counts the Tait colorings of the starting map; other weight systems
+reuse the same tree.  Maps whose faces all have five or more sides (the dodecahedron
 is the smallest) admit no move and raise :class:`IrreducibleError`.
 """
 
@@ -137,16 +140,19 @@ class TraceNode(Generic[W]):
 
 
 def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
-    """The move matching the face with half-edge cycle ``orbit``, or ``None``."""
+    """The move matching the face with half-edge cycle ``orbit``, or ``None``.
+
+    Distinct edges suffice.  Any two of the three half-edges at a vertex
+    are neighbours in its rotation, so a face with two corners at one
+    vertex leaves it along some half-edge ``h`` at one corner and comes
+    back along ``h``'s edge at the other: it holds both halves of an edge.
+    """
     degree = len(orbit)
     if not 2 <= degree <= 4:
         return None
     # an edge is named by its smaller half-edge, as in the edge table
-    vertex_of, twin = cmap.vertex_of, cmap.twin
-    if (
-        len({vertex_of[h] for h in orbit}) != degree
-        or len({min(h, twin[h]) for h in orbit}) != degree
-    ):
+    twin = cmap.twin
+    if len({min(h, twin[h]) for h in orbit}) != degree:
         return None
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
 
@@ -214,32 +220,26 @@ def _checked_face(
 
 def _rebuild(
     cmap: CombinatorialMap,
+    sigma: tuple[int, ...] | list[int],
     dead_half: set[int],
     glue: dict[int, int],
-    new_rotations: list[tuple[int, int, int]],
 ) -> CombinatorialMap:
     """Remove ``dead_half``, welding edges across the ``glue`` pairing.
 
+    ``sigma`` is the rotation the survivors keep, in old half-edge ids:
+    the map's own, or one with a collapsed triangle's vertex patched in.
     ``glue`` matches dead stub half-edges two by two; an edge whose twin
     died is rejoined with whatever lies past the weld, following chains
     through any run of welds.  Chains that close up without ever meeting
     a surviving half-edge are circles, and each one becomes a free loop.
-    New vertices (for the triangle collapse) list their rotations in old
-    half-edge ids.  Surviving half-edges and vertices keep their relative
-    order, and new vertices come last.
+    Surviving half-edges keep their relative order, and vertices are
+    numbered by smallest half-edge, as in every map.
     """
-    twin, sigma, vertex_of = cmap.twin, cmap.next_at_vertex, cmap.vertex_of
-    if new_rotations:
-        sigma, vertex_of = list(sigma), list(vertex_of)
-        for v, (a, b, c) in enumerate(new_rotations, start=cmap.n_vertices):
-            sigma[a], sigma[b], sigma[c] = b, c, a
-            vertex_of[a] = vertex_of[b] = vertex_of[c] = v
+    twin = cmap.twin
     survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
     hid = {h: i for i, h in enumerate(survivors)}
-    vid = {v: i for i, v in enumerate(sorted({vertex_of[h] for h in survivors}))}
     new_sigma = [hid[sigma[h]] for h in survivors]
-    new_vof = [vid[vertex_of[h]] for h in survivors]
-    # hid's int objects, not fresh ones, so the three tables share them
+    # hid's int objects, not fresh ones, so the two tables share them
     new_twin = [hid.get(twin[h], -1) for h in survivors]
     # only a half-edge across a glue stub lost its twin
     used_stubs: set[int] = set()
@@ -271,7 +271,7 @@ def _rebuild(
                 break
         new_loops += 1
 
-    return CombinatorialMap(new_twin, new_sigma, new_vof, cmap.free_loops + new_loops)
+    return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
 
 
 def apply_move(
@@ -290,23 +290,23 @@ def apply_move(
     if kind is MoveKind.LOOP:
         if cmap.free_loops == 0:
             raise InvalidMoveError("no free loop to remove")
-        child = CombinatorialMap(
-            cmap.twin, cmap.next_at_vertex, cmap.vertex_of, cmap.free_loops - 1, check_planar=False
-        )
-        return (child,)
+        loops = cmap.free_loops - 1
+        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops, check_planar=False),)
     face = _checked_face(cmap, tuple(move.half_edges), kind)
     sigma, twin = cmap.next_at_vertex, cmap.twin
     x = [sigma[k] for k in face]
     dead = {*face, *[twin[k] for k in face]}
     if kind is MoveKind.TRIANGLE:
-        # reversed face order keeps the collapsed rotation planar
-        return (_rebuild(cmap, dead, {}, [(x[0], x[2], x[1])]),)
+        # x on one vertex in reversed face order keeps the rotation planar
+        sigma = list(sigma)
+        sigma[x[0]], sigma[x[2]], sigma[x[1]] = x[2], x[1], x[0]
+        return (_rebuild(cmap, sigma, dead, {}),)
     dead.update(x)
     if kind is MoveKind.BIGON:
-        return (_rebuild(cmap, dead, {x[0]: x[1], x[1]: x[0]}, []),)
+        return (_rebuild(cmap, sigma, dead, {x[0]: x[1], x[1]: x[0]}),)
     # a square rejoins both planar ways: x, and x turned by one, each paired i <-> i^1
     ways = (x, x[1:] + x[:1])
-    return tuple([_rebuild(cmap, dead, {y[i]: y[i ^ 1] for i in range(4)}, []) for y in ways])
+    return tuple([_rebuild(cmap, sigma, dead, {y[i]: y[i ^ 1] for i in range(4)}) for y in ways])
 
 
 def _multiplier(move: Move, weights: RelationWeights[W]) -> W:

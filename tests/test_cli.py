@@ -106,8 +106,11 @@ def test_p3_at_zero_is_an_error(tmp_path, capsys):
 
 
 def test_p3_bad_rational(tmp_path, capsys):
-    code, _, err = run(["p3", graph_file(tmp_path, theta()), "--at", "pi"], capsys)
-    assert code == EXIT_INVALID
+    path = graph_file(tmp_path, theta())
+    for q in ("pi", "1/0"):
+        code, out, err = run(["p3", path, "--at", q], capsys)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert repr(q) in err and "q = 0" not in err
 
 
 def test_p3_nonbipartite_exits_3(tmp_path, capsys):

@@ -21,11 +21,8 @@ from tait.planar import CombinatorialMap, build_map, disjoint_union, serialize_m
 
 
 def dumbbell() -> CombinatorialMap:
-    return build_map(
-        [(0, (0, 1, 2)), (1, (3, 4, 5))],
-        [(0, 1), (2, 3), (4, 5)],
-        check_planar=False,
-    )
+    """Two vertices, each wearing a self-loop, joined by one edge."""
+    return build_map([(0, (0, 1, 2)), (1, (3, 4, 5))], [(0, 1), (2, 3), (4, 5)])
 
 
 def oracle_count(cmap: CombinatorialMap) -> int:
@@ -86,7 +83,7 @@ def test_count_multiplies_over_components():
 
 
 def test_empty_map_counts_one():
-    assert count_tait(CombinatorialMap((), (), (), 0)) == 1
+    assert count_tait(CombinatorialMap((), (), 0)) == 1
 
 
 def test_self_loop_kills_count():

@@ -12,7 +12,6 @@ from tait.laurent import p3
 from tait.planar import (
     CombinatorialMap,
     NonPlanarError,
-    build_map,
     disjoint_union,
     serialize_map,
 )
@@ -31,15 +30,7 @@ from tait.reduction import (
     format_trace,
     reduce_map,
 )
-from test_coloring import CATALOG_MAPS, UNIONS, random_planar_cubic
-
-
-def dumbbell() -> CombinatorialMap:
-    return build_map(
-        [(0, (0, 1, 2)), (1, (3, 4, 5))],
-        [(0, 1), (2, 3), (4, 5)],
-        check_planar=False,
-    )
+from test_coloring import CATALOG_MAPS, UNIONS, dumbbell, random_planar_cubic
 
 
 def kinds(g: CombinatorialMap) -> set:
@@ -84,7 +75,7 @@ def test_find_move_priority():
     # bigon beats the square that starts at a smaller half-edge
     assert find_move(necklace(2)) == Move(MoveKind.BIGON, (1, 5))
     assert find_move(dumbbell()) is None
-    assert find_move(CombinatorialMap((), (), (), 0)) is None
+    assert find_move(CombinatorialMap((), (), 0)) is None
 
 
 def test_apply_loop():
@@ -266,12 +257,13 @@ def children_text(cmap, kind, cycle=()):
 
 
 def test_rebuilt_child_ids():
-    # survivors keep their relative order; a collapsed triangle's vertex comes last
+    # survivors keep their relative order, and vertices go by smallest half-edge,
+    # so a collapsed triangle's vertex takes the place of its smallest one
     assert children_text(necklace(2), MoveKind.BIGON, (1, 5)) == [
         "vertex 0: 0 1 2\nvertex 1: 3 4 5\nedge 0: 0 5\nedge 1: 1 4\nedge 2: 2 3\n"
     ]
     assert children_text(prism(3), MoveKind.TRIANGLE, (0, 6, 12)) == [
-        "vertex 0: 1 2 3\nvertex 1: 5 6 7\nvertex 2: 9 10 11\nvertex 3: 0 8 4\n"
+        "vertex 0: 0 8 4\nvertex 1: 1 2 3\nvertex 2: 5 6 7\nvertex 3: 9 10 11\n"
         "edge 0: 0 1\nedge 1: 2 7\nedge 2: 3 10\nedge 3: 4 5\nedge 4: 6 11\nedge 5: 8 9\n"
     ]
     # the square's first child pairs its stubs x0-x1, x2-x3, the second x1-x2, x3-x0
@@ -289,7 +281,7 @@ def test_rebuilt_child_ids():
 
 
 def test_reduce_empty_map():
-    trace = reduce_map(CombinatorialMap((), (), (), 0))
+    trace = reduce_map(CombinatorialMap((), (), 0))
     assert trace.move is None and trace.children == ()
     assert trace.value() == 1
     assert format_trace(trace) == "0 empty 1"
@@ -389,7 +381,11 @@ EAGER_KINDS = {2: MoveKind.BIGON, 3: MoveKind.TRIANGLE, 4: MoveKind.SQUARE}
 
 
 def eager_kind(g: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
-    """A face of degree 2-4 matches when its vertices and its edges are distinct."""
+    """A face of degree 2-4 matches when its vertices and its edges are distinct.
+
+    ``_orbit_kind`` compares edges only; this keeps both checks, so the
+    search tests below also guard that a repeated vertex repeats an edge.
+    """
     vertices = {g.vertex_of[h] for h in orbit}
     edges = {e for e, pair in enumerate(g.edges) for h in pair if h in orbit}
     if len(vertices) == len(edges) == len(orbit):
@@ -429,9 +425,7 @@ SEARCH_MAPS = CATALOG_MAPS + UNIONS + [
 def test_move_search_matches_eager_definition(cmap):
     for g in priority_path_maps(cmap):
         # a fresh copy, so the search sees only what the constructor built
-        fresh = CombinatorialMap(
-            g.twin, g.next_at_vertex, g.vertex_of, g.free_loops, check_planar=False
-        )
+        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops, check_planar=False)
         moves = available_moves(fresh)
         best = min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
         assert find_move(fresh) == best
@@ -443,7 +437,7 @@ def test_move_search_matches_eager_definition(cmap):
 def built_tables(g: CombinatorialMap) -> list[str]:
     """The lazily built tables that ``g`` holds, read without building any."""
     built = []
-    for name in ("_edges", "_edge_of", "_rotations"):
+    for name in ("_edges", "_edge_of", "_rotations", "_vertex_of"):
         try:
             getattr(CombinatorialMap, name).__get__(g)
         except AttributeError:
@@ -456,11 +450,22 @@ def built_tables(g: CombinatorialMap) -> list[str]:
     "cmap", [g for _, g in SEARCH_MAPS], ids=[name for name, _ in SEARCH_MAPS]
 )
 def test_reduction_builds_no_edge_or_rotation_table(cmap):
-    root = CombinatorialMap(
-        cmap.twin, cmap.next_at_vertex, cmap.vertex_of, cmap.free_loops, check_planar=False
-    )
+    root = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops, check_planar=False)
     for g in priority_path_maps(root):
         assert built_tables(g) == []
     # the probe sees a table once something asks for it
     assert len(root.edges) == root.n_paired_edges
     assert built_tables(root) == ["_edges", "_edge_of"]
+    assert len(root.vertex_of) == root.n_half_edges
+    assert built_tables(root) == ["_edges", "_edge_of", "_rotations", "_vertex_of"]
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in SEARCH_MAPS], ids=[name for name, _ in SEARCH_MAPS]
+)
+def test_repeated_vertex_repeats_an_edge(cmap):
+    # the fact that lets ``_orbit_kind`` skip the vertex check, on every face
+    for g in priority_path_maps(cmap):
+        for orbit in g.face_orbits():
+            if len({g.vertex_of[h] for h in orbit}) < len(orbit):
+                assert len({g.edge_of(h) for h in orbit}) < len(orbit), orbit

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, prism, theta
-from tait.planar import build_map, disjoint_union
+from tait.planar import disjoint_union
 from tait.su3 import (
     STANDARD_INVOLUTION,
     InadmissibleDecorationError,
@@ -28,17 +28,9 @@ from tait.su3 import (
     vertex_product_deviation,
 )
 from tait.su3 import _edge_bfs_order, _edge_neighbors
-from test_coloring import random_planar_cubic
+from test_coloring import dumbbell, random_planar_cubic
 
 E = np.eye(3, dtype=complex)
-
-
-def dumbbell():
-    return build_map(
-        [(0, (0, 1, 2)), (1, (3, 4, 5))],
-        [(0, 1), (2, 3), (4, 5)],
-        check_planar=False,
-    )
 
 
 def test_standard_involution():
