@@ -111,15 +111,17 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_p3(args) -> int:
+    q = None
+    if args.at is not None:
+        try:
+            q = Fraction(args.at)
+        except ZeroDivisionError:
+            raise ValueError(f"invalid rational {args.at!r}: zero denominator") from None
     cmap = parse_map(_read_text(args.file), check_planar=True)
     poly = p3(cmap)
-    if args.at is None:
+    if q is None:
         print(poly)
         return EXIT_OK
-    try:
-        q = Fraction(args.at)
-    except ZeroDivisionError:
-        raise ValueError(f"invalid rational {args.at!r}: zero denominator") from None
     try:
         value = poly(q)
     except ZeroDivisionError:

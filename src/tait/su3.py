@@ -9,6 +9,16 @@ family of order-2 matrices whose product around every vertex is the
 identity, and the 1-eigenspace recovers the line; both directions are
 implemented and numerically inverse to each other.
 
+Whole decorations are processed as stacked arrays: a decoration is one
+(E, 3) array, a representation one (E, 3, 3) array, and the vertex
+triples one (V, 3) index array, so every check and conversion is one
+numpy expression over all edges or vertices.  The scalar functions
+(``is_special_unitary``, ``is_order_two``, ``reflection_from_line``,
+``axis_of``, ``line_overlap``) are the same kernels applied to a stack of
+one.  Every check runs on every edge; when some fail, the error names
+the first failing edge in index order and that edge's first failing
+check (shape, then special unitary, then order two).
+
 All tolerances are absolute; the default 1e-9 leaves three orders of
 magnitude of headroom over double-precision arithmetic on 3x3 products.
 """
@@ -65,6 +75,13 @@ class RetriesExhaustedError(RuntimeError):
         self.retries = retries
 
 
+_NOT_SPECIAL_UNITARY = "matrix is not special unitary within tolerance"
+_NOT_ORDER_TWO = "matrix is not an order-2 special unitary within tolerance"
+
+# the three incident pairs at a vertex, as positions in its edge triple
+_PAIR_FIRST, _PAIR_SECOND = [0, 0, 1], [1, 2, 2]
+
+
 def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.shape != (3, 3):
@@ -72,27 +89,97 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
-def _as_unit_vector(v, tol: float) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+def _as_vector(v) -> np.ndarray:
+    return np.asarray(v, dtype=complex).reshape(3)
+
+
+def _stack(items, convert, shape: tuple[int, ...]):
+    """``convert`` applied to every item, as one array of ``(n,) + shape``.
+
+    Returns the stack and ``None``, or, when ``convert`` rejects an
+    item, the stack of the items before it and the error it raised, so
+    that callers can check those first and report faults in index order.
+    """
+    try:
+        stack = np.asarray(items, dtype=complex)
+        if stack.shape[1:] == shape:
+            return stack, None
+    except (TypeError, ValueError):
+        pass
+    done, error = [], None
+    for item in items:
+        try:
+            done.append(convert(item))
+        except (TypeError, ValueError) as exc:
+            error = exc
+            break
+    return np.array(done, dtype=complex).reshape((-1,) + shape), error
+
+
+def _norm(x: np.ndarray, axis) -> np.ndarray:
+    """Euclidean norm over ``axis``: of vectors at -1, of matrices (Frobenius) at (-2, -1)."""
+    return np.sqrt((x.conj() * x).real.sum(axis=axis))
+
+
+def _require_unit(lines: np.ndarray, tol: float) -> None:
+    """Raise for the first row of an (n, 3) stack whose norm is not 1 within ``tol``."""
+    norms = _norm(lines, -1)
+    bad = np.abs(norms - 1.0) > tol
+    if bad.any():
+        # the norm of that one vector, whatever else the stack holds
+        norm = float(np.linalg.norm(lines[np.argmax(bad)]))
         raise ValueError(f"line representative must be a unit vector, |v| = {norm}")
-    return v
+
+
+def _special_unitary(M: np.ndarray, tol: float) -> np.ndarray:
+    """Per matrix of a stack: ||M*M - I|| <= tol and |det M - 1| <= tol."""
+    gram = M.conj().swapaxes(-1, -2) @ M
+    return (_norm(gram - _I3, (-2, -1)) <= tol) & (abs(np.linalg.det(M) - 1.0) <= tol)
+
+
+def _order_two(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a stack: whether it squares to I without being I, and ||M^2 - I||."""
+    defect = _norm(M @ M - _I3, (-2, -1))
+    return (defect <= tol) & (_norm(M - _I3, (-2, -1)) > tol), defect
+
+
+def _first_fault(M: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """First matrix of a stack that is not an order-2 special unitary, and why."""
+    special = _special_unitary(M, tol)
+    good = special & _order_two(M, tol)[0]
+    if good.all():
+        return None
+    k = int(np.argmin(good))
+    return k, _NOT_ORDER_TWO if special[k] else _NOT_SPECIAL_UNITARY
+
+
+def _reflections(lines: np.ndarray) -> np.ndarray:
+    """2 v v* - I for every row of an (n, 3) stack."""
+    return 2.0 * (lines[:, :, None] * lines.conj()[:, None, :]) - _I3
+
+
+def _axes(M: np.ndarray) -> np.ndarray:
+    """Fixed lines of a stack of order-2 matrices, as :func:`axis_of` describes."""
+    rows = np.arange(len(M))
+    proj = (M + _I3) / 2.0
+    v = proj[rows, :, _norm(proj, -2).argmax(axis=-1)]
+    v = v / _norm(v, -1)[:, None]
+    top = v[rows, abs(v).argmax(axis=-1)]
+    return v * (top.conj() / abs(top))[:, None]
+
+
+def _inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u, w> along the last axis, conjugate-linear in ``u``."""
+    return (u.conj() * w).sum(axis=-1)
+
+
+def _line_overlaps(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|<u, w>| along the last axis."""
+    return abs(_inner(u, w))
 
 
 def is_special_unitary(M, tol: float = 1e-9) -> bool:
-    M = _as_matrix(M)
-    return (
-        float(np.linalg.norm(M.conj().T @ M - _I3)) <= tol
-        and abs(np.linalg.det(M) - 1.0) <= tol
-    )
-
-
-def _require_special_unitary(M, tol: float) -> np.ndarray:
-    M = _as_matrix(M)
-    if not is_special_unitary(M, tol):
-        raise ValueError("matrix is not special unitary within tolerance")
-    return M
+    return bool(_special_unitary(_as_matrix(M)[None], tol)[0])
 
 
 def is_order_two(M, tol: float = 1e-9) -> bool:
@@ -102,11 +189,11 @@ def is_order_two(M, tol: float = 1e-9) -> bool:
     diag(1, -1, -1): order 2 in SU(3) forces eigenvalues (1, -1, -1).
     Raises if the input is not special unitary within tolerance.
     """
-    M = _require_special_unitary(M, tol)
-    return (
-        float(np.linalg.norm(M @ M - _I3)) <= tol
-        and float(np.linalg.norm(M - _I3)) > tol
-    )
+    M = _as_matrix(M)[None]
+    if not _special_unitary(M, tol)[0]:
+        raise ValueError(_NOT_SPECIAL_UNITARY)
+    order_two, _ = _order_two(M, tol)
+    return bool(order_two[0])
 
 
 def reflection_from_line(v, tol: float = 1e-9) -> np.ndarray:
@@ -115,8 +202,9 @@ def reflection_from_line(v, tol: float = 1e-9) -> np.ndarray:
     Returns 2 v v* - I, which negates the orthogonal complement; the
     result only depends on the line, not the phase of ``v``.
     """
-    v = _as_unit_vector(v, tol)
-    return 2.0 * np.outer(v, v.conj()) - _I3
+    lines = _as_vector(v)[None]
+    _require_unit(lines, tol)
+    return _reflections(lines)[0]
 
 
 def axis_of(M, tol: float = 1e-9) -> np.ndarray:
@@ -126,23 +214,16 @@ def axis_of(M, tol: float = 1e-9) -> np.ndarray:
     stable representative.  The phase is canonicalized so the largest
     component is real positive.
     """
-    M = _as_matrix(M)
-    if not is_order_two(M, tol):
-        raise ValueError("matrix is not an order-2 special unitary within tolerance")
-    proj = (M + _I3) / 2.0
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    v = proj[:, col]
-    v = v / np.linalg.norm(v)
-    k = int(np.argmax(np.abs(v)))
-    v = v * (v[k].conj() / abs(v[k]))
-    return v
+    M = _as_matrix(M)[None]
+    fault = _first_fault(M, tol)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return _axes(M)[0]
 
 
 def line_overlap(u, w) -> float:
     """|<u, w>| for unit vectors: 0 for orthogonal lines, 1 for equal ones."""
-    u = np.asarray(u, dtype=complex).reshape(3)
-    w = np.asarray(w, dtype=complex).reshape(3)
-    return float(abs(np.vdot(u, w)))
+    return float(_line_overlaps(_as_vector(u), _as_vector(w)))
 
 
 def same_line(u, w, tol: float = 1e-9) -> bool:
@@ -209,15 +290,14 @@ def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
     for name, M in (("S", S), ("T", T)):
         if not is_order_two(M, tol):
             raise ValueError(f"{name} is not an order-2 special unitary")
-    a = axis_of(S, tol)
-    b = axis_of(T, tol)
-    inner = complex(np.vdot(a, b))
+    a, b = _axes(np.stack((S, T)))
+    inner = complex(_inner(a, b))
     product = S @ T
-    defect = float(np.linalg.norm(product @ product - _I3))
-    order_two = defect <= tol and float(np.linalg.norm(product - _I3)) > tol
+    order_two, defect = _order_two(product[None], tol)
+    order_two, defect = bool(order_two[0]), float(defect[0])
     overlaps = None
     if order_two:
-        c = axis_of(product, tol)
+        c = _axes(product[None])[0]
         overlaps = (line_overlap(c, a), line_overlap(c, b))
     return OrderTwoProductReport(
         axis_inner=inner,
@@ -233,8 +313,23 @@ def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
 # decorations on a map
 
 
-def _vertex_edge_triples(cmap: CombinatorialMap) -> list[tuple[int, int, int]]:
-    return [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+def _vertex_triples(cmap: CombinatorialMap) -> np.ndarray:
+    """(V, 3) edge ids at every vertex, in rotation order (a self-loop repeats)."""
+    triples = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    return np.array(triples, dtype=np.intp).reshape(-1, 3)
+
+
+def _has_self_loop(triples: np.ndarray) -> bool:
+    return bool((triples[:, _PAIR_FIRST] == triples[:, _PAIR_SECOND]).any())
+
+
+def _worst_overlap(triples: np.ndarray, lines: np.ndarray) -> float:
+    """Worst overlap of incident lines over a vertex-triple table; 1 at a self-loop."""
+    if _has_self_loop(triples):
+        return 1.0
+    overlaps = _line_overlaps(lines[triples[:, _PAIR_FIRST]], lines[triples[:, _PAIR_SECOND]])
+    # fmax skips NaN overlaps
+    return float(np.fmax.reduce(overlaps, axis=None, initial=0.0))
 
 
 def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
@@ -243,27 +338,14 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     Zero (up to rounding) means admissible; a vertex self-loop makes
     the same line incident to itself, so the deviation is 1.
     """
-    worst = 0.0
-    for triple in _vertex_edge_triples(cmap):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                e, f = triple[i], triple[j]
-                if e == f:
-                    return 1.0
-                worst = max(worst, line_overlap(decoration[e], decoration[f]))
-    return worst
+    lines, error = _stack(decoration, _as_vector, (3,))
+    if error is not None:
+        raise error
+    return _worst_overlap(_vertex_triples(cmap), lines)
 
 
 def is_admissible(cmap: CombinatorialMap, decoration, tol: float = 1e-9) -> bool:
     return admissibility_deviation(cmap, decoration) <= tol
-
-
-def _check_decoration_shape(cmap: CombinatorialMap, decoration, tol: float):
-    if len(decoration) != cmap.n_edges:
-        raise ValueError(
-            f"decoration has {len(decoration)} lines, map has {cmap.n_edges} edges"
-        )
-    return [_as_unit_vector(v, tol) for v in decoration]
 
 
 def decoration_to_representation(
@@ -276,13 +358,20 @@ def decoration_to_representation(
     three matrices multiply to the identity (in any order: reflections
     in pairwise-orthogonal lines commute).
     """
-    lines = _check_decoration_shape(cmap, decoration, tol)
-    deviation = admissibility_deviation(cmap, lines)
+    if len(decoration) != cmap.n_edges:
+        raise ValueError(
+            f"decoration has {len(decoration)} lines, map has {cmap.n_edges} edges"
+        )
+    lines, error = _stack(decoration, _as_vector, (3,))
+    _require_unit(lines, tol)
+    if error is not None:
+        raise error
+    deviation = _worst_overlap(_vertex_triples(cmap), lines)
     if deviation > tol:
         raise InadmissibleDecorationError(
             f"incident lines overlap by {deviation:.3e} (tolerance {tol:.1e})"
         )
-    return [reflection_from_line(v, tol) for v in lines]
+    return list(_reflections(lines))
 
 
 def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray]:
@@ -291,23 +380,25 @@ def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray
     Raises ``ValueError`` naming the edge if some matrix is not an
     order-2 special unitary within ``tol``.
     """
-    lines = []
-    for e, M in enumerate(matrices):
-        try:
-            lines.append(axis_of(M, tol))
-        except ValueError as exc:
-            raise ValueError(f"edge {e}: {exc}") from exc
-    return lines
+    M, error = _stack(matrices, _as_matrix, (3, 3))
+    fault = _first_fault(M, tol)
+    if fault is None and error is not None:
+        if not isinstance(error, ValueError):
+            raise error
+        fault = len(M), str(error)
+    if fault is not None:
+        raise ValueError(f"edge {fault[0]}: {fault[1]}")
+    return list(_axes(M))
 
 
 def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
     """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order."""
-    worst = 0.0
-    for v in range(cmap.n_vertices):
-        e1, e2, e3 = cmap.vertex_edges(v)
-        product = np.asarray(matrices[e1]) @ matrices[e2] @ matrices[e3]
-        worst = max(worst, float(np.linalg.norm(product - _I3)))
-    return worst
+    triples = _vertex_triples(cmap)
+    if not len(triples):
+        return 0.0
+    M = np.asarray(matrices)
+    products = M[triples[:, 0]] @ M[triples[:, 1]] @ M[triples[:, 2]]
+    return float(np.fmax.reduce(_norm(products - _I3, (-2, -1)), initial=0.0))
 
 
 def _edge_neighbors(cmap: CombinatorialMap) -> list[list[int]]:
@@ -383,7 +474,8 @@ def sample_admissible_decoration(
     if not (0.0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(rng)
-    if any(len(set(t)) < 3 for t in _vertex_edge_triples(cmap)):
+    triples = _vertex_triples(cmap)
+    if _has_self_loop(triples):
         raise RetriesExhaustedError(
             "a vertex self-loop admits no admissible decoration", retries=0
         )
@@ -418,7 +510,7 @@ def sample_admissible_decoration(
                 fixed = [lines[g] for g in neighbors[f] if lines[g] is not None]
                 s = np.linalg.svd(np.conj(np.array(fixed)), compute_uv=False)
                 priority[f] = (-int(np.count_nonzero(s > s[0] * 1e-8)), bfs_rank[f])
-        if not priority and admissibility_deviation(cmap, lines) <= tol:
+        if not priority and _worst_overlap(triples, np.array(lines)) <= tol:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines
     raise RetriesExhaustedError(

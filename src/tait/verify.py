@@ -22,6 +22,7 @@ from .coloring import count_tait
 from .planar import CombinatorialMap, disjoint_union
 from .reduction import EULER_WEIGHTS, TraceNode, apply_move, reduce_map
 from .su3 import (
+    _line_overlaps,
     check_order_two_product,
     decoration_to_representation,
     line_overlap,
@@ -310,9 +311,8 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
         decoration = sample_admissible_decoration(graph, rng, tol=tol)
         matrices = decoration_to_representation(graph, decoration, tol)
         recovered = representation_to_decoration(matrices, tol)
-        recovery = max(
-            1.0 - line_overlap(u, w) for u, w in zip(decoration, recovered)
-        )
+        overlaps = _line_overlaps(np.array(decoration), np.array(recovered))
+        recovery = float(np.max(1.0 - overlaps))
         vertex_dev = vertex_product_deviation(graph, matrices)
         deviation = max(recovery, vertex_dev)
         worst = max(worst, deviation)

@@ -113,6 +113,18 @@ def test_p3_bad_rational(tmp_path, capsys):
         assert repr(q) in err and "q = 0" not in err
 
 
+def test_p3_bad_rational_wins_over_the_map(tmp_path, capsys, monkeypatch):
+    """``--at`` is parsed before the map is read or reduced."""
+    from tait.catalog import k4
+
+    code, out, err = run(["p3", graph_file(tmp_path, k4()), "--at", "1/0"], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: invalid rational '1/0': zero denominator\n"
+    code, out, err = run(["p3", "--at", "pi"], capsys, monkeypatch, stdin="not a map\n")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "'pi'" in err
+
+
 def test_p3_nonbipartite_exits_3(tmp_path, capsys):
     from tait.catalog import k4
 

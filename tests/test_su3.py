@@ -1,11 +1,12 @@
 """Order-2 special unitaries, the product criterion, and map decorations."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
-from tait.catalog import circle, cube, dodecahedron, k4, necklace, prism, theta
+from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.planar import disjoint_union
 from tait.su3 import (
     STANDARD_INVOLUTION,
@@ -28,6 +29,7 @@ from tait.su3 import (
     vertex_product_deviation,
 )
 from tait.su3 import _edge_bfs_order, _edge_neighbors
+from tait.verify import roundtrip_corpus
 from test_coloring import dumbbell, random_planar_cubic
 
 E = np.eye(3, dtype=complex)
@@ -366,3 +368,314 @@ def test_sampler_matches_rescanning_reference(g, max_retries):
         else:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ----------------------------------------------------------------------
+# stacked decoration functions against a per-edge reference
+
+
+def ref_as_matrix(M):
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
+    return M
+
+
+def ref_as_unit_vector(v, tol):
+    v = np.asarray(v, dtype=complex).reshape(3)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"line representative must be a unit vector, |v| = {norm}")
+    return v
+
+
+def ref_is_special_unitary(M, tol=1e-9):
+    M = ref_as_matrix(M)
+    return (
+        float(np.linalg.norm(M.conj().T @ M - E)) <= tol
+        and abs(np.linalg.det(M) - 1.0) <= tol
+    )
+
+
+def ref_is_order_two(M, tol=1e-9):
+    M = ref_as_matrix(M)
+    if not ref_is_special_unitary(M, tol):
+        raise ValueError("matrix is not special unitary within tolerance")
+    return float(np.linalg.norm(M @ M - E)) <= tol and float(np.linalg.norm(M - E)) > tol
+
+
+def ref_reflection_from_line(v, tol=1e-9):
+    v = ref_as_unit_vector(v, tol)
+    return 2.0 * np.outer(v, v.conj()) - E
+
+
+def ref_axis_of(M, tol=1e-9):
+    M = ref_as_matrix(M)
+    if not ref_is_order_two(M, tol):
+        raise ValueError("matrix is not an order-2 special unitary within tolerance")
+    proj = (M + E) / 2.0
+    v = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    v = v / np.linalg.norm(v)
+    k = int(np.argmax(np.abs(v)))
+    return v * (v[k].conj() / abs(v[k]))
+
+
+def ref_line_overlap(u, w):
+    u = np.asarray(u, dtype=complex).reshape(3)
+    w = np.asarray(w, dtype=complex).reshape(3)
+    return float(abs(np.vdot(u, w)))
+
+
+def ref_check_order_two_product(S, T, tol=1e-9):
+    """The fields of the product report, by name."""
+    S, T = ref_as_matrix(S), ref_as_matrix(T)
+    for name, M in (("S", S), ("T", T)):
+        if not ref_is_order_two(M, tol):
+            raise ValueError(f"{name} is not an order-2 special unitary")
+    a, b = ref_axis_of(S, tol), ref_axis_of(T, tol)
+    inner = complex(np.vdot(a, b))
+    product = S @ T
+    defect = float(np.linalg.norm(product @ product - E))
+    order_two = defect <= tol and float(np.linalg.norm(product - E)) > tol
+    overlaps = None
+    if order_two:
+        c = ref_axis_of(product, tol)
+        overlaps = (ref_line_overlap(c, a), ref_line_overlap(c, b))
+    return {
+        "axis_inner": inner,
+        "axes_orthogonal": abs(inner) <= tol,
+        "product_order_two": order_two,
+        "involution_defect": defect,
+        "product_axis_overlaps": overlaps,
+        "biconditional_holds": order_two == (abs(inner) <= tol),
+    }
+
+
+def ref_admissibility_deviation(cmap, decoration):
+    worst = 0.0
+    for v in range(cmap.n_vertices):
+        triple = cmap.vertex_edges(v)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                e, f = triple[i], triple[j]
+                if e == f:
+                    return 1.0
+                worst = max(worst, ref_line_overlap(decoration[e], decoration[f]))
+    return worst
+
+
+def ref_decoration_to_representation(cmap, decoration, tol=1e-9):
+    if len(decoration) != cmap.n_edges:
+        raise ValueError(
+            f"decoration has {len(decoration)} lines, map has {cmap.n_edges} edges"
+        )
+    lines = [ref_as_unit_vector(v, tol) for v in decoration]
+    deviation = ref_admissibility_deviation(cmap, lines)
+    if deviation > tol:
+        raise InadmissibleDecorationError(
+            f"incident lines overlap by {deviation:.3e} (tolerance {tol:.1e})"
+        )
+    return [ref_reflection_from_line(v, tol) for v in lines]
+
+
+def ref_representation_to_decoration(matrices, tol=1e-9):
+    lines = []
+    for e, M in enumerate(matrices):
+        try:
+            lines.append(ref_axis_of(M, tol))
+        except ValueError as exc:
+            raise ValueError(f"edge {e}: {exc}") from exc
+    return lines
+
+
+def ref_vertex_product_deviation(cmap, matrices):
+    worst = 0.0
+    for v in range(cmap.n_vertices):
+        e1, e2, e3 = cmap.vertex_edges(v)
+        product = np.asarray(matrices[e1]) @ matrices[e2] @ matrices[e3]
+        worst = max(worst, float(np.linalg.norm(product - E)))
+    return worst
+
+
+def call_outcome(f, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Equal errors, or results equal within 1e-14 entry by entry."""
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-14
+    else:
+        assert isinstance(got, float) and abs(got - want) <= 1e-14
+
+
+CONVERSION_MAPS = (
+    [(name, g) for name, g in roundtrip_corpus()]
+    + [(f"circle{k}", circle(k)) for k in (0, 1, 3)]
+    + [(f"prism{n}", prism(n)) for n in (2, 5, 8)]
+    + [(f"necklace{k}", necklace(k)) for k in (1, 2, 5)]
+    + [("dodecahedron", dodecahedron()), ("petersen", petersen())]
+    + [("necklace2+circle2", disjoint_union(necklace(2), circle(2)))]
+    + [("dumbbell", dumbbell())]
+)
+
+
+def decorations_of(g, seed):
+    """A sampled decoration when the sampler finds one, and random lines."""
+    rng = np.random.default_rng(seed)
+    out = [[random_line(rng) for _ in range(g.n_edges)]]
+    try:
+        out.append(sample_admissible_decoration(g, rng, max_retries=5))
+    except RetriesExhaustedError:
+        pass
+    return out
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in CONVERSION_MAPS], ids=[n for n, _ in CONVERSION_MAPS]
+)
+def test_stacked_functions_match_per_edge_reference(g):
+    for seed in range(4):
+        for lines in decorations_of(g, seed):
+            # reflections of any unit lines are order 2, admissible or not
+            mats = [ref_reflection_from_line(v) for v in lines]
+            for got, want in (
+                (admissibility_deviation, ref_admissibility_deviation),
+                (decoration_to_representation, ref_decoration_to_representation),
+            ):
+                assert_same_outcome(call_outcome(got, g, lines), call_outcome(want, g, lines))
+            assert_same_outcome(
+                representation_to_decoration(mats), ref_representation_to_decoration(mats)
+            )
+            assert_same_outcome(
+                vertex_product_deviation(g, mats), ref_vertex_product_deviation(g, mats)
+            )
+
+
+def test_maps_without_paired_edges():
+    rng = np.random.default_rng(5)
+    assert decoration_to_representation(circle(0), []) == []
+    assert representation_to_decoration([]) == []
+    assert admissibility_deviation(circle(0), []) == 0.0
+    assert vertex_product_deviation(circle(0), []) == 0.0
+    lines = [random_line(rng) for _ in range(3)]
+    mats = decoration_to_representation(circle(3), lines)
+    assert admissibility_deviation(circle(3), lines) == 0.0
+    assert vertex_product_deviation(circle(3), mats) == 0.0
+    for a, b in zip(representation_to_decoration(mats), lines):
+        assert same_line(a, b)
+    with pytest.raises(ValueError, match="^decoration has 2 lines, map has 3 edges$"):
+        decoration_to_representation(circle(3), lines[:2])
+
+
+def matrix_faults(rng):
+    """Matrices that are not order-2 special unitaries, by kind."""
+    return {
+        "shape": np.eye(2),
+        "vector": np.ones(3),
+        "non-unitary": 2.0 * reflection_from_line(random_line(rng)),
+        "determinant": -reflection_from_line(random_line(rng)),
+        "order four": np.diag([1j, 1j, -1.0]),
+        "random unitary": random_special_unitary(rng),
+        "identity": np.eye(3),
+    }
+
+
+def line_faults(rng):
+    """Line representatives that are not unit 3-vectors, by kind."""
+    return {
+        "long": 2.0 * random_line(rng),
+        "short": 0.5 * random_line(rng),
+        "slightly long": (1 + 3e-9) * random_line(rng),
+        "size 4": np.ones(4),
+        "long column": (2.0 * random_line(rng)).reshape(3, 1),
+    }
+
+
+@pytest.mark.parametrize("kind", list(matrix_faults(np.random.default_rng(0))))
+def test_matrix_faults_are_reported_like_the_reference(kind):
+    g = cube()
+    rng = np.random.default_rng(11)
+    good = decoration_to_representation(g, sample_admissible_decoration(g, rng))
+    faults = matrix_faults(rng)
+    fault = faults[kind]
+    for f, ref in (
+        (is_special_unitary, ref_is_special_unitary),
+        (is_order_two, ref_is_order_two),
+        (axis_of, ref_axis_of),
+    ):
+        assert call_outcome(f, fault) == call_outcome(ref, fault)
+    for k in (0, 5, g.n_edges - 1):
+        mats = list(good)
+        mats[k] = fault
+        want = call_outcome(ref_representation_to_decoration, mats)
+        assert isinstance(want, tuple) and want[1].startswith(f"edge {k}: ")
+        assert call_outcome(representation_to_decoration, mats) == want
+        # a second fault of every other kind, before and after this one
+        for other in faults.values():
+            for j in (k - 2, k + 3):
+                if 0 <= j < g.n_edges:
+                    both = list(mats)
+                    both[j] = other
+                    assert call_outcome(representation_to_decoration, both) == call_outcome(
+                        ref_representation_to_decoration, both
+                    )
+
+
+@pytest.mark.parametrize("kind", list(line_faults(np.random.default_rng(0))))
+def test_line_faults_are_reported_like_the_reference(kind):
+    g = cube()
+    rng = np.random.default_rng(12)
+    good = sample_admissible_decoration(g, rng)
+    faults = line_faults(rng)
+    fault = faults[kind]
+    assert call_outcome(reflection_from_line, fault) == call_outcome(
+        ref_reflection_from_line, fault
+    )
+    for k in (0, 5, g.n_edges - 1):
+        lines = list(good)
+        lines[k] = fault
+        want = call_outcome(ref_decoration_to_representation, g, lines)
+        assert isinstance(want, tuple)
+        assert call_outcome(decoration_to_representation, g, lines) == want
+        for other in faults.values():
+            for j in (k - 2, k + 3):
+                if 0 <= j < g.n_edges:
+                    both = list(lines)
+                    both[j] = other
+                    assert call_outcome(decoration_to_representation, g, both) == call_outcome(
+                        ref_decoration_to_representation, g, both
+                    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_product_report_matches_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    a, raw = random_line(rng), random_line(rng)
+    b = raw - np.vdot(a, raw) * a
+    b = b / np.linalg.norm(b)
+    for v, w in ((a, b), (a, raw), (a, a)):
+        S, T = reflection_from_line(v), reflection_from_line(w)
+        got = dataclasses.asdict(check_order_two_product(S, T))
+        want = ref_check_order_two_product(S, T)
+        for key in ("axes_orthogonal", "product_order_two", "biconditional_holds"):
+            assert got[key] == want[key]
+        for key in ("axis_inner", "involution_defect"):
+            assert abs(got[key] - want[key]) <= 1e-14
+        got, want = got["product_axis_overlaps"], want["product_axis_overlaps"]
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.abs(np.subtract(got, want)).max() <= 1e-14
+    for fault in matrix_faults(rng).values():
+        for pair in ((fault, S), (S, fault)):
+            assert call_outcome(check_order_two_product, *pair) == call_outcome(
+                ref_check_order_two_product, *pair
+            )
