@@ -20,7 +20,7 @@ from half-edges, so it needs nothing else.  The vertex table
 ``edge_endpoints``) and the rotation table (``rotation``,
 ``vertex_edges``, ``to_rotations_and_pairs``) are built on first use and
 kept, so a map that is only searched for moves and rewritten, as in a
-reduction, never builds them.
+reduction, or tested for bipartiteness never builds them.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -33,7 +33,6 @@ half-edge, which keeps every query deterministic under rebuilds.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import eq
 from typing import Iterable, Sequence
 
@@ -110,14 +109,21 @@ class CombinatorialMap:
         if not twin_ok:
             for h in range(n):
                 t = twin[h]
-                if not (0 <= t < n) or twin[t] != h:
+                try:
+                    involution = 0 <= t < n and twin[t] == h
+                except TypeError:
+                    involution = False
+                if not involution:
                     raise MapError(f"twin is not an involution at half-edge {h}")
                 if t == h:
                     raise MapError(f"twin fixes half-edge {h}")
-        if sorted(sigma) != halves:
+        try:
+            sigma2 = [sigma[s] for s in sigma] if sorted(sigma) == halves else None
+        except TypeError:
+            sigma2 = None
+        if sigma2 is None:
             raise MapError("next_at_vertex is not a permutation of the half-edges")
         # sigma^3 = 1 with no fixed point leaves only 3-cycles: the vertices
-        sigma2 = [sigma[s] for s in sigma]
         if [sigma[s] for s in sigma2] != halves or any(map(eq, sigma, halves)):
             for h in range(n):
                 if sigma[h] == h or sigma[sigma2[h]] != h:
@@ -286,27 +292,26 @@ class CombinatorialMap:
     def is_bipartite(self) -> bool:
         """Whether the vertices 2-color with no monochromatic edge.
 
-        Free loops impose no constraint; a vertex self-loop makes the
-        graph non-bipartite.
+        Reads only the two permutations: each 3-cycle of the rotation
+        takes one color and the twins of its half-edges the other.  Free
+        loops impose no constraint; a vertex self-loop, whose twin sits
+        on its own vertex, makes the graph non-bipartite.
         """
-        side = [-1] * self.n_vertices
-        for start in range(self.n_vertices):
-            if side[start] >= 0:
+        twin, sigma = self._twin, self._sigma
+        side = [-1] * len(twin)
+        for h0 in range(len(twin)):
+            if side[h0] >= 0:
                 continue
-            side[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for e in self.vertex_edges(v):
-                    u, w = self.edge_endpoints(e)
-                    other = w if v == u else u
-                    if other == v:
-                        return False
-                    if side[other] < 0:
-                        side[other] = 1 - side[v]
-                        queue.append(other)
-                    elif side[other] == side[v]:
-                        return False
+            stack = [(h0, 0)]
+            while stack:
+                h, color = stack.pop()
+                if side[h] < 0:
+                    s = sigma[h]
+                    t = sigma[s]
+                    side[h] = side[s] = side[t] = color
+                    stack += ((twin[h], 1 - color), (twin[s], 1 - color), (twin[t], 1 - color))
+                elif side[h] != color:
+                    return False
         return True
 
     def to_rotations_and_pairs(

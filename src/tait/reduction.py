@@ -24,6 +24,7 @@ is the smallest) admit no move and raise :class:`IrreducibleError`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Generic, TypeVar
 
@@ -188,30 +189,22 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
     return best
 
 
-def _face_orbit(cmap: CombinatorialMap, half_edges: tuple[int, ...]) -> list[int]:
-    """The face orbit from ``half_edges[0]``, cut one step past its length.
-
-    Empty when there is no first id or it is not a half-edge of ``cmap``.
-    """
-    try:
-        start = range(cmap.n_half_edges).index(half_edges[0])
-    except (IndexError, ValueError):
-        return []
-    twin, sigma = cmap.twin, cmap.next_at_vertex
-    orbit = [start]
-    h = sigma[twin[start]]
-    while h != start and len(orbit) <= len(half_edges):
-        orbit.append(h)
-        h = sigma[twin[h]]
-    return orbit
-
-
 def _checked_face(
     cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
 ) -> tuple[int, ...]:
-    """``half_edges``, once checked to be a face cycle from its smallest half-edge."""
-    orbit = _face_orbit(cmap, half_edges)
-    if not orbit or tuple(orbit) != half_edges or min(orbit) != orbit[0]:
+    """``half_edges``, once checked to be a face cycle from its smallest half-edge.
+
+    Faces are listed by smallest half-edge, which comes first, so the
+    face table is sorted and a binary search finds the site; ids that do
+    not compare with integers name no face.
+    """
+    orbits = cmap.face_orbits()
+    try:
+        i = bisect_left(orbits, half_edges)
+        found = i < len(orbits) and orbits[i] == half_edges
+    except (TypeError, ValueError):
+        found = False
+    if not found:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
     if _orbit_kind(cmap, half_edges) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")

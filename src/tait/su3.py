@@ -124,7 +124,7 @@ def _norm(x: np.ndarray, axis) -> np.ndarray:
 def _require_unit(lines: np.ndarray, tol: float) -> None:
     """Raise for the first row of an (n, 3) stack whose norm is not 1 within ``tol``."""
     norms = _norm(lines, -1)
-    bad = np.abs(norms - 1.0) > tol
+    bad = ~(np.abs(norms - 1.0) <= tol)  # a NaN norm too
     if bad.any():
         # the norm of that one vector, whatever else the stack holds
         norm = float(np.linalg.norm(lines[np.argmax(bad)]))
@@ -134,7 +134,9 @@ def _require_unit(lines: np.ndarray, tol: float) -> None:
 def _special_unitary(M: np.ndarray, tol: float) -> np.ndarray:
     """Per matrix of a stack: ||M*M - I|| <= tol and |det M - 1| <= tol."""
     gram = M.conj().swapaxes(-1, -2) @ M
-    return (_norm(gram - _I3, (-2, -1)) <= tol) & (abs(np.linalg.det(M) - 1.0) <= tol)
+    with np.errstate(invalid="ignore"):  # a NaN entry fails the check, without a warning
+        det = np.linalg.det(M)
+    return (_norm(gram - _I3, (-2, -1)) <= tol) & (abs(det - 1.0) <= tol)
 
 
 def _order_two(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,15 +330,16 @@ def _worst_overlap(triples: np.ndarray, lines: np.ndarray) -> float:
     if _has_self_loop(triples):
         return 1.0
     overlaps = _line_overlaps(lines[triples[:, _PAIR_FIRST]], lines[triples[:, _PAIR_SECOND]])
-    # fmax skips NaN overlaps
-    return float(np.fmax.reduce(overlaps, axis=None, initial=0.0))
+    # max, unlike fmax, lets a NaN overlap through
+    return float(np.max(overlaps, initial=0.0))
 
 
 def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     """Worst pairwise overlap of incident lines over all vertices.
 
     Zero (up to rounding) means admissible; a vertex self-loop makes
-    the same line incident to itself, so the deviation is 1.
+    the same line incident to itself, so the deviation is 1.  A NaN
+    overlap makes it NaN, which no tolerance admits.
     """
     lines, error = _stack(decoration, _as_vector, (3,))
     if error is not None:
@@ -367,7 +370,7 @@ def decoration_to_representation(
     if error is not None:
         raise error
     deviation = _worst_overlap(_vertex_triples(cmap), lines)
-    if deviation > tol:
+    if not deviation <= tol:
         raise InadmissibleDecorationError(
             f"incident lines overlap by {deviation:.3e} (tolerance {tol:.1e})"
         )
@@ -392,13 +395,13 @@ def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray
 
 
 def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
-    """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order."""
+    """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order; NaN if any is."""
     triples = _vertex_triples(cmap)
     if not len(triples):
         return 0.0
     M = np.asarray(matrices)
     products = M[triples[:, 0]] @ M[triples[:, 1]] @ M[triples[:, 2]]
-    return float(np.fmax.reduce(_norm(products - _I3, (-2, -1)), initial=0.0))
+    return float(np.max(_norm(products - _I3, (-2, -1)), initial=0.0))
 
 
 def _edge_neighbors(cmap: CombinatorialMap) -> list[list[int]]:
@@ -450,9 +453,11 @@ def sample_admissible_decoration(
     is forced to the remaining line, otherwise it gets a Haar-random
     line in the orthogonal complement of whatever is fixed.  If the
     fixed neighbors of some edge span all of C^3 the attempt restarts.
-    Each unfixed edge keeps the rank of its fixed neighbors, and fixing
-    an edge recomputes that rank only for its own unfixed neighbors,
-    the only edges whose constraints changed.
+    Each unfixed edge keeps its free subspace: rows spanning the
+    orthogonal complement of its fixed neighbors.  Fixing an edge solves
+    that subspace again, with one SVD, only at its own unfixed
+    neighbors, the only edges whose constraints changed, and an edge is
+    later fixed from the rows it holds.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
     the necklaces), which therefore sample without restarts.  Other
@@ -484,32 +489,27 @@ def sample_admissible_decoration(
 
     for _ in range(max_retries):
         lines: list[np.ndarray | None] = [None] * len(neighbors)
-        # (-rank of the fixed neighbors, bfs_rank) for every unfixed edge
-        priority = {e: (0, bfs_rank[e]) for e in range(len(neighbors))}
+        # rows spanning the lines each unfixed edge may still take
+        free = [_I3] * len(neighbors)
+        # (number of free rows, bfs_rank) for every unfixed edge
+        priority = {e: (3, bfs_rank[e]) for e in range(len(neighbors))}
         while priority:
             e = min(priority, key=priority.get)
-            rank = -priority[e][0]
-            if rank >= 3:
+            basis = free[e]
+            if not len(basis):
                 break
             del priority[e]
-            if rank:
-                fixed = [lines[f] for f in neighbors[e] if lines[f] is not None]
-                _, _, vh = np.linalg.svd(np.conj(np.array(fixed)))
-                null_basis = np.conj(vh[rank:])
+            if len(basis) == 1:
+                x = basis[0]
             else:
-                null_basis = _I3
-            if rank == 2:
-                x = null_basis[0]
-            else:
-                coef = rng.standard_normal(len(null_basis)) + 1j * rng.standard_normal(
-                    len(null_basis)
-                )
-                x = coef @ null_basis
+                coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                x = coef @ basis
             lines[e] = x / np.linalg.norm(x)
             for f in priority.keys() & neighbors[e]:
                 fixed = [lines[g] for g in neighbors[f] if lines[g] is not None]
-                s = np.linalg.svd(np.conj(np.array(fixed)), compute_uv=False)
-                priority[f] = (-int(np.count_nonzero(s > s[0] * 1e-8)), bfs_rank[f])
+                _, s, vh = np.linalg.svd(np.conj(np.array(fixed)))
+                free[f] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
+                priority[f] = (len(free[f]), bfs_rank[f])
         if not priority and _worst_overlap(triples, np.array(lines)) <= tol:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines

@@ -312,11 +312,11 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
         matrices = decoration_to_representation(graph, decoration, tol)
         recovered = representation_to_decoration(matrices, tol)
         overlaps = _line_overlaps(np.array(decoration), np.array(recovered))
-        recovery = float(np.max(1.0 - overlaps))
         vertex_dev = vertex_product_deviation(graph, matrices)
-        deviation = max(recovery, vertex_dev)
-        worst = max(worst, deviation)
-        if deviation >= tol:
+        # np.max, unlike max, lets a NaN through, and a NaN deviation fails
+        deviation = float(np.max(1.0 - overlaps, initial=vertex_dev))
+        worst = float(np.max([worst, deviation]))
+        if not deviation < tol:
             failures += 1
 
     lines = tuple(f"{name}: {n} decorations" for name, n in per_graph.items())

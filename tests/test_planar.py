@@ -1,5 +1,6 @@
 import random
 import re
+from collections import deque
 
 import pytest
 
@@ -14,8 +15,8 @@ from tait.planar import (
     parse_map,
     serialize_map,
 )
-from test_coloring import CATALOG_MAPS, dumbbell
-from test_reduction import SEARCH_MAPS, priority_path_maps
+from test_coloring import CATALOG_MAPS, dumbbell, random_planar_cubic
+from test_reduction import SEARCH_MAPS, built_tables, priority_path_maps
 
 THETA_ROTATIONS = [(0, (0, 1, 2)), (1, (5, 4, 3))]
 THETA_PAIRS = [(0, 3), (1, 4), (2, 5)]
@@ -106,6 +107,16 @@ def test_constructor_rejects_bad_tables():
     # one 6-cycle, two vertices run together: neither sigma nor sigma^2 has a fixed point
     with pytest.raises(MapError, match="rotation at half-edge 0 is not a single 3-cycle"):
         CombinatorialMap((3, 4, 5, 0, 1, 2), (1, 2, 3, 4, 5, 0))
+    # an entry that is no integer id is a bad table, not a TypeError
+    twin, sigma = theta().twin, theta().next_at_vertex
+    for bad in (3.0, None, "3"):
+        with pytest.raises(MapError) as info:
+            CombinatorialMap((bad,) + twin[1:], sigma)
+        assert str(info.value) == "twin is not an involution at half-edge 0"
+    for bad in (1.0, None, "1"):
+        with pytest.raises(MapError) as info:
+            CombinatorialMap(twin, (bad,) + sigma[1:])
+        assert str(info.value) == "next_at_vertex is not a permutation of the half-edges"
 
 
 def test_free_loops_must_be_non_negative():
@@ -441,3 +452,75 @@ def test_lazy_tables_match_eager_build():
             answers = {first: QUERIES[first](fresh)}
             answers.update((q, ask(fresh)) for q, ask in QUERIES.items() if q != first)
             assert answers == expected, (name, first)
+
+
+# ----------------------------------------------------------------------
+# bipartiteness from the two permutations, against a vertex search
+
+
+def vertex_bfs_bipartite(g: CombinatorialMap) -> bool:
+    """Reference: breadth-first 2-coloring over the vertex and edge tables."""
+    side = [-1] * g.n_vertices
+    for start in range(g.n_vertices):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e in g.vertex_edges(v):
+                u, w = g.edge_endpoints(e)
+                other = w if v == u else u
+                if other == v:
+                    return False
+                if side[other] < 0:
+                    side[other] = 1 - side[v]
+                    queue.append(other)
+                elif side[other] == side[v]:
+                    return False
+    return True
+
+
+def with_random_bigons(g: CombinatorialMap, count: int, seed: int) -> CombinatorialMap:
+    """``g`` with ``count`` bigons put on random edges, which keeps it bipartite or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rotations, pairs, loops = g.to_rotations_and_pairs()
+        n, v = g.n_half_edges, g.n_vertices
+        x, y = pairs.pop(rng.randrange(len(pairs)))
+        pairs += [(x, n), (n + 1, n + 5), (n + 2, n + 4), (n + 3, y)]
+        rotations += [(v, (n, n + 1, n + 2)), (v + 1, (n + 3, n + 4, n + 5))]
+        g = build_map(rotations, pairs, loops)
+    return g
+
+
+def bipartite_test_maps():
+    maps = lazy_table_maps()
+    maps += [
+        (f"random{v}-{seed}", random_planar_cubic(v, seed))
+        for v in (8, 14, 20)
+        for seed in range(8)
+    ]
+    starts = [
+        ("theta", theta()), ("cube", cube()), ("prism6", prism(6)), ("k4", k4()),
+        ("dumbbell", dumbbell()),
+    ]
+    maps += [
+        (f"{name}+{k}bigons-{seed}", with_random_bigons(g, k, seed))
+        for name, g in starts
+        for k in (1, 3, 8)
+        for seed in range(4)
+    ]
+    return maps
+
+
+def test_is_bipartite_matches_vertex_search():
+    answers = set()
+    for name, g in bipartite_test_maps():
+        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops, check_planar=False)
+        answer = fresh.is_bipartite()
+        # the two permutations answer it: no vertex, edge or rotation table is built
+        assert built_tables(fresh) == [], name
+        assert answer == vertex_bfs_bipartite(g), name
+        answers.add(answer)
+    assert answers == {True, False}

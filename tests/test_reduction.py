@@ -3,7 +3,9 @@
 import inspect
 import random
 import sys
+from itertools import product
 
+import numpy as np
 import pytest
 
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
@@ -22,6 +24,7 @@ from tait.reduction import (
     Move,
     MoveKind,
     RelationWeights,
+    _checked_face,
     _orbit_kind,
     apply_move,
     available_moves,
@@ -116,6 +119,7 @@ def test_apply_bigon_rejects_bad_sites():
         pytest.param(k4(), (0, 3), MoveKind.BIGON, id="prefix-of-a-face"),
         pytest.param(theta(), (0, 5, 0), MoveKind.TRIANGLE, id="face-walked-past-its-end"),
         pytest.param(theta(), ("0", 5), MoveKind.BIGON, id="not-an-id"),
+        pytest.param(theta(), (np.array([0, 5]), 5), MoveKind.BIGON, id="array-as-id"),
     ],
 )
 def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, kind):
@@ -469,3 +473,76 @@ def test_repeated_vertex_repeats_an_edge(cmap):
         for orbit in g.face_orbits():
             if len({g.vertex_of[h] for h in orbit}) < len(orbit):
                 assert len({g.edge_of(h) for h in orbit}) < len(orbit), orbit
+
+
+# ----------------------------------------------------------------------
+# move sites looked up in the face table, against a face walker
+
+
+def walked_face(cmap: CombinatorialMap, half_edges: tuple, kind: MoveKind) -> tuple:
+    """Reference ``_checked_face``: walk from ``half_edges[0]``, one step past its length."""
+    try:
+        start = range(cmap.n_half_edges).index(half_edges[0])
+    except (IndexError, ValueError):
+        orbit = []
+    else:
+        twin, sigma = cmap.twin, cmap.next_at_vertex
+        orbit = [start]
+        h = sigma[twin[start]]
+        while h != start and len(orbit) <= len(half_edges):
+            orbit.append(h)
+            h = sigma[twin[h]]
+    if not orbit or tuple(orbit) != half_edges or min(orbit) != orbit[0]:
+        raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
+    if _orbit_kind(cmap, half_edges) is not kind:
+        raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
+    return half_edges
+
+
+def site_outcome(check, cmap, half_edges, kind):
+    try:
+        return check(cmap, half_edges, kind)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+JUNK_IDS = (None, "a", 1.5, 2.0, True, -1)
+FACE_KINDS = (MoveKind.BIGON, MoveKind.TRIANGLE, MoveKind.SQUARE)
+
+
+def face_sites(cmap: CombinatorialMap):
+    """Every face's rotations, prefixes and extensions, and faces with one id made junk."""
+    ids = range(-1, cmap.n_half_edges + 2)
+    for orbit in cmap.face_orbits():
+        for i in range(len(orbit)):
+            yield orbit[i:] + orbit[:i]
+            yield orbit[:i]
+            for junk in JUNK_IDS:
+                yield orbit[:i] + (junk,) + orbit[i + 1 :]
+        yield orbit + orbit[:1]
+        for h in (*ids, *JUNK_IDS):
+            yield orbit + (h,)
+
+
+@pytest.mark.parametrize(
+    "cmap",
+    [
+        theta(), k4(), cube(), prism(5), necklace(3), dumbbell(), circle(2),
+        disjoint_union(k4(), theta()), dodecahedron(),
+    ],
+    ids=[
+        "theta", "k4", "cube", "prism5", "necklace3", "dumbbell", "circle2", "k4+theta",
+        "dodecahedron",
+    ],
+)
+def test_checked_face_matches_face_walker(cmap):
+    for site in face_sites(cmap):
+        for kind in FACE_KINDS:
+            want = site_outcome(walked_face, cmap, site, kind)
+            assert site_outcome(_checked_face, cmap, site, kind) == want, (site, kind)
+    ids = (*range(-1, cmap.n_half_edges + 2), *JUNK_IDS)
+    for length in range(4):
+        kind = FACE_KINDS[max(length - 2, 0)]
+        for site in product(ids, repeat=length):
+            want = site_outcome(walked_face, cmap, site, kind)
+            assert site_outcome(_checked_face, cmap, site, kind) == want, (site, kind)

@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from tait import verify
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.planar import disjoint_union
 from tait.su3 import (
@@ -188,6 +189,46 @@ def test_self_loop_decoration_deviation_is_one():
     assert admissibility_deviation(dumbbell(), [E[0], E[1], E[2]]) == 1.0
 
 
+NAN_LINE = [np.nan] * 3
+NAN_MATRIX = np.full((3, 3), np.nan)
+
+
+def test_nan_line_fails_every_line_check():
+    g = theta()
+    with pytest.raises(ValueError, match="unit vector"):
+        reflection_from_line(NAN_LINE)
+    with pytest.raises(ValueError, match="unit vector"):
+        decoration_to_representation(g, [E[0], E[1], NAN_LINE])
+    assert np.isnan(admissibility_deviation(g, [E[0], E[1], NAN_LINE]))
+    assert not is_admissible(g, [E[0], E[1], NAN_LINE])
+    assert np.isnan(line_overlap(E[0], NAN_LINE))
+    assert not same_line(E[0], NAN_LINE)
+
+
+def test_nan_matrix_fails_every_matrix_check():
+    g = theta()
+    S = [reflection_from_line(v) for v in E]
+    assert not is_special_unitary(NAN_MATRIX)
+    with pytest.raises(ValueError, match="not special unitary"):
+        is_order_two(NAN_MATRIX)
+    with pytest.raises(ValueError, match="not special unitary"):
+        axis_of(NAN_MATRIX)
+    with pytest.raises(ValueError, match="not special unitary"):
+        check_order_two_product(S[0], NAN_MATRIX)
+    with pytest.raises(ValueError, match="^edge 2: matrix is not special unitary"):
+        representation_to_decoration([S[0], S[1], NAN_MATRIX])
+    assert vertex_product_deviation(g, S) <= 1e-12
+    assert np.isnan(vertex_product_deviation(g, [S[0], S[1], NAN_MATRIX]))
+
+
+def test_roundtrip_counts_a_nan_deviation_as_a_failure(monkeypatch):
+    monkeypatch.setattr(verify, "vertex_product_deviation", lambda cmap, matrices: np.nan)
+    report = verify.run_roundtrip(trials=3, seed=0)
+    assert report.failures == 3
+    assert np.isnan(report.max_deviation)
+    assert not report.passed
+
+
 def test_edge_bfs_order_is_permutation_and_deterministic():
     for g in (theta(), k4(), cube(), necklace(3), disjoint_union(theta(), cube())):
         order = _edge_bfs_order(_edge_neighbors(g))
@@ -329,6 +370,27 @@ def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
         f"no admissible decoration found in {max_retries} attempts",
         retries=max_retries,
     )
+
+
+@pytest.mark.parametrize(
+    "g", [theta(), k4(), cube(), prism(5), necklace(3)],
+    ids=["theta", "k4", "cube", "prism5", "necklace3"],
+)
+def test_sampler_solves_each_constraint_once(g, monkeypatch):
+    # These maps sample on the first attempt.  Of two adjacent edges, the
+    # one fixed second has its free subspace solved when the first is
+    # fixed and is later fixed from it, so one attempt makes exactly one
+    # SVD per pair of adjacent edges and never solves a matrix again.
+    svd, solved = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        solved.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sample_admissible_decoration(g, rng=0, max_retries=1)
+    adjacent = {frozenset((e, f)) for e, near in enumerate(_edge_neighbors(g)) for f in near}
+    assert len(solved) == len(adjacent)
 
 
 def sampler_outcome(sampler, g, seed, max_retries):
