@@ -24,9 +24,10 @@ is the smallest) admit no move and raise :class:`IrreducibleError`.
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Generic, TypeVar
+from typing import Any, Generic, Iterable, TypeVar
 
 from .planar import CombinatorialMap, MapError, NonPlanarError
 from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
@@ -192,78 +193,54 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
 def _checked_face(
     cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
 ) -> tuple[int, ...]:
-    """``half_edges``, once checked to be a face cycle from its smallest half-edge.
+    """``half_edges`` as ints, once checked to be a face cycle from its smallest half-edge.
 
     Faces are listed by smallest half-edge, which comes first, so the
-    face table is sorted and a binary search finds the site; ids that do
-    not compare with integers name no face.
+    face table is sorted and a binary search finds the site; ids that
+    are not integers (``operator.index`` refuses them) name no face.
     """
     orbits = cmap.face_orbits()
     try:
-        i = bisect_left(orbits, half_edges)
-        found = i < len(orbits) and orbits[i] == half_edges
+        site = tuple(map(operator.index, half_edges))
+        i = bisect_left(orbits, site)
+        found = i < len(orbits) and orbits[i] == site
     except (TypeError, ValueError):
         found = False
     if not found:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
-    if _orbit_kind(cmap, half_edges) is not kind:
+    if _orbit_kind(cmap, site) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
-    return half_edges
+    return site
 
 
 def _rebuild(
     cmap: CombinatorialMap,
     sigma: tuple[int, ...] | list[int],
     dead_half: set[int],
-    glue: dict[int, int],
+    welds: Iterable[tuple[int, int]],
 ) -> CombinatorialMap:
-    """Remove ``dead_half``, welding edges across the ``glue`` pairing.
+    """Remove ``dead_half``, joining ``twin[a]`` with ``twin[b]`` for each weld ``(a, b)``.
 
     ``sigma`` is the rotation the survivors keep, in old half-edge ids:
     the map's own, or one with a collapsed triangle's vertex patched in.
-    ``glue`` matches dead stub half-edges two by two; an edge whose twin
-    died is rejoined with whatever lies past the weld, following chains
-    through any run of welds.  Chains that close up without ever meeting
-    a surviving half-edge are circles, and each one becomes a free loop.
-    Surviving half-edges keep their relative order, and vertices are
-    numbered by smallest half-edge, as in every map.
+    Each weld is spliced into a copy of ``twin``, in any order; a run of
+    welds joins the half-edges at its two ends, and a weld whose stubs
+    are already twins closes a circle, a free loop.  Survivors keep their
+    relative order, and vertices are numbered by smallest half-edge.
     """
-    twin = cmap.twin
+    twin = list(cmap.twin)
+    new_loops = 0
+    for a, b in welds:
+        ta, tb = twin[a], twin[b]
+        if ta == b:
+            new_loops += 1
+        else:
+            twin[ta], twin[tb] = tb, ta
     survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
     hid = {h: i for i, h in enumerate(survivors)}
-    new_sigma = [hid[sigma[h]] for h in survivors]
     # hid's int objects, not fresh ones, so the two tables share them
-    new_twin = [hid.get(twin[h], -1) for h in survivors]
-    # only a half-edge across a glue stub lost its twin
-    used_stubs: set[int] = set()
-    for stub in glue:
-        h = twin[stub]
-        if h in dead_half or new_twin[hid[h]] >= 0:
-            continue
-        z = stub
-        hops = 0
-        while z in dead_half:
-            used_stubs.update((z, glue[z]))
-            z = twin[glue[z]]
-            hops += 1
-            if hops > len(glue) + 1:
-                raise AssertionError("weld chain failed to terminate")
-        new_twin[hid[h]] = hid[z]
-        new_twin[hid[z]] = hid[h]
-
-    # welds never reached from a surviving half-edge close into circles
-    new_loops = 0
-    remaining = set(glue) - used_stubs
-    while remaining:
-        z = start = remaining.pop()
-        while True:
-            remaining.discard(z)
-            remaining.discard(glue[z])
-            z = twin[glue[z]]
-            if z == start:
-                break
-        new_loops += 1
-
+    new_twin = [hid[twin[h]] for h in survivors]
+    new_sigma = [hid[sigma[h]] for h in survivors]
     return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
 
 
@@ -275,11 +252,14 @@ def apply_move(
     A loop move drops one free loop.  A face move cuts out the face's
     edges; ``x[i] = sigma(k[i])`` is the outer half-edge at its corner
     ``k[i]``.  A triangle puts ``x`` on one new vertex.  A bigon or square
-    also cuts the spokes through ``x`` and welds the stubs left behind: a
-    bigon its two, a square its four in both planar ways.  Raises
-    :class:`InvalidMoveError` unless the site is a face matching the move.
+    also cuts the spokes through ``x`` and welds the stubs left behind in
+    pairs, as in :func:`_rebuild`: a bigon ``x[0]`` to ``x[1]``, a square
+    its four in both planar ways.  Raises :class:`InvalidMoveError` unless
+    the kind is a :class:`MoveKind` and the site is a face matching it.
     """
     kind = move.kind
+    if not isinstance(kind, MoveKind):
+        raise InvalidMoveError(f"unknown move kind {kind!r}")
     if kind is MoveKind.LOOP:
         if cmap.free_loops == 0:
             raise InvalidMoveError("no free loop to remove")
@@ -293,13 +273,11 @@ def apply_move(
         # x on one vertex in reversed face order keeps the rotation planar
         sigma = list(sigma)
         sigma[x[0]], sigma[x[2]], sigma[x[1]] = x[2], x[1], x[0]
-        return (_rebuild(cmap, sigma, dead, {}),)
+        return (_rebuild(cmap, sigma, dead, ()),)
     dead.update(x)
-    if kind is MoveKind.BIGON:
-        return (_rebuild(cmap, sigma, dead, {x[0]: x[1], x[1]: x[0]}),)
-    # a square rejoins both planar ways: x, and x turned by one, each paired i <-> i^1
-    ways = (x, x[1:] + x[:1])
-    return tuple([_rebuild(cmap, sigma, dead, {y[i]: y[i ^ 1] for i in range(4)}) for y in ways])
+    # a square rejoins both planar ways: x, and x turned by one
+    ways = (x,) if kind is MoveKind.BIGON else (x, x[1:] + x[:1])
+    return tuple([_rebuild(cmap, sigma, dead, zip(y[::2], y[1::2])) for y in ways])
 
 
 def _multiplier(move: Move, weights: RelationWeights[W]) -> W:

@@ -1,7 +1,9 @@
 """Reduction moves, traces, and the loop/bigon-weighted evaluation."""
 
 import inspect
+import operator
 import random
+import re
 import sys
 from itertools import product
 
@@ -119,12 +121,19 @@ def test_apply_bigon_rejects_bad_sites():
         pytest.param(k4(), (0, 3), MoveKind.BIGON, id="prefix-of-a-face"),
         pytest.param(theta(), (0, 5, 0), MoveKind.TRIANGLE, id="face-walked-past-its-end"),
         pytest.param(theta(), ("0", 5), MoveKind.BIGON, id="not-an-id"),
+        pytest.param(theta(), (0.0, 5), MoveKind.BIGON, id="float-equal-to-an-id"),
         pytest.param(theta(), (np.array([0, 5]), 5), MoveKind.BIGON, id="array-as-id"),
     ],
 )
 def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, kind):
     with pytest.raises(InvalidMoveError, match="no face with half-edge cycle"):
         apply_move(cmap, Move(kind, cycle))
+
+
+@pytest.mark.parametrize("kind", ["bigon", None, 2])
+def test_apply_move_rejects_a_kind_that_is_not_a_move_kind(kind):
+    with pytest.raises(InvalidMoveError, match=re.escape(f"unknown move kind {kind!r}")):
+        apply_move(theta(), Move(kind, (0, 5)))
 
 
 def test_apply_triangle_collapses_k4_to_theta():
@@ -480,23 +489,27 @@ def test_repeated_vertex_repeats_an_edge(cmap):
 
 
 def walked_face(cmap: CombinatorialMap, half_edges: tuple, kind: MoveKind) -> tuple:
-    """Reference ``_checked_face``: walk from ``half_edges[0]``, one step past its length."""
+    """Reference ``_checked_face``: walk from ``half_edges[0]``, one step past its length.
+
+    Ids pass through ``operator.index`` first, so a float never names a face.
+    """
     try:
-        start = range(cmap.n_half_edges).index(half_edges[0])
-    except (IndexError, ValueError):
+        site = tuple(map(operator.index, half_edges))
+        start = range(cmap.n_half_edges).index(site[0])
+    except (IndexError, TypeError, ValueError):
         orbit = []
     else:
         twin, sigma = cmap.twin, cmap.next_at_vertex
         orbit = [start]
         h = sigma[twin[start]]
-        while h != start and len(orbit) <= len(half_edges):
+        while h != start and len(orbit) <= len(site):
             orbit.append(h)
             h = sigma[twin[h]]
-    if not orbit or tuple(orbit) != half_edges or min(orbit) != orbit[0]:
+    if not orbit or tuple(orbit) != site or min(orbit) != orbit[0]:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
-    if _orbit_kind(cmap, half_edges) is not kind:
+    if _orbit_kind(cmap, site) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
-    return half_edges
+    return site
 
 
 def site_outcome(check, cmap, half_edges, kind):
@@ -546,3 +559,93 @@ def test_checked_face_matches_face_walker(cmap):
         for site in product(ids, repeat=length):
             want = site_outcome(walked_face, cmap, site, kind)
             assert site_outcome(_checked_face, cmap, site, kind) == want, (site, kind)
+
+
+# ----------------------------------------------------------------------
+# welds spliced into twin, against the chain-walking rebuild
+
+
+def chain_rebuild(cmap, sigma, dead_half, glue):
+    """Reference ``_rebuild``: follow each weld chain from a survivor, then sweep circles."""
+    twin = cmap.twin
+    survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
+    hid = {h: i for i, h in enumerate(survivors)}
+    new_sigma = [hid[sigma[h]] for h in survivors]
+    new_twin = [hid.get(twin[h], -1) for h in survivors]
+    used_stubs = set()
+    for stub in glue:
+        h = twin[stub]
+        if h in dead_half or new_twin[hid[h]] >= 0:
+            continue
+        z = stub
+        hops = 0
+        while z in dead_half:
+            used_stubs.update((z, glue[z]))
+            z = twin[glue[z]]
+            hops += 1
+            assert hops <= len(glue) + 1, "weld chain failed to terminate"
+        new_twin[hid[h]] = hid[z]
+        new_twin[hid[z]] = hid[h]
+    new_loops = 0
+    remaining = set(glue) - used_stubs
+    while remaining:
+        z = start = remaining.pop()
+        while True:
+            remaining.discard(z)
+            remaining.discard(glue[z])
+            z = twin[glue[z]]
+            if z == start:
+                break
+        new_loops += 1
+    return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
+
+
+def chain_apply_move(cmap, move):
+    """Reference ``apply_move`` on a valid site, welding through ``chain_rebuild``."""
+    kind = move.kind
+    if kind is MoveKind.LOOP:
+        loops = cmap.free_loops - 1
+        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops, check_planar=False),)
+    face = _checked_face(cmap, tuple(move.half_edges), kind)
+    sigma, twin = cmap.next_at_vertex, cmap.twin
+    x = [sigma[k] for k in face]
+    dead = {*face, *[twin[k] for k in face]}
+    if kind is MoveKind.TRIANGLE:
+        sigma = list(sigma)
+        sigma[x[0]], sigma[x[2]], sigma[x[1]] = x[2], x[1], x[0]
+        return (chain_rebuild(cmap, sigma, dead, {}),)
+    dead.update(x)
+    if kind is MoveKind.BIGON:
+        return (chain_rebuild(cmap, sigma, dead, {x[0]: x[1], x[1]: x[0]}),)
+    ways = (x, x[1:] + x[:1])
+    return tuple(
+        [chain_rebuild(cmap, sigma, dead, {y[i]: y[i ^ 1] for i in range(4)}) for y in ways]
+    )
+
+
+WELD_MAPS = CATALOG_MAPS + [
+    ("k4+theta", disjoint_union(k4(), theta())),
+    ("dumbbell", dumbbell()),
+    *[(f"random{v}", random_planar_cubic(v, seed=2000 + v)) for v in range(4, 41, 2)],
+]
+
+
+def test_spliced_welds_match_chain_walker():
+    welds = circles = chains = 0
+    for _, cmap in WELD_MAPS:
+        for g in priority_path_maps(cmap):
+            for move in available_moves(g):
+                got, want = apply_move(g, move), chain_apply_move(g, move)
+                assert [(c.twin, c.next_at_vertex, c.free_loops) for c in got] == [
+                    (c.twin, c.next_at_vertex, c.free_loops) for c in want
+                ], move
+                if move.kind not in (MoveKind.BIGON, MoveKind.SQUARE):
+                    continue
+                x = [g.next_at_vertex[k] for k in move.half_edges]
+                for y, child in zip((x, x[1:] + x[:1]), got):
+                    partner = {**dict(zip(y[::2], y[1::2])), **dict(zip(y[1::2], y[::2]))}
+                    welds += len(y) // 2
+                    circles += child.free_loops - g.free_loops
+                    # a stub twinned to a stub of another weld chains the two welds
+                    chains += sum(g.twin[s] in partner and g.twin[s] != partner[s] for s in y)
+    assert welds > 0 and circles > 0 and chains > 0, (welds, circles, chains)
