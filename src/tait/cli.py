@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler", help="reduction value (loop=3, bigon=2)")
     _add_file_argument(p)
-    p.add_argument("--trace", action="store_true", help="print the reduction tree")
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("p3", help="quantum coloring polynomial (bipartite maps)")
@@ -103,10 +102,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_euler(args) -> int:
     cmap = parse_map(_read_text(args.file), check_planar=True)
-    trace = reduce_map(cmap, EULER_WEIGHTS)
-    if args.trace:
-        print(format_trace(trace))
-    print(trace.value())
+    print(reduce_map(cmap, EULER_WEIGHTS).value())
     return EXIT_OK
 
 
@@ -139,7 +135,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = SUITES[args.suite](trials=args.trials, tol=args.tol, seed=args.seed)
+    run = SUITES[args.suite]
+    given = {k: v for k in ("trials", "tol", "seed") if (v := getattr(args, k)) is not None}
+    try:
+        # bind, not a lookup of parameter names: a (*args, **kwargs) wrapper accepts any
+        inspect.signature(run).bind(**given)
+    except TypeError as exc:
+        raise _UsageError(f"suite {args.suite} {exc}") from None
+    report = run(**given)
     if args.json:
         print(json.dumps(report.as_dict()))
     else:

@@ -191,16 +191,18 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
 
 
 def _checked_face(
-    cmap: CombinatorialMap, half_edges: tuple[int, ...], kind: MoveKind
+    cmap: CombinatorialMap, half_edges: Iterable[int], kind: MoveKind
 ) -> tuple[int, ...]:
     """``half_edges`` as ints, once checked to be a face cycle from its smallest half-edge.
 
     Faces are listed by smallest half-edge, which comes first, so the
-    face table is sorted and a binary search finds the site; ids that
-    are not integers (``operator.index`` refuses them) name no face.
+    face table is sorted and a binary search finds the site; a site that
+    is not iterable, or ids that are not integers (``operator.index``
+    refuses them), name no face.
     """
     orbits = cmap.face_orbits()
     try:
+        half_edges = tuple(half_edges)
         site = tuple(map(operator.index, half_edges))
         i = bisect_left(orbits, site)
         found = i < len(orbits) and orbits[i] == site
@@ -265,7 +267,7 @@ def apply_move(
             raise InvalidMoveError("no free loop to remove")
         loops = cmap.free_loops - 1
         return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops, check_planar=False),)
-    face = _checked_face(cmap, tuple(move.half_edges), kind)
+    face = _checked_face(cmap, move.half_edges, kind)
     sigma, twin = cmap.next_at_vertex, cmap.twin
     x = [sigma[k] for k in face]
     dead = {*face, *[twin[k] for k in face]}

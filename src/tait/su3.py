@@ -315,6 +315,12 @@ def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
 # decorations on a map
 
 
+def _require_one_per_edge(cmap: CombinatorialMap, items, kind: str, unit: str) -> None:
+    """Raise ``ValueError`` unless ``items`` has one entry per edge, free loops included."""
+    if len(items) != cmap.n_edges:
+        raise ValueError(f"{kind} has {len(items)} {unit}, map has {cmap.n_edges} edges")
+
+
 def _vertex_triples(cmap: CombinatorialMap) -> np.ndarray:
     """(V, 3) edge ids at every vertex, in rotation order (a self-loop repeats)."""
     triples = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
@@ -341,6 +347,7 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     the same line incident to itself, so the deviation is 1.  A NaN
     overlap makes it NaN, which no tolerance admits.
     """
+    _require_one_per_edge(cmap, decoration, "decoration", "lines")
     lines, error = _stack(decoration, _as_vector, (3,))
     if error is not None:
         raise error
@@ -361,10 +368,7 @@ def decoration_to_representation(
     three matrices multiply to the identity (in any order: reflections
     in pairwise-orthogonal lines commute).
     """
-    if len(decoration) != cmap.n_edges:
-        raise ValueError(
-            f"decoration has {len(decoration)} lines, map has {cmap.n_edges} edges"
-        )
+    _require_one_per_edge(cmap, decoration, "decoration", "lines")
     lines, error = _stack(decoration, _as_vector, (3,))
     _require_unit(lines, tol)
     if error is not None:
@@ -396,6 +400,7 @@ def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray
 
 def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
     """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order; NaN if any is."""
+    _require_one_per_edge(cmap, matrices, "representation", "matrices")
     triples = _vertex_triples(cmap)
     if not len(triples):
         return 0.0

@@ -131,25 +131,16 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 # suites
 
 
-def _check_campaign(trials: int | None, tol: float | None) -> None:
-    """Reject a trial count or tolerance under which no check can fail.
-
-    ``None`` means not given and passes.
-    """
-    if trials is not None and trials < 1:
+def _check_campaign(trials: int, tol: float) -> None:
+    """Reject a trial count or tolerance under which no check can fail."""
+    if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if tol is not None and not 0 < tol < math.inf:
+    if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
-def run_theorem1(trials=None, tol=None, seed=None) -> SuiteReport:
-    """Reduction value equals the frontier-DP count on bipartite fixtures.
-
-    Deterministic; the parameters are accepted for interface uniformity
-    and ignored, but given values are rejected as :func:`run_lemma5`
-    rejects them.
-    """
-    _check_campaign(trials, tol)
+def run_theorem1() -> SuiteReport:
+    """Reduction value equals the frontier-DP count on bipartite fixtures."""
     lines = []
     failures = 0
     corpus = bipartite_corpus()
@@ -193,13 +184,8 @@ def frontier_conservation(cmap: CombinatorialMap, root: TraceNode[int]) -> tuple
             failures += 1
 
 
-def run_conservation(trials=None, tol=None, seed=None) -> SuiteReport:
-    """Frontier-sum invariance at every step of every fixture reduction.
-
-    Deterministic; parameters are accepted for uniformity and ignored,
-    but given values are rejected as :func:`run_lemma5` rejects them.
-    """
-    _check_campaign(trials, tol)
+def run_conservation() -> SuiteReport:
+    """Frontier-sum invariance at every step of every fixture reduction."""
     lines = []
     failures = 0
     total_checks = 0
@@ -230,10 +216,7 @@ def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteRep
     biconditional must hold on every pair.  Raises ``ValueError`` for
     ``trials < 1`` or a ``tol`` that is not positive and finite.
     """
-    trials = 1000 if trials is None else trials
-    tol = 1e-9 if tol is None else tol
     _check_campaign(trials, tol)
-    seed = 0 if seed is None else seed
     rng = np.random.default_rng(seed)
     n_orth = trials // 2
     n_slant = trials - n_orth
@@ -295,10 +278,7 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
     recovery defect 1 - |<v, v'>| per edge plus the vertex products.
     Raises ``ValueError`` as :func:`run_lemma5` does.
     """
-    trials = 100 if trials is None else trials
-    tol = 1e-9 if tol is None else tol
     _check_campaign(trials, tol)
-    seed = 0 if seed is None else seed
     rng = np.random.default_rng(seed)
     corpus = roundtrip_corpus()
     per_graph = {name: 0 for name, _ in corpus}

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tait
+from tait import verify
 from tait.catalog import cube, dodecahedron, necklace, petersen, theta
 from tait.cli import (
     EXIT_INVALID,
@@ -58,17 +59,6 @@ def test_count_accepts_nonplanar(tmp_path, capsys):
 def test_euler(tmp_path, capsys):
     code, out, _ = run(["euler", graph_file(tmp_path, cube())], capsys)
     assert (code, out) == (EXIT_OK, "24\n")
-
-
-def test_euler_trace(tmp_path, capsys):
-    code, out, _ = run(["euler", "--trace", graph_file(tmp_path, theta())], capsys)
-    assert code == EXIT_OK
-    assert out.splitlines() == [
-        "0 bigon 0,5 2",
-        "  1 loop - 3",
-        "    2 empty 1",
-        "6",
-    ]
 
 
 def test_euler_rejects_nonplanar(tmp_path, capsys):
@@ -134,10 +124,19 @@ def test_p3_nonbipartite_exits_3(tmp_path, capsys):
 
 
 def test_reduce(tmp_path, capsys):
-    code, out, _ = run(["reduce", graph_file(tmp_path, theta())], capsys)
+    path = graph_file(tmp_path, theta())
+    code, out, _ = run(["reduce", path], capsys)
     assert code == EXIT_OK
-    assert out.splitlines()[0] == "0 bigon 0,5 2"
-    assert out.splitlines()[-1] == "value 6"
+    assert out.splitlines() == [
+        "0 bigon 0,5 2",
+        "  1 loop - 3",
+        "    2 empty 1",
+        "value 6",
+    ]
+    # the tree is reduce's; euler prints only the value
+    code, out, err = run(["euler", "--trace", path], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: unrecognized arguments: --trace\n"
 
 
 def test_gen_writes_map_text(capsys):
@@ -215,7 +214,7 @@ def test_verify_unknown_suite(capsys):
     assert run(["verify", "perpetual-motion"], capsys)[0] == EXIT_INVALID
 
 
-@pytest.mark.parametrize("suite", ["lemma5", "roundtrip", "theorem1", "conservation"])
+@pytest.mark.parametrize("suite", ["lemma5", "roundtrip"])
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -231,6 +230,40 @@ def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):
     # a campaign with no trials or no working tolerance would report PASS
     code, out, err = run(["verify", suite, flag, value], capsys)
     assert (code, out, err) == (EXIT_INVALID, "", f"tait: error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "conservation"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--trials", "3"),
+        ("--trials", "0"),
+        ("--tol", "1e-6"),
+        ("--tol", "nan"),
+        ("--seed", "1"),
+        ("--seed", "-1"),
+    ],
+)
+def test_deterministic_suites_take_no_campaign_flags(suite, flag, value, capsys):
+    code, out, err = run(["verify", suite, flag, value], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith(f"tait: error: suite {suite} ")
+    assert err.count("\n") == 1 and flag[2:] in err
+
+
+def test_verify_passes_flags_through_a_wrapped_suite(capsys, monkeypatch):
+    # a (*args, **kwargs) wrapper, like a profiler's, names no parameter but takes them all
+    suite, received = verify.SUITES["lemma5"], []
+
+    def wrapper(*args, **kwargs):
+        received.append(kwargs)
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(verify.SUITES, "lemma5", wrapper)
+    code, out, _ = run(["verify", "lemma5", "--trials", "4", "--seed", "7"], capsys)
+    assert code == EXIT_OK
+    assert received == [{"trials": 4, "seed": 7}]
+    assert "seed: 7" in out and "trials: 4" in out
 
 
 def test_count_on_long_necklace(tmp_path, capsys):
@@ -288,16 +321,17 @@ def test_one_process_runs_a_mixed_sequence_like_fresh_ones(tmp_path, capsys):
     theta_path = graph_file(tmp_path, theta(), "theta.txt")
     cube_path = graph_file(tmp_path, cube(), "cube.txt")
     sequence = [
-        ["euler", "--trace", theta_path],
+        ["reduce", theta_path],
         ["euler", theta_path],
         ["p3", "--at", "1/2", cube_path],
         ["p3", cube_path],
-        ["verify", "theorem1", "--json"],
         ["euler", cube_path, "--at", "1/2"],
         ["verify", "lemma5", "--trials", "0"],
+        ["verify", "theorem1", "--json"],
+        ["verify", "theorem1", "--seed", "1"],
         ["gen", "necklace", "3"],
     ]
     together = [run(argv, capsys) for argv in sequence]
-    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 1, 1, 0]
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 1, 1, 0, 1, 0]
     for argv, outcome in zip(sequence, together):
         assert outcome == run_alone(argv), argv

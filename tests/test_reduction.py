@@ -101,8 +101,10 @@ def test_apply_bigon_on_theta():
 
 
 def test_apply_bigon_rejects_bad_sites():
-    with pytest.raises(InvalidMoveError, match="no face"):
-        apply_move(theta(), Move(MoveKind.BIGON, (0, 1)))
+    with pytest.raises(InvalidMoveError, match=r"^no face with half-edge cycle \(0, 1\)$"):
+        apply_move(theta(), Move(MoveKind.BIGON, [0, 1]))
+    with pytest.raises(InvalidMoveError, match="^no face with half-edge cycle 5$"):
+        apply_move(theta(), Move(MoveKind.BIGON, 5))
     with pytest.raises(InvalidMoveError, match="does not match a bigon"):
         apply_move(k4(), Move(MoveKind.BIGON, (0, 3, 6)))
 
@@ -123,6 +125,9 @@ def test_apply_bigon_rejects_bad_sites():
         pytest.param(theta(), ("0", 5), MoveKind.BIGON, id="not-an-id"),
         pytest.param(theta(), (0.0, 5), MoveKind.BIGON, id="float-equal-to-an-id"),
         pytest.param(theta(), (np.array([0, 5]), 5), MoveKind.BIGON, id="array-as-id"),
+        pytest.param(theta(), 5, MoveKind.BIGON, id="int-site"),
+        pytest.param(theta(), None, MoveKind.BIGON, id="none-site"),
+        pytest.param(theta(), 1.5, MoveKind.BIGON, id="float-site"),
     ],
 )
 def test_moves_reject_cycles_that_are_not_faces(cmap, cycle, kind):

@@ -363,7 +363,8 @@ def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
             unfixed.discard(e)
         if conflict:
             continue
-        if admissibility_deviation(cmap, lines) <= tol:
+        # free loops meet no vertex, so any line stands in for theirs here
+        if admissibility_deviation(cmap, lines + [np.eye(3)[0]] * cmap.free_loops) <= tol:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines
     raise RetriesExhaustedError(
@@ -636,6 +637,28 @@ def test_maps_without_paired_edges():
         assert same_line(a, b)
     with pytest.raises(ValueError, match="^decoration has 2 lines, map has 3 edges$"):
         decoration_to_representation(circle(3), lines[:2])
+
+
+@pytest.mark.parametrize(
+    "g", [theta(), disjoint_union(theta(), circle())], ids=["theta", "theta+circle"]
+)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_decoration_checks_reject_a_wrong_length(g, extra):
+    # one line per edge, free loops included
+    full = [E[e % 3] for e in range(g.n_edges)]
+    assert is_admissible(g, full)
+    lines = full[:extra] if extra < 0 else full + full[:extra]
+    mats = [reflection_from_line(v) for v in lines]
+    n, m = len(lines), g.n_edges
+    checks = [
+        (admissibility_deviation, lines, f"decoration has {n} lines"),
+        (is_admissible, lines, f"decoration has {n} lines"),
+        (decoration_to_representation, lines, f"decoration has {n} lines"),
+        (vertex_product_deviation, mats, f"representation has {n} matrices"),
+    ]
+    for check, arg, start in checks:
+        with pytest.raises(ValueError, match=f"^{start}, map has {m} edges$"):
+            check(g, arg)
 
 
 def matrix_faults(rng):
