@@ -13,11 +13,13 @@ are the whole map: vertices are numbered in order of their smallest
 half-edge, and no vertex table is stored.  Every map, including each
 intermediate map of a reduction, runs every structural check and the
 Euler count at construction.  The constructor keeps the two
-permutations and traces the face orbits as tuples of half-edge ids; the
-Euler count finds components by walking ``twin`` and ``next_at_vertex``
-from half-edges, so it needs nothing else.  The vertex table
-(``vertex_of``), the edge table (``edges``, ``edge_of``,
-``edge_endpoints``) and the rotation table (``rotation``,
+permutations and traces the face orbits as tuples of half-edge ids,
+noting the face of each half-edge; the Euler count finds components by
+walking from face to face across ``twin``, so it needs nothing else.
+The checks compare whole tables built by C-level gathers
+(``itemgetter``) instead of stepping through the half-edges one at a
+time.  The vertex table (``vertex_of``), the edge table (``edges``,
+``edge_of``, ``edge_endpoints``) and the rotation table (``rotation``,
 ``vertex_edges``, ``to_rotations_and_pairs``) are built on first use and
 kept, so a map that is only searched for moves and rewritten, as in a
 reduction, or tested for bipartiteness never builds them.
@@ -33,7 +35,8 @@ half-edge, which keeps every query deterministic under rebuilds.
 
 from __future__ import annotations
 
-from operator import eq
+from itertools import chain
+from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -46,6 +49,17 @@ __all__ = [
     "parse_map",
     "serialize_map",
 ]
+
+
+def _gather(table: Sequence, ids: Sequence[int]) -> tuple:
+    """``tuple(table[i] for i in ids)`` as one C-level call.
+
+    ``itemgetter`` wants at least one id and returns a bare item for one,
+    so shorter id lists take the loop.
+    """
+    if len(ids) > 1:
+        return itemgetter(*ids)(table)
+    return tuple([table[i] for i in ids])
 
 
 class MapError(ValueError):
@@ -98,12 +112,12 @@ class CombinatorialMap:
         if isinstance(free_loops, bool) or not isinstance(free_loops, int) or free_loops < 0:
             raise MapError("free_loops must be a non-negative integer")
 
-        # Each check compares whole tables at once; only a failed
-        # comparison scans for the first offending index, so the error
-        # raised is the one the per-index loops below report.
-        halves = list(range(n))
+        # Each check compares whole tables at once, as C-level gathers;
+        # only a failed comparison scans for the first offending index, so
+        # the error raised is the one the per-index loops below report.
+        halves = tuple(range(n))
         try:
-            twin_ok = [twin[t] for t in twin] == halves and not any(map(eq, twin, halves))
+            twin_ok = _gather(twin, twin) == halves and not any(map(eq, twin, halves))
         except (IndexError, TypeError):
             twin_ok = False
         if not twin_ok:
@@ -117,14 +131,24 @@ class CombinatorialMap:
                     raise MapError(f"twin is not an involution at half-edge {h}")
                 if t == h:
                     raise MapError(f"twin fixes half-edge {h}")
+        # sigma^3 = 1 with no fixed point leaves only 3-cycles: the vertices.
+        # It also makes sigma a permutation, with no sort: the entries of
+        # sigma^3 are entries of sigma, so if they are 0..n-1 then the n
+        # entries of sigma are too (an index read as n - 1 from -1, say,
+        # cannot pass).  The sort only picks the message on failure.
         try:
-            sigma2 = [sigma[s] for s in sigma] if sorted(sigma) == halves else None
-        except TypeError:
-            sigma2 = None
-        if sigma2 is None:
-            raise MapError("next_at_vertex is not a permutation of the half-edges")
-        # sigma^3 = 1 with no fixed point leaves only 3-cycles: the vertices
-        if [sigma[s] for s in sigma2] != halves or any(map(eq, sigma, halves)):
+            sigma_ok = _gather(sigma, _gather(sigma, sigma)) == halves and not any(
+                map(eq, sigma, halves)
+            )
+        except (IndexError, TypeError):
+            sigma_ok = False
+        if not sigma_ok:
+            try:
+                sigma2 = [sigma[s] for s in sigma] if sorted(sigma) == list(halves) else None
+            except TypeError:
+                sigma2 = None
+            if sigma2 is None:
+                raise MapError("next_at_vertex is not a permutation of the half-edges")
             for h in range(n):
                 if sigma[h] == h or sigma[sigma2[h]] != h:
                     raise MapError(f"rotation at half-edge {h} is not a single 3-cycle")
@@ -133,8 +157,8 @@ class CombinatorialMap:
         self._sigma = sigma
         self._free_loops = free_loops
 
-        self._orbits = self._trace_orbits()
-        self._planar = self._check_euler(check_planar)
+        self._orbits, face_of = self._trace_orbits()
+        self._planar = self._check_euler(face_of, check_planar)
 
     def __getattr__(self, name: str):
         # The vertex, edge and rotation tables fill their slots on first
@@ -163,56 +187,53 @@ class CombinatorialMap:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return object.__getattribute__(self, name)
 
-    def _trace_orbits(self) -> tuple[tuple[int, ...], ...]:
-        phi = [self._sigma[t] for t in self._twin]
-        seen = [False] * len(phi)
+    def _trace_orbits(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """Face orbits by smallest half-edge, and the face of each half-edge."""
+        phi = _gather(self._sigma, self._twin)
+        face_of = [-1] * len(phi)
         orbits = []
         for h0, h in enumerate(phi):
-            if seen[h0]:
+            if face_of[h0] >= 0:
                 continue
-            seen[h0] = True
+            f = face_of[h0] = len(orbits)
             orbit = [h0]
             while h != h0:
-                seen[h] = True
+                face_of[h] = f
                 orbit.append(h)
                 h = phi[h]
             orbits.append(tuple(orbit))
-        return tuple(orbits)
+        return tuple(orbits), face_of
 
-    def _check_euler(self, raise_on_failure: bool) -> bool:
-        # connected components over half-edges, numbered by smallest
-        # half-edge; reaching a half-edge h reaches its whole vertex
-        twin, sigma = self._twin, self._sigma
-        comp = [-1] * len(twin)
-        n_comps = 0
-        for h0 in range(len(twin)):
-            if comp[h0] >= 0:
+    def _check_euler(self, face_of: list[int], raise_on_failure: bool) -> bool:
+        # connected components as sets of faces, reached a whole frontier
+        # at a time across twin: <phi, twin> = <sigma, twin>, so these are
+        # the components of the map.  Faces go by smallest half-edge, so a
+        # component's first face holds its smallest half-edge, and
+        # components are numbered by it.
+        orbits = self._orbits
+        across = [*map(face_of.__getitem__, self._twin)]
+        comps: list[set[int]] = []
+        seen: set[int] = set()
+        for f0 in range(len(orbits)):
+            if f0 in seen:
                 continue
-            stack = [h0]
-            while stack:
-                h = stack.pop()
-                if comp[h] < 0:
-                    s = sigma[h]
-                    t = sigma[s]
-                    comp[h] = comp[s] = comp[t] = n_comps
-                    stack += (twin[h], twin[s], twin[t])
-            n_comps += 1
+            comp, frontier = set(), {f0}
+            while frontier:
+                comp |= frontier
+                sides = chain.from_iterable(map(orbits.__getitem__, frontier))
+                frontier = set(map(across.__getitem__, sides)) - comp
+            seen |= comp
+            comps.append(comp)
 
         # V - E + F is at most 2 on every component, so the total is 2 per
         # component exactly when each one is planar; V = n/3 and E = n/2
-        n = len(twin)
-        if n // 3 - n // 2 + len(self._orbits) == 2 * n_comps:
+        n = len(face_of)
+        if n // 3 - n // 2 + len(orbits) == 2 * len(comps):
             return True
         if raise_on_failure:
-            halves = [0] * n_comps
-            faces = [0] * n_comps
-            for c in comp:
-                halves[c] += 1
-            for orbit in self._orbits:
-                faces[comp[orbit[0]]] += 1
-            for c in range(n_comps):
+            for c, comp in enumerate(comps):
                 # V - E + F = n/3 - n/2 + F on a component with n half-edges
-                chi = faces[c] - halves[c] // 6
+                chi = len(comp) - sum([len(orbits[f]) for f in comp]) // 6
                 if chi != 2:
                     raise NonPlanarError(
                         f"component {c}: V - E + F = {chi}, expected 2 "

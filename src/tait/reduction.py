@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Generic, Iterable, TypeVar
 
-from .planar import CombinatorialMap, MapError, NonPlanarError
+from .planar import CombinatorialMap, MapError, NonPlanarError, _gather
 from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
 
 __all__ = [
@@ -229,6 +229,13 @@ def _rebuild(
     welds joins the half-edges at its two ends, and a weld whose stubs
     are already twins closes a circle, a free loop.  Survivors keep their
     relative order, and vertices are numbered by smallest half-edge.
+
+    The survivors between two dead ids form a run, and the j-th run moves
+    down by j: the new-id table is ``0..m-1`` with ``-1`` inserted at each
+    dead id, in increasing order.  Deleting the dead entries from copies
+    of ``twin`` and ``sigma``, highest first, leaves the survivors' entries,
+    and one gather through the table maps both.  A survivor still pointing
+    at a dead id would read ``-1``, which the constructor rejects.
     """
     twin = list(cmap.twin)
     new_loops = 0
@@ -238,12 +245,17 @@ def _rebuild(
             new_loops += 1
         else:
             twin[ta], twin[tb] = tb, ta
-    survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
-    hid = {h: i for i, h in enumerate(survivors)}
-    # hid's int objects, not fresh ones, so the two tables share them
-    new_twin = [hid[twin[h]] for h in survivors]
-    new_sigma = [hid[sigma[h]] for h in survivors]
-    return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
+    dead = sorted(dead_half)
+    m = len(twin) - len(dead)
+    new_id = list(range(m))
+    for d in dead:
+        new_id.insert(d, -1)
+    kept_sigma = list(sigma)
+    for d in reversed(dead):
+        del twin[d], kept_sigma[d]
+    # one gather maps both tables, so they share new_id's int objects
+    tables = _gather(new_id, twin + kept_sigma)
+    return CombinatorialMap(tables[:m], tables[m:], cmap.free_loops + new_loops)
 
 
 def apply_move(

@@ -399,12 +399,20 @@ def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray
 
 
 def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
-    """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order; NaN if any is."""
+    """Worst ||M1 M2 M3 - I|| over vertices, factors in rotation order; NaN if any is.
+
+    Raises ``ValueError`` naming the first edge whose matrix is not 3x3,
+    before any product, where broadcasting would have hidden it.
+    """
     _require_one_per_edge(cmap, matrices, "representation", "matrices")
+    M, error = _stack(matrices, _as_matrix, (3, 3))
+    if error is not None:
+        if not isinstance(error, ValueError):
+            raise error
+        raise ValueError(f"edge {len(M)}: {error}")
     triples = _vertex_triples(cmap)
     if not len(triples):
         return 0.0
-    M = np.asarray(matrices)
     products = M[triples[:, 0]] @ M[triples[:, 1]] @ M[triples[:, 2]]
     return float(np.max(_norm(products - _I3, (-2, -1)), initial=0.0))
 

@@ -326,11 +326,13 @@ def corrupt(cmap, rng):
         kind = rng.choice(
             [
                 "twin-entry", "twin-fixed", "twin-repair",
-                "sigma-duplicate", "sigma-two-cycle", "sigma-swap",
+                "sigma-entry", "sigma-duplicate", "sigma-two-cycle", "sigma-swap",
             ]
         )
         if kind == "twin-entry":
             twin[i] = rng.randint(-2, n + 2)
+        elif kind == "sigma-entry":
+            sigma[i] = rng.randint(-2, n + 2)
         elif kind == "twin-fixed":
             twin[i] = i
         elif kind == "twin-repair":
@@ -384,6 +386,70 @@ def test_constructor_reports_first_fault():
     )
     for twin in (fixed_then_bad, bad_then_fixed):
         assert constructor_outcome(twin, s) == reference_validate(twin, s)
+
+
+def test_wrapped_and_boolean_entries_match_loop_reference():
+    # an entry of -1 reads as the last half-edge, so it can agree with the
+    # table wherever it is read; the gathers must still reject it
+    g = cube()
+    twin, sigma = list(g.twin), list(g.next_at_vertex)
+    n = len(twin)
+
+    def variants(table):
+        for i in range(n):
+            for value in (-1, -n, True, False):
+                bad = table.copy()
+                bad[i] = value
+                yield bad
+        # -1 exactly where n - 1 was, so every read of it gives the old entry
+        yield [-1 if h == n - 1 else h for h in table]
+
+    cases = [(t, sigma) for t in variants(twin)] + [(twin, s) for s in variants(sigma)]
+    outcomes = set()
+    for t, s in cases:
+        expected = reference_validate(t, s)
+        assert constructor_outcome(t, s) == expected
+        outcomes.add(expected)
+    # True in place of 1, or False in place of 0, leaves a valid map
+    assert None in outcomes and len(outcomes) > 4
+
+
+def test_float_entries_name_the_same_fault():
+    twin, sigma = list(cube().twin), list(cube().next_at_vertex)
+    for i in (0, 7, len(twin) - 1):
+        t = twin.copy()
+        t[i] = float(t[i])
+        assert constructor_outcome(t, sigma) == (
+            MapError,
+            f"twin is not an involution at half-edge {i}",
+        )
+        s = sigma.copy()
+        s[i] = float(s[i])
+        assert constructor_outcome(twin, s) == (
+            MapError,
+            "next_at_vertex is not a permutation of the half-edges",
+        )
+
+
+@pytest.mark.parametrize(
+    "parts, component",
+    [
+        ((petersen(), theta()), 0),
+        ((cube(), petersen(), theta()), 1),
+        ((k4(), theta(), petersen()), 2),
+    ],
+    ids=["petersen+theta", "cube+petersen+theta", "k4+theta+petersen"],
+)
+def test_non_planar_component_matches_loop_reference(parts, component):
+    u = parts[0]
+    for part in parts[1:]:
+        u = disjoint_union(u, part)
+    outcome = constructor_outcome(u.twin, u.next_at_vertex)
+    assert outcome == reference_validate(u.twin, u.next_at_vertex)
+    assert outcome == (
+        NonPlanarError,
+        f"component {component}: V - E + F = -2, expected 2 (rotation system is not planar)",
+    )
 
 
 def test_non_planar_component_is_named():

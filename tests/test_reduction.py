@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tait import reduction
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.coloring import count_tait
 from tait.laurent import p3
@@ -654,3 +655,47 @@ def test_spliced_welds_match_chain_walker():
                     # a stub twinned to a stub of another weld chains the two welds
                     chains += sum(g.twin[s] in partner and g.twin[s] != partner[s] for s in y)
     assert welds > 0 and circles > 0 and chains > 0, (welds, circles, chains)
+
+
+# ----------------------------------------------------------------------
+# survivors relabelled by runs, against the dict relabel
+
+
+def dict_rebuild(cmap, sigma, dead_half, welds):
+    """Reference ``_rebuild``: splice the welds, then relabel survivors through a dict."""
+    twin = list(cmap.twin)
+    new_loops = 0
+    for a, b in welds:
+        ta, tb = twin[a], twin[b]
+        if ta == b:
+            new_loops += 1
+        else:
+            twin[ta], twin[tb] = tb, ta
+    survivors = [h for h in range(cmap.n_half_edges) if h not in dead_half]
+    hid = {h: i for i, h in enumerate(survivors)}
+    new_twin = [hid[twin[h]] for h in survivors]
+    new_sigma = [hid[sigma[h]] for h in survivors]
+    return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
+
+
+RELABEL_MAPS = [g for _, g in SEARCH_MAPS] + [
+    random_planar_cubic(v, seed=3000 + v) for v in range(4, 81, 4)
+]
+
+
+def test_run_relabel_matches_dict_relabel(monkeypatch):
+    def tables(c):
+        return c.twin, c.next_at_vertex, c.free_loops, c.face_orbits()
+
+    cases = [
+        (g, move, [tables(c) for c in apply_move(g, move)])
+        for cmap in RELABEL_MAPS
+        for g in priority_path_maps(cmap)
+        for move in available_moves(g)
+    ]
+    monkeypatch.setattr(reduction, "_rebuild", dict_rebuild)
+    kinds = set()
+    for g, move, got in cases:
+        assert got == [tables(c) for c in apply_move(g, move)], move
+        kinds.add(move.kind)
+    assert kinds == set(MoveKind)

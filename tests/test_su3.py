@@ -1,6 +1,7 @@
 """Order-2 special unitaries, the product criterion, and map decorations."""
 
 import dataclasses
+import re
 from collections import deque
 
 import numpy as np
@@ -659,6 +660,23 @@ def test_decoration_checks_reject_a_wrong_length(g, extra):
     for check, arg, start in checks:
         with pytest.raises(ValueError, match=f"^{start}, map has {m} edges$"):
             check(g, arg)
+
+
+@pytest.mark.parametrize(
+    "bad", [[[1]], np.eye(2), np.ones(3)], ids=["1x1", "2x2", "vector"]
+)
+def test_vertex_product_deviation_rejects_a_matrix_that_is_not_3x3(bad):
+    # broadcasting used to turn 1x1 matrices into a number and the others
+    # into numpy's own shape errors; now the first bad edge is named
+    g = theta()
+    shape = re.escape(str(np.shape(bad)))
+    with pytest.raises(ValueError, match=rf"^edge 0: expected a 3x3 matrix, got shape {shape}$"):
+        vertex_product_deviation(g, [bad] * 3)
+    for e in range(3):
+        mats = [np.eye(3)] * 3
+        mats[e] = bad
+        with pytest.raises(ValueError, match=rf"^edge {e}: expected a 3x3 matrix"):
+            vertex_product_deviation(g, mats)
 
 
 def matrix_faults(rng):
