@@ -10,16 +10,14 @@ cross-checks the layers against each other; the ``tait`` command line
 fronts the lot.
 """
 
-from . import catalog, coloring, laurent, planar, reduction, su3
+from . import catalog, coloring, laurent, planar, reduction, su3, verify
 from .catalog import *  # noqa: F403
 from .coloring import *  # noqa: F403
 from .laurent import *  # noqa: F403
 from .planar import *  # noqa: F403
 from .reduction import *  # noqa: F403
 from .su3 import *  # noqa: F403
-
-# only the suite table and its report: the rest of verify.__all__ are helpers
-from .verify import SUITES, SuiteReport
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
@@ -31,6 +29,5 @@ __all__ = [
     *reduction.__all__,
     *laurent.__all__,
     *su3.__all__,
-    "SUITES",
-    "SuiteReport",
+    *verify.__all__,
 ]

@@ -57,7 +57,14 @@ def _add_file_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use.
+
+    Parsing leaves no state in the parser: every call gets a fresh
+    namespace, and the ``_cmd_*`` functions look their helpers up in this
+    module when they run.
+    """
     parser = _Parser(prog="tait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -166,20 +173,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process, built on first use.
-
-    Parsing leaves no state in the parser: every call gets a fresh
-    namespace, and the ``_cmd_*`` functions look their helpers up in this
-    module when they run.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"tait: error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ The checks compare whole tables built by C-level gathers
 (``itemgetter``) instead of stepping through the half-edges one at a
 time.  The vertex table (``vertex_of``), the edge table (``edges``,
 ``edge_of``, ``edge_endpoints``) and the rotation table (``rotation``,
-``vertex_edges``, ``to_rotations_and_pairs``) are built on first use and
-kept, so a map that is only searched for moves and rewritten, as in a
-reduction, or tested for bipartiteness never builds them.
+``vertex_edges``, ``to_rotations_and_pairs``) are cached properties
+(:func:`functools.cached_property`), built on first use and kept, so a
+map that is only searched for moves and rewritten, as in a reduction,
+or tested for bipartiteness never builds them.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -35,6 +36,7 @@ half-edge, which keeps every query deterministic under rebuilds.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Iterable, Sequence
@@ -81,20 +83,9 @@ class CombinatorialMap:
     ids and relabels them densely) unless you already hold the two dense
     permutations.
     Every structural check runs on every construction, each as a
-    comparison of whole tables.
+    comparison of whole tables.  The vertex, edge and rotation tables
+    are cached properties, built on first read.
     """
-
-    __slots__ = (
-        "_twin",
-        "_sigma",
-        "_free_loops",
-        "_vertex_of",
-        "_edges",
-        "_edge_of",
-        "_rotations",
-        "_orbits",
-        "_planar",
-    )
 
     def __init__(
         self,
@@ -159,33 +150,6 @@ class CombinatorialMap:
 
         self._orbits, face_of = self._trace_orbits()
         self._planar = self._check_euler(face_of, check_planar)
-
-    def __getattr__(self, name: str):
-        # The vertex, edge and rotation tables fill their slots on first
-        # read: an unset slot raises AttributeError, and only then is this
-        # called, so a built table costs its readers nothing extra.
-        if name in ("_edges", "_edge_of"):
-            # edge table, ordered by smaller half-edge
-            edges = tuple((h, t) for h, t in enumerate(self._twin) if h < t)
-            edge_of = [0] * len(self._twin)
-            for e, (a, b) in enumerate(edges):
-                edge_of[a] = edge_of[b] = e
-            self._edges = edges
-            self._edge_of = tuple(edge_of)
-        elif name == "_rotations":
-            # each vertex's 3-cycle, read from its smallest half-edge
-            sigma = self._sigma
-            self._rotations = tuple(
-                (h, s, sigma[s]) for h, s in enumerate(sigma) if h < s and h < sigma[s]
-            )
-        elif name == "_vertex_of":
-            vertex_of = [0] * len(self._sigma)
-            for v, (a, b, c) in enumerate(self._rotations):
-                vertex_of[a] = vertex_of[b] = vertex_of[c] = v
-            self._vertex_of = tuple(vertex_of)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return object.__getattribute__(self, name)
 
     def _trace_orbits(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         """Face orbits by smallest half-edge, and the face of each half-edge."""
@@ -252,10 +216,19 @@ class CombinatorialMap:
     def next_at_vertex(self) -> tuple[int, ...]:
         return self._sigma
 
-    @property
+    @cached_property
+    def _rotations(self) -> tuple[tuple[int, int, int], ...]:
+        # each vertex's 3-cycle, read from its smallest half-edge
+        sigma = self._sigma
+        return tuple((h, s, sigma[s]) for h, s in enumerate(sigma) if h < s and h < sigma[s])
+
+    @cached_property
     def vertex_of(self) -> tuple[int, ...]:
         """Vertex of each half-edge; vertices go by smallest half-edge."""
-        return self._vertex_of
+        vertex_of = [0] * len(self._sigma)
+        for v, (a, b, c) in enumerate(self._rotations):
+            vertex_of[a] = vertex_of[b] = vertex_of[c] = v
+        return tuple(vertex_of)
 
     @property
     def free_loops(self) -> int:
@@ -278,10 +251,17 @@ class CombinatorialMap:
         """Total edge count; free loops included."""
         return len(self._twin) // 2 + self._free_loops
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Half-edge pairs of the non-loop edges, indexed by edge id."""
-        return self._edges
+        return tuple((h, t) for h, t in enumerate(self._twin) if h < t)
+
+    @cached_property
+    def _edge_of(self) -> tuple[int, ...]:
+        edge_of = [0] * len(self._twin)
+        for e, (a, b) in enumerate(self.edges):
+            edge_of[a] = edge_of[b] = e
+        return tuple(edge_of)
 
     @property
     def is_planar(self) -> bool:
@@ -301,10 +281,10 @@ class CombinatorialMap:
 
     def edge_endpoints(self, e: int) -> tuple[int, int] | None:
         """Vertices of edge ``e``; ``None`` for a free-loop edge."""
-        if e >= len(self._edges):
+        if e >= len(self.edges):
             return None
-        a, b = self._edges[e]
-        return (self._vertex_of[a], self._vertex_of[b])
+        a, b = self.edges[e]
+        return (self.vertex_of[a], self.vertex_of[b])
 
     def face_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Half-edge cycle of every face, by smallest half-edge, which comes first."""
@@ -340,7 +320,7 @@ class CombinatorialMap:
     ) -> tuple[list[tuple[int, tuple[int, int, int]]], list[tuple[int, int]], int]:
         """Inverse of :func:`build_map` on dense data."""
         rotations = list(enumerate(self._rotations))
-        return rotations, list(self._edges), self._free_loops
+        return rotations, list(self.edges), self._free_loops
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CombinatorialMap):

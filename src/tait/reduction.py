@@ -268,9 +268,13 @@ def apply_move(
     ``k[i]``.  A triangle puts ``x`` on one new vertex.  A bigon or square
     also cuts the spokes through ``x`` and welds the stubs left behind in
     pairs, as in :func:`_rebuild`: a bigon ``x[0]`` to ``x[1]``, a square
-    its four in both planar ways.  Raises :class:`InvalidMoveError` unless
-    the kind is a :class:`MoveKind` and the site is a face matching it.
+    its four in both planar ways.  Raises :class:`NonPlanarError` for a
+    map that does not embed in the sphere, whatever the move, and
+    :class:`InvalidMoveError` unless the kind is a :class:`MoveKind` and
+    the site is a face matching it.
     """
+    if not cmap.is_planar:
+        raise NonPlanarError("reduction moves are only valid for planar maps")
     kind = move.kind
     if not isinstance(kind, MoveKind):
         raise InvalidMoveError(f"unknown move kind {kind!r}")
@@ -278,7 +282,7 @@ def apply_move(
         if cmap.free_loops == 0:
             raise InvalidMoveError("no free loop to remove")
         loops = cmap.free_loops - 1
-        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops, check_planar=False),)
+        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops),)
     face = _checked_face(cmap, move.half_edges, kind)
     sigma, twin = cmap.next_at_vertex, cmap.twin
     x = [sigma[k] for k in face]

@@ -33,18 +33,7 @@ from .su3 import (
     vertex_product_deviation,
 )
 
-__all__ = [
-    "SuiteReport",
-    "bipartite_corpus",
-    "conservation_corpus",
-    "roundtrip_corpus",
-    "frontier_conservation",
-    "run_theorem1",
-    "run_conservation",
-    "run_lemma5",
-    "run_roundtrip",
-    "SUITES",
-]
+__all__ = ["SUITES", "SuiteReport"]
 
 
 @dataclass

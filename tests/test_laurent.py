@@ -108,6 +108,14 @@ def test_constants_hash_as_their_int(c):
     assert {c: "int"}[LaurentPoly({0: c})] == "int"
 
 
+def test_equal_polynomials_hash_equal():
+    p = LaurentPoly({-2: 1, 0: 2, 2: 1})
+    q = quantum_integer(2) * quantum_integer(2)
+    assert p == q and p is not q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
 def test_pow():
     p = quantum_integer(2)
     assert p**0 == LaurentPoly.one()

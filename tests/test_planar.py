@@ -98,6 +98,8 @@ def test_build_map_rejects_bad_data(rotations, pairs, message):
 
 
 def test_constructor_rejects_bad_tables():
+    with pytest.raises(MapError, match="^half-edge tables have inconsistent lengths$"):
+        CombinatorialMap((1, 0), (0,))
     with pytest.raises(MapError, match="involution"):
         CombinatorialMap((1, 2, 0, 4, 3, 5), (1, 2, 0, 4, 5, 3))
     with pytest.raises(MapError, match="fixes"):

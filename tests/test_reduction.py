@@ -1,5 +1,6 @@
 """Reduction moves, traces, and the loop/bigon-weighted evaluation."""
 
+import dataclasses
 import inspect
 import operator
 import random
@@ -36,6 +37,7 @@ from tait.reduction import (
     format_trace,
     reduce_map,
 )
+from tait.verify import frontier_conservation
 from test_coloring import CATALOG_MAPS, UNIONS, dumbbell, random_planar_cubic
 
 
@@ -334,6 +336,24 @@ def test_nonplanar_is_rejected():
         reduce_map(petersen())
 
 
+def test_every_move_is_refused_on_a_nonplanar_map():
+    # the planar theta and circle offer moves, but the map as a whole does not embed
+    g = disjoint_union(disjoint_union(petersen(), theta()), circle())
+    moves = available_moves(g)
+    assert {m.kind for m in moves} == {MoveKind.LOOP, MoveKind.BIGON}
+    for move in moves:
+        with pytest.raises(NonPlanarError) as info:
+            apply_move(g, move)
+        assert str(info.value) == "reduction moves are only valid for planar maps"
+
+
+def test_frontier_conservation_counts_a_wrong_multiplier():
+    trace = reduce_map(cube())
+    assert frontier_conservation(cube(), trace) == (7, 0)
+    # a doubled root multiplier breaks the frontier sum at every expansion
+    assert frontier_conservation(cube(), dataclasses.replace(trace, multiplier=2)) == (7, 7)
+
+
 def test_dodecahedron_is_irreducible():
     with pytest.raises(IrreducibleError) as info:
         reduce_map(dodecahedron())
@@ -455,14 +475,7 @@ def test_move_search_matches_eager_definition(cmap):
 
 def built_tables(g: CombinatorialMap) -> list[str]:
     """The lazily built tables that ``g`` holds, read without building any."""
-    built = []
-    for name in ("_edges", "_edge_of", "_rotations", "_vertex_of"):
-        try:
-            getattr(CombinatorialMap, name).__get__(g)
-        except AttributeError:
-            continue
-        built.append(name)
-    return built
+    return [name for name in ("edges", "_edge_of", "_rotations", "vertex_of") if name in vars(g)]
 
 
 @pytest.mark.parametrize(
@@ -474,9 +487,11 @@ def test_reduction_builds_no_edge_or_rotation_table(cmap):
         assert built_tables(g) == []
     # the probe sees a table once something asks for it
     assert len(root.edges) == root.n_paired_edges
-    assert built_tables(root) == ["_edges", "_edge_of"]
+    assert built_tables(root) == ["edges"]
     assert len(root.vertex_of) == root.n_half_edges
-    assert built_tables(root) == ["_edges", "_edge_of", "_rotations", "_vertex_of"]
+    assert built_tables(root) == ["edges", "_rotations", "vertex_of"]
+    assert len(root._edge_of) == root.n_half_edges
+    assert built_tables(root) == ["edges", "_edge_of", "_rotations", "vertex_of"]
 
 
 @pytest.mark.parametrize(
@@ -687,12 +702,18 @@ def test_run_relabel_matches_dict_relabel(monkeypatch):
     def tables(c):
         return c.twin, c.next_at_vertex, c.free_loops, c.face_orbits()
 
-    cases = [
-        (g, move, [tables(c) for c in apply_move(g, move)])
-        for cmap in RELABEL_MAPS
-        for g in priority_path_maps(cmap)
-        for move in available_moves(g)
-    ]
+    cases, refused = [], []
+    for cmap in RELABEL_MAPS:
+        for g in priority_path_maps(cmap):
+            for move in available_moves(g):
+                if g.is_planar:
+                    cases.append((g, move, [tables(c) for c in apply_move(g, move)]))
+                    continue
+                with pytest.raises(NonPlanarError, match="only valid for planar maps"):
+                    apply_move(g, move)
+                refused.append(move.kind)
+    # petersen+circle: its free loop is the one move a non-planar map offers
+    assert refused == [MoveKind.LOOP]
     monkeypatch.setattr(reduction, "_rebuild", dict_rebuild)
     kinds = set()
     for g, move, got in cases:

@@ -186,6 +186,25 @@ def test_representation_to_decoration_names_bad_edge():
         representation_to_decoration([STANDARD_INVOLUTION, np.eye(3)])
 
 
+def test_conversion_errors_pass_through_unchanged():
+    # a line that will not reshape to 3 entries raises numpy's own ValueError
+    with pytest.raises(ValueError) as expected:
+        np.ones(4).reshape(3)
+    with pytest.raises(ValueError) as info:
+        admissibility_deviation(theta(), [np.ones(4)] * 3)
+    assert str(info.value) == str(expected.value)
+    # an entry that is no number raises numpy's TypeError, not one naming an edge
+    with pytest.raises(TypeError) as expected:
+        np.asarray(object(), dtype=complex)
+    S = STANDARD_INVOLUTION
+    with pytest.raises(TypeError) as info:
+        representation_to_decoration([S, object()])
+    assert str(info.value) == str(expected.value)
+    with pytest.raises(TypeError) as info:
+        vertex_product_deviation(theta(), [S, object(), S])
+    assert str(info.value) == str(expected.value)
+
+
 def test_self_loop_decoration_deviation_is_one():
     assert admissibility_deviation(dumbbell(), [E[0], E[1], E[2]]) == 1.0
 
