@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property campaign")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=_cmd_verify)
@@ -143,7 +142,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     run = SUITES[args.suite]
-    given = {k: v for k in ("trials", "tol", "seed") if (v := getattr(args, k)) is not None}
+    given = {k: v for k in ("trials", "seed") if (v := getattr(args, k)) is not None}
     try:
         # bind, not a lookup of parameter names: a (*args, **kwargs) wrapper accepts any
         inspect.signature(run).bind(**given)

@@ -175,7 +175,7 @@ class CombinatorialMap:
         # component's first face holds its smallest half-edge, and
         # components are numbered by it.
         orbits = self._orbits
-        across = [*map(face_of.__getitem__, self._twin)]
+        across = _gather(face_of, self._twin)
         comps: list[set[int]] = []
         seen: set[int] = set()
         for f0 in range(len(orbits)):
@@ -280,7 +280,12 @@ class CombinatorialMap:
         return (self._edge_of[r[0]], self._edge_of[r[1]], self._edge_of[r[2]])
 
     def edge_endpoints(self, e: int) -> tuple[int, int] | None:
-        """Vertices of edge ``e``; ``None`` for a free-loop edge."""
+        """Vertices of edge ``e``; ``None`` for a free-loop edge.
+
+        Raises ``IndexError`` unless ``0 <= e < n_edges``.
+        """
+        if not 0 <= e < self.n_edges:
+            raise IndexError(f"edge {e} out of range for a map with {self.n_edges} edges")
         if e >= len(self.edges):
             return None
         a, b = self.edges[e]

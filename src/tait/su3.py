@@ -19,8 +19,9 @@ one.  Every check runs on every edge; when some fail, the error names
 the first failing edge in index order and that edge's first failing
 check (shape, then special unitary, then order two).
 
-All tolerances are absolute; the default 1e-9 leaves three orders of
-magnitude of headroom over double-precision arithmetic on 3x3 products.
+Every check uses one absolute tolerance, ``_TOL = 1e-9``: it leaves
+three orders of magnitude of headroom over double-precision arithmetic
+on 3x3 products, so no caller has a reason to set another.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ __all__ = [
 STANDARD_INVOLUTION = np.diag([1.0, -1.0, -1.0]).astype(complex)
 
 _I3 = np.eye(3, dtype=complex)
+
+_TOL = 1e-9
 
 
 class InadmissibleDecorationError(ValueError):
@@ -121,34 +124,34 @@ def _norm(x: np.ndarray, axis) -> np.ndarray:
     return np.sqrt((x.conj() * x).real.sum(axis=axis))
 
 
-def _require_unit(lines: np.ndarray, tol: float) -> None:
-    """Raise for the first row of an (n, 3) stack whose norm is not 1 within ``tol``."""
+def _require_unit(lines: np.ndarray) -> None:
+    """Raise for the first row of an (n, 3) stack whose norm is not 1 within tolerance."""
     norms = _norm(lines, -1)
-    bad = ~(np.abs(norms - 1.0) <= tol)  # a NaN norm too
+    bad = ~(np.abs(norms - 1.0) <= _TOL)  # a NaN norm too
     if bad.any():
         # the norm of that one vector, whatever else the stack holds
         norm = float(np.linalg.norm(lines[np.argmax(bad)]))
         raise ValueError(f"line representative must be a unit vector, |v| = {norm}")
 
 
-def _special_unitary(M: np.ndarray, tol: float) -> np.ndarray:
-    """Per matrix of a stack: ||M*M - I|| <= tol and |det M - 1| <= tol."""
+def _special_unitary(M: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: ||M*M - I|| <= _TOL and |det M - 1| <= _TOL."""
     gram = M.conj().swapaxes(-1, -2) @ M
     with np.errstate(invalid="ignore"):  # a NaN entry fails the check, without a warning
         det = np.linalg.det(M)
-    return (_norm(gram - _I3, (-2, -1)) <= tol) & (abs(det - 1.0) <= tol)
+    return (_norm(gram - _I3, (-2, -1)) <= _TOL) & (abs(det - 1.0) <= _TOL)
 
 
-def _order_two(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _order_two(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of a stack: whether it squares to I without being I, and ||M^2 - I||."""
     defect = _norm(M @ M - _I3, (-2, -1))
-    return (defect <= tol) & (_norm(M - _I3, (-2, -1)) > tol), defect
+    return (defect <= _TOL) & (_norm(M - _I3, (-2, -1)) > _TOL), defect
 
 
-def _first_fault(M: np.ndarray, tol: float) -> tuple[int, str] | None:
+def _first_fault(M: np.ndarray) -> tuple[int, str] | None:
     """First matrix of a stack that is not an order-2 special unitary, and why."""
-    special = _special_unitary(M, tol)
-    good = special & _order_two(M, tol)[0]
+    special = _special_unitary(M)
+    good = special & _order_two(M)[0]
     if good.all():
         return None
     k = int(np.argmin(good))
@@ -180,11 +183,11 @@ def _line_overlaps(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return abs(_inner(u, w))
 
 
-def is_special_unitary(M, tol: float = 1e-9) -> bool:
-    return bool(_special_unitary(_as_matrix(M)[None], tol)[0])
+def is_special_unitary(M) -> bool:
+    return bool(_special_unitary(_as_matrix(M)[None])[0])
 
 
-def is_order_two(M, tol: float = 1e-9) -> bool:
+def is_order_two(M) -> bool:
     """Whether a special unitary matrix squares to I without being I.
 
     Equivalently, whether it is conjugate to the standard involution
@@ -192,24 +195,24 @@ def is_order_two(M, tol: float = 1e-9) -> bool:
     Raises if the input is not special unitary within tolerance.
     """
     M = _as_matrix(M)[None]
-    if not _special_unitary(M, tol)[0]:
+    if not _special_unitary(M)[0]:
         raise ValueError(_NOT_SPECIAL_UNITARY)
-    order_two, _ = _order_two(M, tol)
+    order_two, _ = _order_two(M)
     return bool(order_two[0])
 
 
-def reflection_from_line(v, tol: float = 1e-9) -> np.ndarray:
+def reflection_from_line(v) -> np.ndarray:
     """The order-2 special unitary fixing the line of ``v``.
 
     Returns 2 v v* - I, which negates the orthogonal complement; the
     result only depends on the line, not the phase of ``v``.
     """
     lines = _as_vector(v)[None]
-    _require_unit(lines, tol)
+    _require_unit(lines)
     return _reflections(lines)[0]
 
 
-def axis_of(M, tol: float = 1e-9) -> np.ndarray:
+def axis_of(M) -> np.ndarray:
     """Unit vector spanning the 1-eigenspace of an order-2 matrix.
 
     (M + I)/2 projects onto that eigenspace; its largest column is a
@@ -217,7 +220,7 @@ def axis_of(M, tol: float = 1e-9) -> np.ndarray:
     component is real positive.
     """
     M = _as_matrix(M)[None]
-    fault = _first_fault(M, tol)
+    fault = _first_fault(M)
     if fault is not None:
         raise ValueError(fault[1])
     return _axes(M)[0]
@@ -228,8 +231,8 @@ def line_overlap(u, w) -> float:
     return float(_line_overlaps(_as_vector(u), _as_vector(w)))
 
 
-def same_line(u, w, tol: float = 1e-9) -> bool:
-    return line_overlap(u, w) >= 1.0 - tol
+def same_line(u, w) -> bool:
+    return line_overlap(u, w) >= 1.0 - _TOL
 
 
 def random_line(rng: np.random.Generator) -> np.ndarray:
@@ -254,7 +257,7 @@ class OrderTwoProductReport:
     The headline fact: the product is again order 2 exactly when the
     two fixed lines ("axes") are orthogonal, in which case its own axis
     is orthogonal to both.  ``biconditional_holds`` reports whether the
-    two sides of that equivalence agreed at the tolerance used.
+    two sides of that equivalence agreed within tolerance.
     """
 
     axis_inner: complex
@@ -279,7 +282,7 @@ class OrderTwoProductReport:
         return worst
 
 
-def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
+def check_order_two_product(S, T) -> OrderTwoProductReport:
     """Measure the order-2-product criterion on a pair of involutions.
 
     Both arguments must be order-2 special unitaries.  The report pairs
@@ -290,12 +293,12 @@ def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
     S = _as_matrix(S)
     T = _as_matrix(T)
     for name, M in (("S", S), ("T", T)):
-        if not is_order_two(M, tol):
+        if not is_order_two(M):
             raise ValueError(f"{name} is not an order-2 special unitary")
     a, b = _axes(np.stack((S, T)))
     inner = complex(_inner(a, b))
     product = S @ T
-    order_two, defect = _order_two(product[None], tol)
+    order_two, defect = _order_two(product[None])
     order_two, defect = bool(order_two[0]), float(defect[0])
     overlaps = None
     if order_two:
@@ -303,11 +306,11 @@ def check_order_two_product(S, T, tol: float = 1e-9) -> OrderTwoProductReport:
         overlaps = (line_overlap(c, a), line_overlap(c, b))
     return OrderTwoProductReport(
         axis_inner=inner,
-        axes_orthogonal=abs(inner) <= tol,
+        axes_orthogonal=abs(inner) <= _TOL,
         product_order_two=order_two,
         involution_defect=defect,
         product_axis_overlaps=overlaps,
-        biconditional_holds=order_two == (abs(inner) <= tol),
+        biconditional_holds=order_two == (abs(inner) <= _TOL),
     )
 
 
@@ -354,41 +357,39 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     return _worst_overlap(_vertex_triples(cmap), lines)
 
 
-def is_admissible(cmap: CombinatorialMap, decoration, tol: float = 1e-9) -> bool:
-    return admissibility_deviation(cmap, decoration) <= tol
+def is_admissible(cmap: CombinatorialMap, decoration) -> bool:
+    return admissibility_deviation(cmap, decoration) <= _TOL
 
 
-def decoration_to_representation(
-    cmap: CombinatorialMap, decoration, tol: float = 1e-9
-) -> list[np.ndarray]:
+def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.ndarray]:
     """Order-2 matrices of an admissible decoration, indexed by edge.
 
     Raises :class:`InadmissibleDecorationError` when incident lines are
-    not pairwise orthogonal within ``tol``.  Around every vertex the
+    not pairwise orthogonal within tolerance.  Around every vertex the
     three matrices multiply to the identity (in any order: reflections
     in pairwise-orthogonal lines commute).
     """
     _require_one_per_edge(cmap, decoration, "decoration", "lines")
     lines, error = _stack(decoration, _as_vector, (3,))
-    _require_unit(lines, tol)
+    _require_unit(lines)
     if error is not None:
         raise error
     deviation = _worst_overlap(_vertex_triples(cmap), lines)
-    if not deviation <= tol:
+    if not deviation <= _TOL:
         raise InadmissibleDecorationError(
-            f"incident lines overlap by {deviation:.3e} (tolerance {tol:.1e})"
+            f"incident lines overlap by {deviation:.3e} (tolerance {_TOL:.1e})"
         )
     return list(_reflections(lines))
 
 
-def representation_to_decoration(matrices, tol: float = 1e-9) -> list[np.ndarray]:
+def representation_to_decoration(matrices) -> list[np.ndarray]:
     """Fixed lines of a family of order-2 matrices, indexed like the input.
 
     Raises ``ValueError`` naming the edge if some matrix is not an
-    order-2 special unitary within ``tol``.
+    order-2 special unitary within tolerance.
     """
     M, error = _stack(matrices, _as_matrix, (3, 3))
-    fault = _first_fault(M, tol)
+    fault = _first_fault(M)
     if fault is None and error is not None:
         if not isinstance(error, ValueError):
             raise error
@@ -456,7 +457,6 @@ def sample_admissible_decoration(
     cmap: CombinatorialMap,
     rng=None,
     *,
-    tol: float = 1e-9,
     max_retries: int = 100,
 ) -> list[np.ndarray]:
     """Random admissible decoration by constraint propagation over edges.
@@ -483,14 +483,11 @@ def sample_admissible_decoration(
     decoration space being empty.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts.  Raises
-    ``ValueError`` unless ``max_retries`` is at least 1 and ``tol`` is
-    positive and finite, and :class:`RetriesExhaustedError` after
-    ``max_retries`` conflicts.
+    ``ValueError`` unless ``max_retries`` is at least 1, and
+    :class:`RetriesExhaustedError` after ``max_retries`` conflicts.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
-    if not (0.0 < tol < np.inf):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(rng)
     triples = _vertex_triples(cmap)
     if _has_self_loop(triples):
@@ -523,7 +520,7 @@ def sample_admissible_decoration(
                 _, s, vh = np.linalg.svd(np.conj(np.array(fixed)))
                 free[f] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
                 priority[f] = (len(free[f]), bfs_rank[f])
-        if not priority and _worst_overlap(triples, np.array(lines)) <= tol:
+        if not priority and _worst_overlap(triples, np.array(lines)) <= _TOL:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines
     raise RetriesExhaustedError(

@@ -12,7 +12,6 @@ and default it, printing it in the report.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .coloring import count_tait
 from .planar import CombinatorialMap, disjoint_union
 from .reduction import EULER_WEIGHTS, TraceNode, apply_move, reduce_map
 from .su3 import (
+    _TOL,
     _line_overlaps,
     check_order_two_product,
     decoration_to_representation,
@@ -120,12 +120,10 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 # suites
 
 
-def _check_campaign(trials: int, tol: float) -> None:
-    """Reject a trial count or tolerance under which no check can fail."""
+def _check_campaign(trials: int) -> None:
+    """Reject a trial count under which no check can fail."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
 def run_theorem1() -> SuiteReport:
@@ -196,16 +194,16 @@ def run_conservation() -> SuiteReport:
     )
 
 
-def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
+def run_lemma5(trials: int = 1000, seed: int = 0) -> SuiteReport:
     """Order-2 product criterion on random pairs, both branches.
 
     Half the pairs come from orthogonal lines (product must again be
     order 2, with its axis orthogonal to both inputs), half from lines
     with overlap at least 0.001 (product must not be order 2).  The
     biconditional must hold on every pair.  Raises ``ValueError`` for
-    ``trials < 1`` or a ``tol`` that is not positive and finite.
+    ``trials < 1``.
     """
-    _check_campaign(trials, tol)
+    _check_campaign(trials)
     rng = np.random.default_rng(seed)
     n_orth = trials // 2
     n_slant = trials - n_orth
@@ -218,15 +216,13 @@ def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteRep
         raw = random_line(rng)
         b = raw - np.vdot(a, raw) * a
         b = b / np.linalg.norm(b)
-        report = check_order_two_product(
-            reflection_from_line(a), reflection_from_line(b), tol
-        )
+        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
         deviation = report.orthogonal_case_deviation
         worst = max(worst, deviation)
         if not (
             report.biconditional_holds
             and report.product_order_two
-            and deviation < tol
+            and deviation < _TOL
         ):
             failures += 1
 
@@ -236,9 +232,7 @@ def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteRep
             b = random_line(rng)
             if line_overlap(a, b) >= 1e-3:
                 break
-        report = check_order_two_product(
-            reflection_from_line(a), reflection_from_line(b), tol
-        )
+        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
         min_slant_overlap = min(min_slant_overlap, report.axis_overlap)
         if not (report.biconditional_holds and not report.product_order_two):
             failures += 1
@@ -249,17 +243,17 @@ def run_lemma5(trials: int = 1000, tol: float = 1e-9, seed: int = 0) -> SuiteRep
     )
     return SuiteReport(
         suite="lemma5",
-        passed=failures == 0 and worst < tol,
+        passed=failures == 0 and worst < _TOL,
         trials=trials,
         failures=failures,
         seed=seed,
-        tol=tol,
+        tol=_TOL,
         max_deviation=worst,
         lines=lines,
     )
 
 
-def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
+def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Decoration -> matrices -> decoration is the identity on lines.
 
     Trials rotate through the roundtrip fixtures; each samples a fresh
@@ -267,7 +261,7 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
     recovery defect 1 - |<v, v'>| per edge plus the vertex products.
     Raises ``ValueError`` as :func:`run_lemma5` does.
     """
-    _check_campaign(trials, tol)
+    _check_campaign(trials)
     rng = np.random.default_rng(seed)
     corpus = roundtrip_corpus()
     per_graph = {name: 0 for name, _ in corpus}
@@ -277,25 +271,25 @@ def run_roundtrip(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteR
     for i in range(trials):
         name, graph = corpus[i % len(corpus)]
         per_graph[name] += 1
-        decoration = sample_admissible_decoration(graph, rng, tol=tol)
-        matrices = decoration_to_representation(graph, decoration, tol)
-        recovered = representation_to_decoration(matrices, tol)
+        decoration = sample_admissible_decoration(graph, rng)
+        matrices = decoration_to_representation(graph, decoration)
+        recovered = representation_to_decoration(matrices)
         overlaps = _line_overlaps(np.array(decoration), np.array(recovered))
         vertex_dev = vertex_product_deviation(graph, matrices)
         # np.max, unlike max, lets a NaN through, and a NaN deviation fails
         deviation = float(np.max(1.0 - overlaps, initial=vertex_dev))
         worst = float(np.max([worst, deviation]))
-        if not deviation < tol:
+        if not deviation < _TOL:
             failures += 1
 
     lines = tuple(f"{name}: {n} decorations" for name, n in per_graph.items())
     return SuiteReport(
         suite="roundtrip",
-        passed=failures == 0 and worst < tol,
+        passed=failures == 0 and worst < _TOL,
         trials=trials,
         failures=failures,
         seed=seed,
-        tol=tol,
+        tol=_TOL,
         max_deviation=worst,
         lines=lines,
     )

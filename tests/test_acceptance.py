@@ -74,7 +74,7 @@ def test_c3_frontier_conservation():
 
 
 def test_c4_order_two_product_campaign():
-    result = run_lemma5(trials=1000, tol=1e-9, seed=0)
+    result = run_lemma5(trials=1000, seed=0)
     ok = result.passed and result.failures == 0 and result.max_deviation < 1e-9
     report(
         4,
@@ -85,7 +85,7 @@ def test_c4_order_two_product_campaign():
 
 
 def test_c5_decoration_roundtrip():
-    result = run_roundtrip(trials=100, tol=1e-9, seed=0)
+    result = run_roundtrip(trials=100, seed=0)
     per_graph = [line for line in result.lines]
     ok = (
         result.passed

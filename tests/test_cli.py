@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including the exit-code contract."""
 
+import dataclasses
 import inspect
 import io
 import json
@@ -220,14 +221,10 @@ def test_verify_unknown_suite(capsys):
     [
         ("--trials", "-4", "trials must be at least 1, got -4"),
         ("--trials", "0", "trials must be at least 1, got 0"),
-        ("--tol", "-1", "tol must be a positive finite number, got -1.0"),
-        ("--tol", "0", "tol must be a positive finite number, got 0.0"),
-        ("--tol", "nan", "tol must be a positive finite number, got nan"),
-        ("--tol", "inf", "tol must be a positive finite number, got inf"),
     ],
 )
 def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):
-    # a campaign with no trials or no working tolerance would report PASS
+    # a campaign with no trials would report PASS
     code, out, err = run(["verify", suite, flag, value], capsys)
     assert (code, out, err) == (EXIT_INVALID, "", f"tait: error: {message}\n")
 
@@ -238,8 +235,6 @@ def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):
     [
         ("--trials", "3"),
         ("--trials", "0"),
-        ("--tol", "1e-6"),
-        ("--tol", "nan"),
         ("--seed", "1"),
         ("--seed", "-1"),
     ],
@@ -249,6 +244,32 @@ def test_deterministic_suites_take_no_campaign_flags(suite, flag, value, capsys)
     assert (code, out) == (EXIT_INVALID, "")
     assert err.startswith(f"tait: error: suite {suite} ")
     assert err.count("\n") == 1 and flag[2:] in err
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "conservation", "lemma5", "roundtrip"])
+@pytest.mark.parametrize("value", ["1e-6", "1e-20"])
+def test_verify_has_no_tolerance_flag(suite, value, capsys):
+    # the SU(3) checks use one fixed tolerance; --tol is a usage error
+    code, out, err = run(["verify", suite, "--tol", value], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("tait: error: unrecognized arguments: --tol")
+    assert err.count("\n") == 1
+
+
+def test_lemma5_reports_failing_pairs(capsys, monkeypatch):
+    # a suite that could never fail would pass every test
+    check = verify.check_order_two_product
+
+    def broken(S, T):
+        return dataclasses.replace(check(S, T), biconditional_holds=False)
+
+    monkeypatch.setattr(verify, "check_order_two_product", broken)
+    report = verify.run_lemma5(trials=4)
+    assert (report.passed, report.failures) == (False, 4)
+    assert report.format_text().endswith("failures: 4\nresult: FAIL")
+    code, out, _ = run(["verify", "lemma5", "--trials", "4"], capsys)
+    assert code == EXIT_INVALID
+    assert out.endswith("failures: 4\nresult: FAIL\n")
 
 
 def test_verify_passes_flags_through_a_wrapped_suite(capsys, monkeypatch):

@@ -95,8 +95,10 @@ def test_int_mixing():
     assert 1 - p == -(p - 1)
     assert p != 7
     assert LaurentPoly({0: 7}) == 7
-    with pytest.raises(TypeError):
-        p + 1.5  # noqa: B018
+    assert (p == "q") is False
+    for op in (lambda: p + 1.5, lambda: p - 1.5, lambda: 1.5 - p, lambda: p * 1.5):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("c", [0, 1, 3, -5, 2**70])
@@ -134,6 +136,8 @@ def test_queries():
     assert LaurentPoly.zero().is_zero
     with pytest.raises(ValueError, match="no exponents"):
         LaurentPoly.zero().min_exponent  # noqa: B018
+    with pytest.raises(ValueError, match="no exponents"):
+        LaurentPoly().max_exponent  # noqa: B018
 
 
 def test_constructor_drops_zeros_and_rejects_nonints():

@@ -80,6 +80,14 @@ def test_vertex_edges_and_endpoints():
     assert sorted(d.vertex_edges(0)) == [0, 0, 1]
 
 
+def test_edge_endpoints_rejects_ids_that_name_no_edge():
+    g = disjoint_union(theta(), circle())  # edges 0-2 paired, edge 3 a free loop
+    assert [g.edge_endpoints(e) for e in range(g.n_edges)] == [(0, 1)] * 3 + [None]
+    for e in (-1, -4, 4, 99):
+        with pytest.raises(IndexError, match=f"edge {e} out of range"):
+            g.edge_endpoints(e)
+
+
 @pytest.mark.parametrize(
     "rotations,pairs,message",
     [
@@ -174,6 +182,7 @@ def test_equality_and_hash():
     assert hash(theta()) == hash(theta())
     assert theta() != necklace(1)
     assert theta() != disjoint_union(theta(), circle())
+    assert (theta() == "theta") is False
 
 
 def test_serialize_parse_roundtrip_on_catalog():

@@ -1,13 +1,14 @@
 """Order-2 special unitaries, the product criterion, and map decorations."""
 
 import dataclasses
+import inspect
 import re
 from collections import deque
 
 import numpy as np
 import pytest
 
-from tait import verify
+from tait import su3, verify
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.planar import disjoint_union
 from tait.su3 import (
@@ -297,16 +298,17 @@ def test_sampler_retry_budget_is_reported():
     assert info.value.retries == 3
 
 
+def test_one_tolerance_and_no_tolerance_parameter():
+    assert su3._TOL == 1e-9
+    functions = [getattr(su3, name) for name in su3.__all__] + [*verify.SUITES.values()]
+    for f in filter(inspect.isfunction, functions):
+        assert "tol" not in inspect.signature(f).parameters, f.__name__
+
+
 @pytest.mark.parametrize("max_retries", [0, -2])
 def test_sampler_rejects_bad_retry_budget(max_retries):
     with pytest.raises(ValueError, match="max_retries"):
         sample_admissible_decoration(theta(), rng=0, max_retries=max_retries)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_sampler_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tol"):
-        sample_admissible_decoration(theta(), rng=0, tol=tol)
 
 
 def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
