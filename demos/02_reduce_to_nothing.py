@@ -9,11 +9,9 @@ Reducing all the way to the empty map evaluates the graph to a number,
 and that number is the Tait coloring count.
 """
 
-import random
-
-from tait import count_tait, format_trace, reduce_map
+from tait import apply_move, available_moves, count_tait, format_trace, reduce_map
 from tait.catalog import cube, dodecahedron, k4, theta
-from tait.reduction import IrreducibleError, euler_characteristic
+from tait.reduction import EULER_WEIGHTS, IrreducibleError, euler_characteristic
 
 # The theta graph reduces in two steps: a bigon (factor 2) leaves one
 # free loop (factor 3).  The trace below prints depth, move kind, the
@@ -28,12 +26,14 @@ print("value:", trace.value(), "  count:", count_tait(theta()))
 print("\nk4  :", euler_characteristic(k4()), "==", count_tait(k4()))
 print("cube:", euler_characteristic(cube()), "==", count_tait(cube()))
 
-# The order of moves is free.  Picking moves at random gives the same
-# value whenever the run finishes.
-values = set()
-for seed in range(5):
-    values.add(reduce_map(cube(), rng=random.Random(seed)).value())
-print("\nrandomized cube runs all give:", values)
+# The order of moves is free.  Start the cube with any of its six
+# squares, not only the first: the move's multiplier (1 for a square)
+# times the values of the two children it leaves is 24 every time.
+print("\ncube, by first move:")
+for move in available_moves(cube()):
+    children = apply_move(cube(), move)
+    value = EULER_WEIGHTS.one * sum(reduce_map(child).value() for child in children)
+    print(f"  {move.kind.value} {move.half_edges}: {value}")
 
 # A map with no loop, bigon, triangle, or square is irreducible and
 # the engine reports it rather than guessing.  The dodecahedron is the

@@ -64,6 +64,13 @@ def _gather(table: Sequence, ids: Sequence[int]) -> tuple:
     return tuple([table[i] for i in ids])
 
 
+def _in_range(i: int, n: int, name: str, plural: str) -> int:
+    """``i``, once checked to be one of ``n`` ids; a negative one is not."""
+    if not 0 <= i < n:
+        raise IndexError(f"{name} {i} out of range for a map with {n} {plural}")
+    return i
+
+
 class MapError(ValueError):
     """Raised when half-edge data does not describe a valid trivalent map."""
 
@@ -267,26 +274,25 @@ class CombinatorialMap:
     def is_planar(self) -> bool:
         return self._planar
 
+    # The id queries raise IndexError unless the id is in range: a
+    # negative id would otherwise index the tables from the end.
+
     def edge_of(self, h: int) -> int:
-        return self._edge_of[h]
+        """Edge id of half-edge ``h``."""
+        return self._edge_of[_in_range(h, len(self._twin), "half-edge", "half-edges")]
 
     def rotation(self, v: int) -> tuple[int, int, int]:
         """Counterclockwise half-edge rotation at ``v``, smallest first."""
-        return self._rotations[v]
+        return self._rotations[_in_range(v, len(self._twin) // 3, "vertex", "vertices")]
 
     def vertex_edges(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to ``v`` in rotation order (a self-loop repeats)."""
-        r = self._rotations[v]
+        r = self.rotation(v)
         return (self._edge_of[r[0]], self._edge_of[r[1]], self._edge_of[r[2]])
 
     def edge_endpoints(self, e: int) -> tuple[int, int] | None:
-        """Vertices of edge ``e``; ``None`` for a free-loop edge.
-
-        Raises ``IndexError`` unless ``0 <= e < n_edges``.
-        """
-        if not 0 <= e < self.n_edges:
-            raise IndexError(f"edge {e} out of range for a map with {self.n_edges} edges")
-        if e >= len(self.edges):
+        """Vertices of edge ``e``; ``None`` for a free-loop edge."""
+        if _in_range(e, self.n_edges, "edge", "edges") >= len(self.edges):
             return None
         a, b = self.edges[e]
         return (self.vertex_of[a], self.vertex_of[b])

@@ -61,6 +61,8 @@ _I3 = np.eye(3, dtype=complex)
 
 _TOL = 1e-9
 
+_RETRIES = 100  # attempts the decoration sampler makes before it gives up
+
 
 class InadmissibleDecorationError(ValueError):
     """Raised when incident lines are not pairwise orthogonal."""
@@ -69,7 +71,8 @@ class InadmissibleDecorationError(ValueError):
 class RetriesExhaustedError(RuntimeError):
     """Raised when decoration sampling keeps hitting conflicts.
 
-    Carries the retry budget on ``retries``.  Exhaustion means this run
+    Carries the retry budget on ``retries``: ``_RETRIES``, or 0 for a
+    vertex self-loop, refused before any attempt.  Exhaustion means this run
     found no admissible decoration, not that none exists.
     """
 
@@ -453,12 +456,7 @@ def _edge_bfs_order(neighbors: list[list[int]]) -> list[int]:
     return order
 
 
-def sample_admissible_decoration(
-    cmap: CombinatorialMap,
-    rng=None,
-    *,
-    max_retries: int = 100,
-) -> list[np.ndarray]:
+def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.ndarray]:
     """Random admissible decoration by constraint propagation over edges.
 
     Repeatedly assigns the most-constrained unfixed edge (ties broken
@@ -477,17 +475,14 @@ def sample_admissible_decoration(
     graphs leave independent free choices that often never close up:
     the dodecahedron and the Petersen graph exhaust their retries, and
     so do most small random planar cubic maps that have Tait colorings
-    (with ``rng=0``, 5 of the 8 colorable ``random_planar_cubic(14,
+    (with ``rng`` 0, 5 of the 8 colorable ``random_planar_cubic(14,
     seed)`` maps of the tests at seeds 0-7, and 7 of 8 at 20 vertices).
     Exhaustion is a statement about this sampler, not about the
     decoration space being empty.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts.  Raises
-    ``ValueError`` unless ``max_retries`` is at least 1, and
-    :class:`RetriesExhaustedError` after ``max_retries`` conflicts.
+    :class:`RetriesExhaustedError` after ``_RETRIES`` (100) failed attempts.
     """
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     rng = np.random.default_rng(rng)
     triples = _vertex_triples(cmap)
     if _has_self_loop(triples):
@@ -497,7 +492,7 @@ def sample_admissible_decoration(
     neighbors = _edge_neighbors(cmap)
     bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(neighbors))}
 
-    for _ in range(max_retries):
+    for _ in range(_RETRIES):
         lines: list[np.ndarray | None] = [None] * len(neighbors)
         # rows spanning the lines each unfixed edge may still take
         free = [_I3] * len(neighbors)
@@ -524,6 +519,5 @@ def sample_admissible_decoration(
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines
     raise RetriesExhaustedError(
-        f"no admissible decoration found in {max_retries} attempts",
-        retries=max_retries,
+        f"no admissible decoration found in {_RETRIES} attempts", retries=_RETRIES
     )

@@ -1,5 +1,7 @@
 """The package's public names."""
 
+import inspect
+
 import tait
 
 PUBLIC_NAMES = {
@@ -41,3 +43,11 @@ def test_every_public_name_resolves():
     for name in tait.__all__:
         assert hasattr(tait, name), name
 
+
+def test_reduction_and_sampler_take_no_settings():
+    # move order and the retry budget are fixed: priority order, 100 attempts
+    for f, params in (
+        (tait.reduce_map, ["cmap", "weights"]),
+        (tait.sample_admissible_decoration, ["cmap", "rng"]),
+    ):
+        assert [*inspect.signature(f).parameters] == params

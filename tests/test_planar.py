@@ -88,6 +88,19 @@ def test_edge_endpoints_rejects_ids_that_name_no_edge():
             g.edge_endpoints(e)
 
 
+def test_vertex_and_half_edge_queries_reject_ids_out_of_range():
+    g = disjoint_union(theta(), circle())  # 2 vertices, 6 half-edges
+    assert [g.rotation(v) for v in range(2)] == [(0, 1, 2), (3, 5, 4)]
+    assert [g.vertex_edges(v) for v in range(2)] == [(0, 1, 2), (0, 2, 1)]
+    assert [g.edge_of(h) for h in range(6)] == [0, 1, 2, 0, 1, 2]
+    for query, n, name in (
+        (g.rotation, 2, "vertex"), (g.vertex_edges, 2, "vertex"), (g.edge_of, 6, "half-edge")
+    ):
+        for i in (-1, -n, n, 99):
+            with pytest.raises(IndexError, match=f"^{name} {i} out of range"):
+                query(i)
+
+
 @pytest.mark.parametrize(
     "rotations,pairs,message",
     [

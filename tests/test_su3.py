@@ -1,6 +1,7 @@
 """Order-2 special unitaries, the product criterion, and map decorations."""
 
 import dataclasses
+import functools
 import inspect
 import re
 from collections import deque
@@ -294,8 +295,9 @@ def test_sampler_rejects_self_loops_immediately():
 
 def test_sampler_retry_budget_is_reported():
     with pytest.raises(RetriesExhaustedError) as info:
-        sample_admissible_decoration(dodecahedron(), rng=0, max_retries=3)
-    assert info.value.retries == 3
+        sample_admissible_decoration(dodecahedron(), rng=0)
+    assert info.value.retries == su3._RETRIES == 100
+    assert str(info.value) == "no admissible decoration found in 100 attempts"
 
 
 def test_one_tolerance_and_no_tolerance_parameter():
@@ -303,12 +305,6 @@ def test_one_tolerance_and_no_tolerance_parameter():
     functions = [getattr(su3, name) for name in su3.__all__] + [*verify.SUITES.values()]
     for f in filter(inspect.isfunction, functions):
         assert "tol" not in inspect.signature(f).parameters, f.__name__
-
-
-@pytest.mark.parametrize("max_retries", [0, -2])
-def test_sampler_rejects_bad_retry_budget(max_retries):
-    with pytest.raises(ValueError, match="max_retries"):
-        sample_admissible_decoration(theta(), rng=0, max_retries=max_retries)
 
 
 def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
@@ -411,15 +407,16 @@ def test_sampler_solves_each_constraint_once(g, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    sample_admissible_decoration(g, rng=0, max_retries=1)
+    monkeypatch.setattr(su3, "_RETRIES", 1)
+    sample_admissible_decoration(g, rng=0)
     adjacent = {frozenset((e, f)) for e, near in enumerate(_edge_neighbors(g)) for f in near}
     assert len(solved) == len(adjacent)
 
 
-def sampler_outcome(sampler, g, seed, max_retries):
+def sampler_outcome(sampler, g, seed):
     """The lines a sampler returns, or the text and budget of its exhaustion."""
     try:
-        return sampler(g, seed, max_retries=max_retries)
+        return sampler(g, seed)
     except RetriesExhaustedError as exc:
         return str(exc), exc.retries
 
@@ -444,10 +441,12 @@ REFERENCE_MAPS = (
     [(g, r) for _, g, r in REFERENCE_MAPS],
     ids=[n for n, _, _ in REFERENCE_MAPS],
 )
-def test_sampler_matches_rescanning_reference(g, max_retries):
+def test_sampler_matches_rescanning_reference(g, max_retries, monkeypatch):
+    monkeypatch.setattr(su3, "_RETRIES", max_retries)
+    reference = functools.partial(rescanning_sampler, max_retries=max_retries)
     for seed in range(5):
-        want = sampler_outcome(rescanning_sampler, g, seed, max_retries)
-        got = sampler_outcome(sample_admissible_decoration, g, seed, max_retries)
+        want = sampler_outcome(reference, g, seed)
+        got = sampler_outcome(sample_admissible_decoration, g, seed)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -618,7 +617,7 @@ def decorations_of(g, seed):
     rng = np.random.default_rng(seed)
     out = [[random_line(rng) for _ in range(g.n_edges)]]
     try:
-        out.append(sample_admissible_decoration(g, rng, max_retries=5))
+        out.append(sample_admissible_decoration(g, rng))
     except RetriesExhaustedError:
         pass
     return out
@@ -627,7 +626,8 @@ def decorations_of(g, seed):
 @pytest.mark.parametrize(
     "g", [g for _, g in CONVERSION_MAPS], ids=[n for n, _ in CONVERSION_MAPS]
 )
-def test_stacked_functions_match_per_edge_reference(g):
+def test_stacked_functions_match_per_edge_reference(g, monkeypatch):
+    monkeypatch.setattr(su3, "_RETRIES", 5)  # a sampled decoration or none, quickly
     for seed in range(4):
         for lines in decorations_of(g, seed):
             # reflections of any unit lines are order 2, admissible or not
