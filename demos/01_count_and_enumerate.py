@@ -36,7 +36,6 @@ print("theta + theta:", count_tait(disjoint_union(theta(), theta())))
 dumbbell = build_map(
     [(0, (0, 1, 2)), (1, (3, 4, 5))],
     [(0, 1), (2, 3), (4, 5)],
-    check_planar=False,
 )
 print("\ndumbbell (two self-loops):", count_tait(dumbbell))
 

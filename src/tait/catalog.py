@@ -4,7 +4,7 @@ Every builder returns a fresh :class:`~tait.planar.CombinatorialMap`
 with dense ids.  Rotations are counterclockwise in a standard drawing:
 ring-shaped graphs list (forward along the ring, toward the center,
 backward), so Euler's formula pins each embedding to the sphere.  The
-Petersen graph has no such embedding and is built unchecked.
+Petersen graph has no such embedding: its map has ``is_planar`` false.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def petersen() -> CombinatorialMap:
         pairs.append((p, 3 * ((i + 1) % 5) + 2))  # outer ring
         pairs.append((p + 1, q))  # spoke
         pairs.append((q + 1, 15 + 3 * ((i + 2) % 5) + 2))  # pentagram chord
-    return build_map(rotations, pairs, check_planar=False)
+    return build_map(rotations, pairs)
 
 
 def necklace(k: int) -> CombinatorialMap:

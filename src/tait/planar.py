@@ -5,8 +5,8 @@ A map is a pair of permutations acting on half-edge indices ``0..n-1``:
 rotates the half-edges counterclockwise around the vertex carrying
 them.  Faces are the orbits of ``h -> next_at_vertex[twin[h]]``.  A
 rotation system describes an embedding in the sphere exactly when every
-connected component satisfies Euler's formula V - E + F = 2; maps are
-checked for this at construction unless explicitly told not to be.
+connected component satisfies Euler's formula V - E + F = 2; every map
+records whether it does as ``is_planar``, and is built either way.
 
 A vertex is a 3-cycle of ``next_at_vertex``, so the two permutations
 are the whole map: vertices are numbered in order of their smallest
@@ -99,8 +99,6 @@ class CombinatorialMap:
         twin: Sequence[int],
         next_at_vertex: Sequence[int],
         free_loops: int = 0,
-        *,
-        check_planar: bool = True,
     ):
         twin = tuple(twin)
         sigma = tuple(next_at_vertex)
@@ -156,7 +154,7 @@ class CombinatorialMap:
         self._free_loops = free_loops
 
         self._orbits, face_of = self._trace_orbits()
-        self._planar = self._check_euler(face_of, check_planar)
+        self._non_planar = self._check_euler(face_of)
 
     def _trace_orbits(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         """Face orbits by smallest half-edge, and the face of each half-edge."""
@@ -175,7 +173,8 @@ class CombinatorialMap:
             orbits.append(tuple(orbit))
         return tuple(orbits), face_of
 
-    def _check_euler(self, face_of: list[int], raise_on_failure: bool) -> bool:
+    def _check_euler(self, face_of: list[int]) -> str | None:
+        """``None`` for a planar map, else the first non-planar component."""
         # connected components as sets of faces, reached a whole frontier
         # at a time across twin: <phi, twin> = <sigma, twin>, so these are
         # the components of the map.  Faces go by smallest half-edge, so a
@@ -200,17 +199,15 @@ class CombinatorialMap:
         # component exactly when each one is planar; V = n/3 and E = n/2
         n = len(face_of)
         if n // 3 - n // 2 + len(orbits) == 2 * len(comps):
-            return True
-        if raise_on_failure:
-            for c, comp in enumerate(comps):
-                # V - E + F = n/3 - n/2 + F on a component with n half-edges
-                chi = len(comp) - sum([len(orbits[f]) for f in comp]) // 6
-                if chi != 2:
-                    raise NonPlanarError(
-                        f"component {c}: V - E + F = {chi}, expected 2 "
-                        "(rotation system is not planar)"
-                    )
-        return False
+            return None
+        for c, comp in enumerate(comps):
+            # V - E + F = n/3 - n/2 + F on a component with n half-edges
+            chi = len(comp) - sum([len(orbits[f]) for f in comp]) // 6
+            if chi != 2:
+                return (
+                    f"component {c}: V - E + F = {chi}, expected 2 "
+                    "(rotation system is not planar)"
+                )
 
     # ------------------------------------------------------------------
     # basic queries
@@ -272,7 +269,7 @@ class CombinatorialMap:
 
     @property
     def is_planar(self) -> bool:
-        return self._planar
+        return self._non_planar is None
 
     # The id queries raise IndexError unless the id is in range: a
     # negative id would otherwise index the tables from the end.
@@ -356,8 +353,6 @@ def build_map(
     vertex_rotations: Iterable[tuple[int, Sequence[int]]],
     edge_pairs: Iterable[tuple[int, int]],
     free_loops: int = 0,
-    *,
-    check_planar: bool = True,
 ) -> CombinatorialMap:
     """Build a validated map from rotations and pairings with arbitrary ids.
 
@@ -366,7 +361,8 @@ def build_map(
     half-edge ids two by two.  Ids may be any non-negative integers.
     Half-edges are relabeled densely in sorted order; vertex ids only
     have to be distinct, and vertices are renumbered by smallest
-    half-edge, as every map numbers them.
+    half-edge, as every map numbers them.  A non-planar rotation system
+    is built too, with ``is_planar`` false.
     """
     rotations = list(vertex_rotations)
     pairs = list(edge_pairs)
@@ -411,7 +407,7 @@ def build_map(
         sigma[h1] = h2
         sigma[h2] = h3
         sigma[h3] = h1
-    return CombinatorialMap(twin, sigma, free_loops, check_planar=check_planar)
+    return CombinatorialMap(twin, sigma, free_loops)
 
 
 def disjoint_union(a: CombinatorialMap, b: CombinatorialMap) -> CombinatorialMap:
@@ -419,7 +415,7 @@ def disjoint_union(a: CombinatorialMap, b: CombinatorialMap) -> CombinatorialMap
     dh = a.n_half_edges
     twin = a.twin + tuple(t + dh for t in b.twin)
     sigma = a.next_at_vertex + tuple(s + dh for s in b.next_at_vertex)
-    return CombinatorialMap(twin, sigma, a.free_loops + b.free_loops, check_planar=False)
+    return CombinatorialMap(twin, sigma, a.free_loops + b.free_loops)
 
 
 # ----------------------------------------------------------------------
@@ -439,8 +435,8 @@ def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
 
     Lines are ``vertex <id>: <h> <h> <h>``, ``edge <id>: <h> <h>`` and
     ``loops <n>`` (default 0); ``#`` starts a comment.  Structure is
-    validated; planarity is checked only on request, so non-planar
-    rotation systems can still be read for abstract-graph work.
+    validated.  A non-planar map is read too, unless ``check_planar``
+    asks for :class:`NonPlanarError`, naming its first failing component.
     """
     rotations: list[tuple[int, tuple[int, int, int]]] = []
     pairs: list[tuple[int, int]] = []
@@ -483,11 +479,12 @@ def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
         else:
             raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
     try:
-        return build_map(rotations, pairs, loops, check_planar=check_planar)
-    except (ParseError, NonPlanarError):
-        raise
+        cmap = build_map(rotations, pairs, loops)
     except MapError as exc:
         raise ParseError(str(exc)) from exc
+    if check_planar and not cmap.is_planar:
+        raise NonPlanarError(cmap._non_planar)
+    return cmap
 
 
 def serialize_map(cmap: CombinatorialMap) -> str:

@@ -327,17 +327,17 @@ def reduce_map(
     depth meets the recursion limit, and only maps still waiting on the
     stack are held.  The tree is assembled from the recorded steps.
 
-    Raises :class:`NonPlanarError` for maps that do not embed in the
-    sphere and :class:`IrreducibleError` when no move matches.
+    Raises :class:`NonPlanarError` for a map, the root or any map a move
+    makes, that does not embed in the sphere, and
+    :class:`IrreducibleError` when no move matches.
     """
-    if not cmap.is_planar:
-        raise NonPlanarError("reduction moves are only valid for planar maps")
-
     # (move, multiplier, number of children) for every node, in pre-order
     steps: list[tuple[Move | None, W, int]] = []
     todo = [cmap]
     while todo:
         graph = todo.pop()
+        if not graph.is_planar:
+            raise NonPlanarError("reduction moves are only valid for planar maps")
         if graph.n_half_edges == 0 and graph.free_loops == 0:
             steps.append((None, weights.one, 0))
             continue

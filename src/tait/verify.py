@@ -120,10 +120,12 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 # suites
 
 
-def _check_campaign(trials: int) -> None:
-    """Reject a trial count under which no check can fail."""
+def _check_campaign(trials: int, seed: int) -> None:
+    """Reject a trial count under which no check can fail, and a negative seed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def run_theorem1() -> SuiteReport:
@@ -201,9 +203,9 @@ def run_lemma5(trials: int = 1000, seed: int = 0) -> SuiteReport:
     order 2, with its axis orthogonal to both inputs), half from lines
     with overlap at least 0.001 (product must not be order 2).  The
     biconditional must hold on every pair.  Raises ``ValueError`` for
-    ``trials < 1``.
+    ``trials < 1`` or ``seed < 0``.
     """
-    _check_campaign(trials)
+    _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)
     n_orth = trials // 2
     n_slant = trials - n_orth
@@ -261,7 +263,7 @@ def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
     recovery defect 1 - |<v, v'>| per edge plus the vertex products.
     Raises ``ValueError`` as :func:`run_lemma5` does.
     """
-    _check_campaign(trials)
+    _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)
     corpus = roundtrip_corpus()
     per_graph = {name: 0 for name, _ in corpus}

@@ -221,6 +221,8 @@ def test_verify_unknown_suite(capsys):
     [
         ("--trials", "-4", "trials must be at least 1, got -4"),
         ("--trials", "0", "trials must be at least 1, got 0"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--seed", "-7", "seed must be non-negative, got -7"),
     ],
 )
 def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):

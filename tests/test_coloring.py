@@ -168,7 +168,7 @@ def random_planar_cubic(n_vertices: int, seed: int) -> CombinatorialMap:
             pairs += [(x, p[0]), (p[1], tx), (y, q[0]), (q[1], ty)]
         pairs.append((p[2], q[2]))
         for rp, rq in product((p, (p[0], p[2], p[1])), (q, (q[0], q[2], q[1]))):
-            g = build_map(rotations + [(v, rp), (v + 1, rq)], pairs, check_planar=False)
+            g = build_map(rotations + [(v, rp), (v + 1, rq)], pairs)
             if g.is_planar:
                 break
     return g

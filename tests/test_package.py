@@ -51,3 +51,12 @@ def test_reduction_and_sampler_take_no_settings():
         (tait.sample_admissible_decoration, ["cmap", "rng"]),
     ):
         assert [*inspect.signature(f).parameters] == params
+
+
+def test_maps_build_without_a_planarity_setting():
+    # a non-planar map is built and says so; only parse_map takes check_planar
+    for f, params in (
+        (tait.CombinatorialMap, ["twin", "next_at_vertex", "free_loops"]),
+        (tait.build_map, ["vertex_rotations", "edge_pairs", "free_loops"]),
+    ):
+        assert [*inspect.signature(f).parameters] == params

@@ -158,12 +158,12 @@ def test_sparse_ids_relabel_densely():
     assert g == theta()
 
 
-def test_non_planar_rotation_rejected_then_allowed():
+def test_non_planar_rotation_built_then_refused_on_parse():
     rotations, pairs, _ = petersen().to_rotations_and_pairs()
-    with pytest.raises(NonPlanarError):
-        build_map(rotations, pairs)
-    g = build_map(rotations, pairs, check_planar=False)
+    g = build_map(rotations, pairs)
     assert not g.is_planar
+    with pytest.raises(NonPlanarError):
+        parse_map(serialize_map(g), check_planar=True)
 
 
 def test_bipartiteness():
@@ -268,18 +268,19 @@ def test_parse_checks_planarity_only_on_request():
 def test_to_rotations_and_pairs_rebuilds():
     for g in (theta(), k4(), necklace(2)):
         rotations, pairs, loops = g.to_rotations_and_pairs()
-        assert build_map(rotations, pairs, loops, check_planar=False) == g
+        assert build_map(rotations, pairs, loops) == g
 
 
 # ----------------------------------------------------------------------
 # the constructor's table comparisons against per-index loops
 
 
-def reference_validate(twin, sigma, check_planar=True):
+def reference_validate(twin, sigma):
     """The constructor's checks written as one loop per check.
 
-    Returns ``(exception type, message)`` for the first failure, or
-    ``None`` when the tables describe a valid map.
+    Returns ``(exception type, message)`` for the first structural fault,
+    ``(NonPlanarError, message)`` naming the first component that fails
+    Euler's formula, or ``None`` when the tables describe a planar map.
     """
     n = len(twin)
     try:
@@ -294,51 +295,55 @@ def reference_validate(twin, sigma, check_planar=True):
         for h in range(n):
             if len({h, sigma[h], sigma[sigma[h]]}) != 3 or sigma[sigma[sigma[h]]] != h:
                 raise MapError(f"rotation at half-edge {h} is not a single 3-cycle")
-        if check_planar:
-            # components of the half-edges under twin and sigma, by smallest half-edge
-            comp = [-1] * n
-            n_comps = 0
-            for h0 in range(n):
-                if comp[h0] < 0:
-                    comp[h0] = n_comps
-                    todo = [h0]
-                    while todo:
-                        h = todo.pop()
-                        for g in (twin[h], sigma[h]):
-                            if comp[g] < 0:
-                                comp[g] = n_comps
-                                todo.append(g)
-                    n_comps += 1
-            chi = [0] * n_comps
-            seen = [False] * n
-            for h0 in range(n):
-                if not seen[h0]:
-                    chi[comp[h0]] += 1  # one face
-                    h = h0
-                    while not seen[h]:
-                        seen[h] = True
-                        h = sigma[twin[h]]
-            for c in range(n_comps):
-                # a vertex is a 3-cycle of sigma, named by its smallest half-edge
-                halves = [h for h in range(n) if comp[h] == c]
-                vertices = {min(h, sigma[h], sigma[sigma[h]]) for h in halves}
-                chi[c] += len(vertices) - len(halves) // 2
-                if chi[c] != 2:
-                    raise NonPlanarError(
-                        f"component {c}: V - E + F = {chi[c]}, expected 2 "
-                        "(rotation system is not planar)"
-                    )
+        # components of the half-edges under twin and sigma, by smallest half-edge
+        comp = [-1] * n
+        n_comps = 0
+        for h0 in range(n):
+            if comp[h0] < 0:
+                comp[h0] = n_comps
+                todo = [h0]
+                while todo:
+                    h = todo.pop()
+                    for g in (twin[h], sigma[h]):
+                        if comp[g] < 0:
+                            comp[g] = n_comps
+                            todo.append(g)
+                n_comps += 1
+        chi = [0] * n_comps
+        seen = [False] * n
+        for h0 in range(n):
+            if not seen[h0]:
+                chi[comp[h0]] += 1  # one face
+                h = h0
+                while not seen[h]:
+                    seen[h] = True
+                    h = sigma[twin[h]]
+        for c in range(n_comps):
+            # a vertex is a 3-cycle of sigma, named by its smallest half-edge
+            halves = [h for h in range(n) if comp[h] == c]
+            vertices = {min(h, sigma[h], sigma[sigma[h]]) for h in halves}
+            chi[c] += len(vertices) - len(halves) // 2
+            if chi[c] != 2:
+                raise NonPlanarError(
+                    f"component {c}: V - E + F = {chi[c]}, expected 2 "
+                    "(rotation system is not planar)"
+                )
     except MapError as exc:
         return type(exc), str(exc)
     return None
 
 
-def constructor_outcome(twin, sigma, check_planar=True):
+def constructor_outcome(twin, sigma):
+    """The constructor's verdict in :func:`reference_validate`'s terms.
+
+    A structural fault raises; a non-planar map is built, and its
+    recorded component text is the message.
+    """
     try:
-        CombinatorialMap(twin, sigma, check_planar=check_planar)
+        g = CombinatorialMap(twin, sigma)
     except MapError as exc:
         return type(exc), str(exc)
-    return None
+    return None if g.is_planar else (NonPlanarError, g._non_planar)
 
 
 def corrupt(cmap, rng):
@@ -390,11 +395,10 @@ def test_constructor_matches_loop_reference(cmap):
     outcomes = set()
     for _ in range(400):
         twin, sigma = corrupt(cmap, rng)
-        for check_planar in (True, False):
-            expected = reference_validate(twin, sigma, check_planar)
-            assert constructor_outcome(twin, sigma, check_planar) == expected
-            # each message with its numbers blanked out names one kind of fault
-            outcomes.add(None if expected is None else re.sub(r"-?\d+", "#", expected[1]))
+        expected = reference_validate(twin, sigma)
+        assert constructor_outcome(twin, sigma) == expected
+        # each message with its numbers blanked out names one kind of fault
+        outcomes.add(None if expected is None else re.sub(r"-?\d+", "#", expected[1]))
     assert None in outcomes and len(outcomes) >= 5
 
 
@@ -479,7 +483,7 @@ def test_non_planar_component_matches_loop_reference(parts, component):
 def test_non_planar_component_is_named():
     u = disjoint_union(theta(), petersen())
     with pytest.raises(NonPlanarError) as info:
-        CombinatorialMap(u.twin, u.next_at_vertex)
+        parse_map(serialize_map(u), check_planar=True)
     assert str(info.value) == "component 1: V - E + F = -2, expected 2 (rotation system is not planar)"
     assert reference_validate(u.twin, u.next_at_vertex) == (NonPlanarError, str(info.value))
 
@@ -538,7 +542,7 @@ def test_lazy_tables_match_eager_build():
         assert g.n_edges == len(expected["edges"]) + g.free_loops, name
         for first in QUERIES:
             # a fresh copy, so ``first`` is the query that builds its table
-            fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops, check_planar=False)
+            fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
             answers = {first: QUERIES[first](fresh)}
             answers.update((q, ask(fresh)) for q, ask in QUERIES.items() if q != first)
             assert answers == expected, (name, first)
@@ -607,7 +611,7 @@ def bipartite_test_maps():
 def test_is_bipartite_matches_vertex_search():
     answers = set()
     for name, g in bipartite_test_maps():
-        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops, check_planar=False)
+        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
         answer = fresh.is_bipartite()
         # the two permutations answer it: no vertex, edge or rotation table is built
         assert built_tables(fresh) == [], name

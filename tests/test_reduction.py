@@ -336,6 +336,23 @@ def test_nonplanar_is_rejected():
         reduce_map(petersen())
 
 
+def test_nonplanar_child_is_rejected(monkeypatch):
+    # every map reduce_map pops is checked, not only the root: Petersen
+    # offers no move, so without the check this would be irreducible
+    moves = []
+
+    def first_move_makes_petersen(g, move):
+        moves.append(move)
+        return (petersen(),) if len(moves) == 1 else apply_move(g, move)
+
+    monkeypatch.setattr(reduction, "apply_move", first_move_makes_petersen)
+    assert find_move(petersen()) is None
+    with pytest.raises(NonPlanarError) as info:
+        reduce_map(theta())
+    assert str(info.value) == "reduction moves are only valid for planar maps"
+    assert len(moves) == 1
+
+
 def test_every_move_is_refused_on_a_nonplanar_map():
     # the planar theta and circle offer moves, but the map as a whole does not embed
     g = disjoint_union(disjoint_union(petersen(), theta()), circle())
@@ -485,7 +502,7 @@ SEARCH_MAPS = CATALOG_MAPS + UNIONS + [
 def test_move_search_matches_eager_definition(cmap):
     for g in priority_path_maps(cmap):
         # a fresh copy, so the search sees only what the constructor built
-        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops, check_planar=False)
+        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
         moves = available_moves(fresh)
         best = min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
         assert find_move(fresh) == best
@@ -503,7 +520,7 @@ def built_tables(g: CombinatorialMap) -> list[str]:
     "cmap", [g for _, g in SEARCH_MAPS], ids=[name for name, _ in SEARCH_MAPS]
 )
 def test_reduction_builds_no_edge_or_rotation_table(cmap):
-    root = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops, check_planar=False)
+    root = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops)
     for g in priority_path_maps(root):
         assert built_tables(g) == []
     # the probe sees a table once something asks for it
@@ -647,7 +664,7 @@ def chain_apply_move(cmap, move):
     kind = move.kind
     if kind is MoveKind.LOOP:
         loops = cmap.free_loops - 1
-        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops, check_planar=False),)
+        return (CombinatorialMap(cmap.twin, cmap.next_at_vertex, loops),)
     face = _checked_face(cmap, tuple(move.half_edges), kind)
     sigma, twin = cmap.next_at_vertex, cmap.twin
     x = [sigma[k] for k in face]
