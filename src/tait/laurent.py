@@ -5,7 +5,8 @@ bigon weights in it.  Over the integers those weights are 3 and 2 and
 the value counts Tait colorings; replacing them with the quantum
 integers [3] and [2] refines the count to a Laurent polynomial that
 still reports the count at q = 1.  The refinement is defined for
-bipartite maps, where the reduction can never get stuck.
+bipartite maps, where the reduction can never get stuck.  Its trace is
+``reduce_map(cmap, P3_WEIGHTS)``, as the integer one is ``reduce_map(cmap)``.
 
 >>> from tait.catalog import theta
 >>> str(p3(theta()))
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .planar import CombinatorialMap
-from .reduction import IrreducibleError, RelationWeights, TraceNode, reduce_map
+from .reduction import RelationWeights, reduce_map
 
 __all__ = [
     "LaurentPoly",
@@ -29,7 +30,6 @@ __all__ = [
     "parse_laurent",
     "P3_WEIGHTS",
     "p3",
-    "p3_trace",
 ]
 
 
@@ -260,29 +260,17 @@ def parse_laurent(text: str) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-P3_WEIGHTS: RelationWeights[LaurentPoly] = RelationWeights(
-    loop=quantum_integer(3),
-    bigon=quantum_integer(2),
-    one=LaurentPoly.one(),
-)
+P3_WEIGHTS = RelationWeights(loop=quantum_integer(3), bigon=quantum_integer(2))
 
 
-def p3_trace(cmap: CombinatorialMap) -> TraceNode[LaurentPoly]:
-    """Reduction trace of a bipartite planar map under quantum weights."""
+def p3(cmap: CombinatorialMap) -> LaurentPoly:
+    """Quantum coloring polynomial, ``reduce_map(cmap, P3_WEIGHTS).value()``.
+
+    At q = 1 it is the Tait count.  Raises :class:`NotBipartiteError` off
+    the bipartite domain, and otherwise what :func:`reduce_map` raises.
+    """
     if not cmap.is_bipartite():
         raise NotBipartiteError(
             "the quantum coloring polynomial is defined for bipartite maps"
         )
-    try:
-        return reduce_map(cmap, P3_WEIGHTS)
-    except IrreducibleError as exc:  # bipartite planar maps always reduce
-        raise AssertionError(f"bipartite map got stuck: {exc.graph!r}") from exc
-
-
-def p3(cmap: CombinatorialMap) -> LaurentPoly:
-    """Quantum coloring polynomial; at q = 1 it is the Tait count.
-
-    Raises :class:`NotBipartiteError` off the bipartite domain and
-    :class:`~tait.planar.NonPlanarError` off the planar one.
-    """
-    return p3_trace(cmap).value()
+    return reduce_map(cmap, P3_WEIGHTS).value()

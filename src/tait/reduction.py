@@ -27,6 +27,7 @@ import enum
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Generic, Iterable, TypeVar
 
 from .planar import CombinatorialMap, MapError, NonPlanarError, _gather
@@ -68,18 +69,17 @@ class Move:
 
 @dataclass(frozen=True)
 class RelationWeights(Generic[W]):
-    """Multipliers attached to the moves.
-
-    ``one`` is the multiplicative unit of the value ring; triangle and
-    square moves always carry it.
-    """
+    """Multipliers of the loop and bigon moves; triangles, squares and empty maps carry ``one``."""
 
     loop: W
     bigon: W
-    one: W
+
+    @cached_property
+    def one(self) -> W:  # the unit of the weights' ring, derived once
+        return self.loop**0
 
 
-EULER_WEIGHTS = RelationWeights(loop=3, bigon=2, one=1)
+EULER_WEIGHTS = RelationWeights(loop=3, bigon=2)
 
 
 class InvalidMoveError(MapError):
@@ -276,7 +276,7 @@ def apply_move(
     its four in both planar ways.  Raises :class:`NonPlanarError` for a
     map that does not embed in the sphere, whatever the move, and
     :class:`InvalidMoveError` unless the kind is a :class:`MoveKind` and
-    the site is a face matching it.
+    the site is a face matching it, or ``()`` for a loop.
     """
     if not cmap.is_planar:
         raise NonPlanarError("reduction moves are only valid for planar maps")
@@ -284,6 +284,8 @@ def apply_move(
     if not isinstance(kind, MoveKind):
         raise InvalidMoveError(f"unknown move kind {kind!r}")
     if kind is MoveKind.LOOP:
+        if not isinstance(move.half_edges, tuple) or move.half_edges:
+            raise InvalidMoveError(f"a loop move has the empty site (), not {move.half_edges!r}")
         if cmap.free_loops == 0:
             raise InvalidMoveError("no free loop to remove")
         loops = cmap.free_loops - 1

@@ -288,17 +288,17 @@ class OrderTwoProductReport:
 def check_order_two_product(S, T) -> OrderTwoProductReport:
     """Measure the order-2-product criterion on a pair of involutions.
 
-    Both arguments must be order-2 special unitaries.  The report pairs
-    the overlap of their axes with the involution defect ||(ST)^2 - I||
-    of the product, and, when the product is again order 2, the overlap
-    of its axis with each input axis.
+    Both arguments must be order-2 special unitaries; an error names the
+    first that is not, and why.  The report pairs the overlap of their axes
+    with the involution defect ||(ST)^2 - I|| of the product, and, when the
+    product is again order 2, the overlap of its axis with each input axis.
     """
-    S = _as_matrix(S)
-    T = _as_matrix(T)
-    for name, M in (("S", S), ("T", T)):
-        if not is_order_two(M):
-            raise ValueError(f"{name} is not an order-2 special unitary")
-    a, b = _axes(np.stack((S, T)))
+    pair = np.stack((_as_matrix(S), _as_matrix(T)))
+    fault = _first_fault(pair)
+    if fault is not None:
+        raise ValueError(f"{'ST'[fault[0]]}: {fault[1]}")
+    S, T = pair
+    a, b = _axes(pair)
     inner = complex(_inner(a, b))
     product = S @ T
     order_two, defect = _order_two(product[None])
@@ -437,7 +437,11 @@ def _edge_bfs_order(neighbors: list[list[int]]) -> list[int]:
     """Paired-edge ids in breadth-first order over a neighbour table.
 
     Decoration sampling breaks its ties by this order, which keeps
-    neighboring edges close together and seeded runs reproducible.
+    neighboring edges close together and seeded runs reproducible.  Rigid
+    maps sample at the first attempt only with it: tied by edge id,
+    ``prism(5)``, ``prism(7)``, ... restart, and the benchmark's 1,096
+    ``su3-roundtrip`` samples at seeds 0-7 exhausted 287 times, not 38, in
+    185.5 s, not 8.8 s (Python 3.11, Xeon; one sample per map, seeded as there).
     """
     order = []
     seen = [False] * len(neighbors)

@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import circle, cube, k4, necklace, prism, theta
 from .coloring import count_tait
 from .planar import CombinatorialMap, disjoint_union
-from .reduction import EULER_WEIGHTS, TraceNode, apply_move, reduce_map
+from .reduction import EULER_WEIGHTS, TraceNode, apply_move, euler_characteristic, reduce_map
 from .su3 import (
     _TOL,
     _line_overlaps,
@@ -121,7 +121,10 @@ def roundtrip_corpus() -> list[tuple[str, CombinatorialMap]]:
 
 
 def _check_campaign(trials: int, seed: int) -> None:
-    """Reject a trial count under which no check can fail, and a negative seed."""
+    """Reject a bool or non-int, a trial count under which no check can fail, a negative seed."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
@@ -134,7 +137,7 @@ def run_theorem1() -> SuiteReport:
     failures = 0
     corpus = bipartite_corpus()
     for name, graph in corpus:
-        chi = reduce_map(graph, EULER_WEIGHTS).value()
+        chi = euler_characteristic(graph)
         count = count_tait(graph)
         ok = chi == count
         failures += not ok
@@ -203,7 +206,7 @@ def run_lemma5(trials: int = 1000, seed: int = 0) -> SuiteReport:
     order 2, with its axis orthogonal to both inputs), half from lines
     with overlap at least 0.001 (product must not be order 2).  The
     biconditional must hold on every pair.  Raises ``ValueError`` for
-    ``trials < 1`` or ``seed < 0``.
+    ``trials < 1``, ``seed < 0``, or either one not an int.
     """
     _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)

@@ -21,7 +21,9 @@ from tait.cli import (
     EXIT_OK,
     main,
 )
+from tait.laurent import p3
 from tait.planar import parse_map, serialize_map
+from tait.reduction import IrreducibleError
 
 
 def run(argv, capsys, monkeypatch=None, stdin=None):
@@ -77,6 +79,21 @@ def test_euler_irreducible_exits_2_with_graph(tmp_path, capsys):
         line for line in err.splitlines() if not line.startswith("tait:")
     )
     assert parse_map(stuck, check_planar=False) == dodecahedron()
+
+
+def test_p3_irreducible_exits_2_with_graph(tmp_path, capsys, monkeypatch):
+    # bipartite planar maps always reduce, but a stuck one is reported as euler's is
+    def stuck(cmap, weights):
+        raise IrreducibleError(dodecahedron())
+
+    monkeypatch.setattr(tait.laurent, "reduce_map", stuck)
+    with pytest.raises(IrreducibleError):
+        p3(cube())
+    code, out, err = run(["p3", graph_file(tmp_path, cube())], capsys)
+    assert (code, out) == (EXIT_IRREDUCIBLE, "")
+    assert err.startswith("tait: irreducible: no reducible face in ")
+    stuck_map = "\n".join(line for line in err.splitlines() if not line.startswith("tait:"))
+    assert parse_map(stuck_map, check_planar=False) == dodecahedron()
 
 
 def test_p3_polynomial(tmp_path, capsys):
@@ -229,6 +246,26 @@ def test_verify_rejects_empty_campaigns(suite, flag, value, message, capsys):
     # a campaign with no trials would report PASS
     code, out, err = run(["verify", suite, flag, value], capsys)
     assert (code, out, err) == (EXIT_INVALID, "", f"tait: error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ["lemma5", "roundtrip"])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"trials": 2.5}, "trials must be an int, got 2.5"),
+        ({"trials": "3"}, "trials must be an int, got '3'"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ],
+)
+def test_campaigns_take_int_trials_and_seed(suite, kwargs, message):
+    # the library call gets no argparse type=int: trials=True would run one trial
+    with pytest.raises(ValueError) as info:
+        verify.SUITES[suite](**kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "conservation"])

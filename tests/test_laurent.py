@@ -14,12 +14,11 @@ from tait.laurent import (
     NotBipartiteError,
     P3_WEIGHTS,
     p3,
-    p3_trace,
     parse_laurent,
     quantum_integer,
 )
 from tait.planar import NonPlanarError, disjoint_union
-from tait.reduction import format_trace
+from tait.reduction import format_trace, reduce_map
 
 
 laurents = st.dictionaries(
@@ -233,7 +232,7 @@ def test_p3_rejects_nonbipartite_and_nonplanar():
 
 
 def test_p3_trace_matches_euler_trace_shape():
-    trace = p3_trace(theta())
+    trace = reduce_map(theta(), P3_WEIGHTS)
     assert format_trace(trace) == (
         "0 bigon 0,5 q + q^-1\n  1 loop - q^2 + 1 + q^-2\n    2 empty 1"
     )

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import dataclasses
 import inspect
 
 import tait
@@ -20,7 +21,7 @@ PUBLIC_NAMES = {
     "euler_characteristic", "find_move", "format_trace", "reduce_map",
     # laurent
     "LaurentParseError", "LaurentPoly", "NotBipartiteError", "P3_WEIGHTS", "p3",
-    "p3_trace", "parse_laurent", "quantum_integer",
+    "parse_laurent", "quantum_integer",
     # su3
     "InadmissibleDecorationError", "OrderTwoProductReport", "RetriesExhaustedError",
     "STANDARD_INVOLUTION", "admissibility_deviation", "axis_of",
@@ -34,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert len(tait.__all__) == len(set(tait.__all__))
     assert set(tait.__all__) == PUBLIC_NAMES
 
@@ -60,3 +61,8 @@ def test_maps_build_without_a_planarity_setting():
         (tait.build_map, ["vertex_rotations", "edge_pairs", "free_loops"]),
     ):
         assert [*inspect.signature(f).parameters] == params
+
+
+def test_weights_are_the_loop_and_bigon_multipliers():
+    # the ring's unit is derived from them, not a third setting
+    assert [f.name for f in dataclasses.fields(tait.RelationWeights)] == ["loop", "bigon"]

@@ -14,7 +14,7 @@ import pytest
 from tait import reduction
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.coloring import count_tait
-from tait.laurent import p3
+from tait.laurent import P3_WEIGHTS, LaurentPoly, p3
 from tait.planar import (
     CombinatorialMap,
     NonPlanarError,
@@ -91,6 +91,13 @@ def test_apply_loop():
     assert (g.n_half_edges, g.free_loops) == (0, 0)
     with pytest.raises(InvalidMoveError, match="no free loop"):
         apply_move(theta(), Move(MoveKind.LOOP))
+    # a loop's site is empty: a face cycle or any other value is refused
+    g = disjoint_union(theta(), circle())
+    for site, shown in (((0, 5), r"\(0, 5\)"), ("garbage", "'garbage'"), ([], r"\[\]")):
+        with pytest.raises(
+            InvalidMoveError, match=f"^a loop move has the empty site \\(\\), not {shown}$"
+        ):
+            apply_move(g, Move(MoveKind.LOOP, site))
 
 
 def test_apply_bigon_on_theta():
@@ -326,9 +333,10 @@ def test_evaluation_matches_count():
 
 
 def test_custom_weights_change_only_multipliers():
-    # doubling the unit scales leaves, not structure
-    trace = reduce_map(theta(), RelationWeights(loop=3, bigon=2, one=5))
-    assert trace.value() == 2 * 3 * 5
+    # theta takes a bigon and then a loop, whatever their weights
+    trace = reduce_map(theta(), RelationWeights(loop=5, bigon=7))
+    assert format_trace(trace) == "0 bigon 0,5 7\n  1 loop - 5\n    2 empty 1"
+    assert trace.value() == 35
 
 
 def test_nonplanar_is_rejected():
@@ -431,7 +439,12 @@ def test_randomized_order_on_nonbipartite_maps():
 
 
 def test_euler_weights_constant():
-    assert EULER_WEIGHTS == RelationWeights(loop=3, bigon=2, one=1)
+    assert EULER_WEIGHTS == RelationWeights(loop=3, bigon=2)
+    # the unit is the ring's own: an int here, a LaurentPoly for P3_WEIGHTS
+    assert EULER_WEIGHTS.one == 1 and type(EULER_WEIGHTS.one) is int
+    assert P3_WEIGHTS.one == LaurentPoly.one() and type(P3_WEIGHTS.one) is LaurentPoly
+    with pytest.raises(TypeError):
+        RelationWeights(loop=3, bigon=2, one=1)
 
 
 # ----------------------------------------------------------------------

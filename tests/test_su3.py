@@ -150,10 +150,19 @@ def test_product_criterion_both_branches(seed):
 
 
 def test_product_check_rejects_non_involutions():
-    with pytest.raises(ValueError, match="S is not"):
-        check_order_two_product(E, STANDARD_INVOLUTION)
-    with pytest.raises(ValueError, match="T is not"):
-        check_order_two_product(STANDARD_INVOLUTION, E)
+    # the error names the argument at fault, and why
+    not_order_two = "matrix is not an order-2 special unitary within tolerance"
+    not_special = "matrix is not special unitary within tolerance"
+    for S, T, message in (
+        (E, STANDARD_INVOLUTION, f"S: {not_order_two}"),
+        (STANDARD_INVOLUTION, E, f"T: {not_order_two}"),
+        (2 * E, STANDARD_INVOLUTION, f"S: {not_special}"),
+        (STANDARD_INVOLUTION, 2 * E, f"T: {not_special}"),
+        (2 * E, E, f"S: {not_special}"),
+    ):
+        with pytest.raises(ValueError) as info:
+            check_order_two_product(S, T)
+        assert str(info.value) == message
 
 
 def test_theta_standard_basis_decoration():
@@ -413,6 +422,24 @@ def test_sampler_solves_each_constraint_once(g, monkeypatch):
     assert len(solved) == len(adjacent)
 
 
+RIGID_MAPS = (
+    [(f"prism{n}", prism(n)) for n in range(2, 21)]
+    + [(f"necklace{k}", necklace(k)) for k in range(1, 21)]
+    + [("theta", theta()), ("k4", k4())]
+    + [("necklace3+prism5", disjoint_union(necklace(3), prism(5)))]
+)
+
+
+@pytest.mark.parametrize("g", [g for _, g in RIGID_MAPS], ids=[name for name, _ in RIGID_MAPS])
+def test_sampler_succeeds_on_rigid_maps_at_the_first_attempt(g, monkeypatch):
+    # README: frame-rigid maps sample without a restart.  This rests on the
+    # breadth-first tie order; with ties by edge id, prism(5), prism(7), ... restart.
+    monkeypatch.setattr(su3, "_RETRIES", 1)
+    for rng in range(3):
+        lines = sample_admissible_decoration(g, rng=rng)
+        assert is_admissible(g, lines)
+
+
 def sampler_outcome(sampler, g, seed):
     """The lines a sampler returns, or the text and budget of its exhaustion."""
     try:
@@ -514,8 +541,12 @@ def ref_check_order_two_product(S, T, tol=1e-9):
     """The fields of the product report, by name."""
     S, T = ref_as_matrix(S), ref_as_matrix(T)
     for name, M in (("S", S), ("T", T)):
-        if not ref_is_order_two(M, tol):
-            raise ValueError(f"{name} is not an order-2 special unitary")
+        try:
+            order_two = ref_is_order_two(M, tol)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if not order_two:
+            raise ValueError(f"{name}: matrix is not an order-2 special unitary within tolerance")
     a, b = ref_axis_of(S, tol), ref_axis_of(T, tol)
     inner = complex(np.vdot(a, b))
     product = S @ T
