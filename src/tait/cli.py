@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -79,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("p3", help="quantum coloring polynomial (bipartite maps)")
     _add_file_argument(p)
     p.add_argument("--at", metavar="Q", help="evaluate at a rational q instead")
+    # argparse takes only -1 and -.5 as negative values; --at takes every Fraction form
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_p3)
 
     p = sub.add_parser("reduce", help="print the reduction tree and its value")

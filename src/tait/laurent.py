@@ -15,7 +15,6 @@ bipartite maps, where the reduction can never get stuck.  Its trace is
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -24,17 +23,11 @@ from .reduction import RelationWeights, reduce_map
 
 __all__ = [
     "LaurentPoly",
-    "LaurentParseError",
     "NotBipartiteError",
     "quantum_integer",
-    "parse_laurent",
     "P3_WEIGHTS",
     "p3",
 ]
-
-
-class LaurentParseError(ValueError):
-    """Raised on text that is not a Laurent polynomial in q."""
 
 
 class NotBipartiteError(ValueError):
@@ -63,16 +56,8 @@ class LaurentPoly:
     # construction helpers
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, e: int) -> "LaurentPoly":
-        return cls({e: 1})
 
     @classmethod
     def _coerce(cls, other) -> "LaurentPoly | None":
@@ -90,10 +75,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs, highest exponent first."""
         return iter(sorted(self._coeffs.items(), reverse=True))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def min_exponent(self) -> int:
@@ -211,53 +192,6 @@ def quantum_integer(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("quantum integers are indexed by non-negative n")
     return LaurentPoly({e: 1 for e in range(n - 1, -n, -2)})
-
-
-_TERM = re.compile(
-    r"""
-    (?P<sign>[+-])?\s*
-    (?:
-        (?P<coeff>\d+)\s*(?:\*\s*(?P<var1>q)(?:\^(?P<exp1>-?\d+))?)?
-      | (?P<var2>q)(?:\^(?P<exp2>-?\d+))?
-    )
-    \s*
-    """,
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the notation produced by ``str(LaurentPoly)``.
-
-    Terms look like ``2*q^-3``, ``q^2``, ``q`` or ``7`` and are joined
-    by ``+`` and ``-``; whitespace is free.  ``0`` parses to zero.
-    """
-    s = text.strip()
-    if not s:
-        raise LaurentParseError("empty input")
-    coeffs: dict[int, int] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise LaurentParseError(f"bad term at position {pos}: {s[pos:]!r}")
-        sign = m.group("sign")
-        if not first and sign is None:
-            raise LaurentParseError(f"missing + or - before position {pos}")
-        value = -1 if sign == "-" else 1
-        if m.group("coeff") is not None:
-            value *= int(m.group("coeff"))
-        if m.group("var1") is not None:
-            e = int(m.group("exp1")) if m.group("exp1") is not None else 1
-        elif m.group("var2") is not None:
-            e = int(m.group("exp2")) if m.group("exp2") is not None else 1
-        else:
-            e = 0
-        coeffs[e] = coeffs.get(e, 0) + value
-        pos = m.end()
-        first = False
-    return LaurentPoly(coeffs)
 
 
 P3_WEIGHTS = RelationWeights(loop=quantum_integer(3), bigon=quantum_integer(2))

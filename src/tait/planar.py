@@ -18,12 +18,12 @@ noting the face of each half-edge; the Euler count finds components by
 walking from face to face across ``twin``, so it needs nothing else.
 The checks compare whole tables built by C-level gathers
 (``itemgetter``) instead of stepping through the half-edges one at a
-time.  The vertex table (``vertex_of``), the edge table (``edges``,
-``edge_of``, ``edge_endpoints``) and the rotation table (``rotation``,
-``vertex_edges``, ``to_rotations_and_pairs``) are cached properties
-(:func:`functools.cached_property`), built on first use and kept, so a
-map that is only searched for moves and rewritten, as in a reduction,
-or tested for bipartiteness never builds them.
+time.  Four tables are :func:`functools.cached_property` values, built
+on first use and kept: ``_rotations``, ``vertex_of``, ``edges`` and
+``_edge_of``.  The methods ``rotation``, ``vertex_edges``, ``edge_of``
+and ``edge_endpoints`` read them, so a map that is only searched for
+moves and rewritten, as in a reduction, or tested for bipartiteness
+never builds them.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -322,13 +322,6 @@ class CombinatorialMap:
                 elif side[h] != color:
                     return False
         return True
-
-    def to_rotations_and_pairs(
-        self,
-    ) -> tuple[list[tuple[int, tuple[int, int, int]]], list[tuple[int, int]], int]:
-        """Inverse of :func:`build_map` on dense data."""
-        rotations = list(enumerate(self._rotations))
-        return rotations, list(self.edges), self._free_loops
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CombinatorialMap):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,23 @@ def test_p3_evaluated(tmp_path, capsys):
     path = graph_file(tmp_path, theta())
     assert run(["p3", path, "--at", "1"], capsys)[:2] == (EXIT_OK, "6\n")
     assert run(["p3", path, "--at", "1/2"], capsys)[:2] == (EXIT_OK, "105/8\n")
+    assert run(["p3", path, "--at", "-1/2"], capsys)[:2] == (EXIT_OK, "-105/8\n")
+
+
+@pytest.mark.parametrize("q", ["-1/2", "-1e-3", "-.5", "-0.5", "-1", "-3/4", "-2E+1"])
+def test_p3_at_takes_a_negative_rational_after_a_space(q, tmp_path, capsys):
+    # argparse alone reads only -1 and -0.5 shapes as values, not -1/2 or -1e-3
+    path = graph_file(tmp_path, theta())
+    joined = run(["p3", path, f"--at={q}"], capsys)
+    assert run(["p3", path, "--at", q], capsys) == joined
+    assert joined == (EXIT_OK, f"{p3(theta())(Fraction(q))}\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--at"], ["--at", "-x"]])
+def test_p3_at_needs_a_value(argv, tmp_path, capsys):
+    code, out, err = run(["p3", graph_file(tmp_path, theta()), *argv], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: argument --at: expected one argument\n"
 
 
 def test_p3_at_zero_is_an_error(tmp_path, capsys):
@@ -384,6 +402,7 @@ def test_one_process_runs_a_mixed_sequence_like_fresh_ones(tmp_path, capsys):
         ["reduce", theta_path],
         ["euler", theta_path],
         ["p3", "--at", "1/2", cube_path],
+        ["p3", "--at", "-1/2", cube_path],
         ["p3", cube_path],
         ["euler", cube_path, "--at", "1/2"],
         ["verify", "lemma5", "--trials", "0"],
@@ -392,6 +411,6 @@ def test_one_process_runs_a_mixed_sequence_like_fresh_ones(tmp_path, capsys):
         ["gen", "necklace", "3"],
     ]
     together = [run(argv, capsys) for argv in sequence]
-    assert [code for code, _, _ in together] == [0, 0, 0, 0, 1, 1, 0, 1, 0]
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
     for argv, outcome in zip(sequence, together):
         assert outcome == run_alone(argv), argv

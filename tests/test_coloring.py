@@ -157,7 +157,8 @@ def random_planar_cubic(n_vertices: int, seed: int) -> CombinatorialMap:
     while g.n_vertices < n_vertices:
         face = rng.choice(g.face_orbits())
         x, y = rng.choice(face), rng.choice(face)
-        rotations, pairs, _ = g.to_rotations_and_pairs()
+        rotations = [(v, g.rotation(v)) for v in range(g.n_vertices)]
+        pairs = list(g.edges)
         n, v = g.n_half_edges, g.n_vertices
         p, q = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
         tx, ty = g.twin[x], g.twin[y]

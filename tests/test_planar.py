@@ -159,8 +159,8 @@ def test_sparse_ids_relabel_densely():
 
 
 def test_non_planar_rotation_built_then_refused_on_parse():
-    rotations, pairs, _ = petersen().to_rotations_and_pairs()
-    g = build_map(rotations, pairs)
+    p = petersen()
+    g = build_map([(v, p.rotation(v)) for v in range(p.n_vertices)], list(p.edges))
     assert not g.is_planar
     with pytest.raises(NonPlanarError):
         parse_map(serialize_map(g), check_planar=True)
@@ -265,10 +265,10 @@ def test_parse_checks_planarity_only_on_request():
         parse_map(text, check_planar=True)
 
 
-def test_to_rotations_and_pairs_rebuilds():
-    for g in (theta(), k4(), necklace(2)):
-        rotations, pairs, loops = g.to_rotations_and_pairs()
-        assert build_map(rotations, pairs, loops) == g
+def test_build_map_inverts_a_maps_tables():
+    for g in (theta(), k4(), necklace(2), disjoint_union(theta(), circle(2))):
+        rotations = [(v, g.rotation(v)) for v in range(g.n_vertices)]
+        assert build_map(rotations, g.edges, g.free_loops) == g
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +509,6 @@ def eager_tables(g):
         "rotation": rotations,
         "vertex_edges": [tuple(edge_of[h] for h in rot) for rot in rotations],
         "edge_endpoints": [(vof[a], vof[b]) for a, b in edges] + [None] * g.free_loops,
-        "to_rotations_and_pairs": (list(enumerate(rotations)), list(edges), g.free_loops),
     }
 
 
@@ -520,7 +519,6 @@ QUERIES = {
     "rotation": lambda g: [g.rotation(v) for v in range(g.n_vertices)],
     "vertex_edges": lambda g: [g.vertex_edges(v) for v in range(g.n_vertices)],
     "edge_endpoints": lambda g: [g.edge_endpoints(e) for e in range(g.n_edges)],
-    "to_rotations_and_pairs": lambda g: g.to_rotations_and_pairs(),
 }
 
 
@@ -579,7 +577,8 @@ def with_random_bigons(g: CombinatorialMap, count: int, seed: int) -> Combinator
     """``g`` with ``count`` bigons put on random edges, which keeps it bipartite or not."""
     rng = random.Random(seed)
     for _ in range(count):
-        rotations, pairs, loops = g.to_rotations_and_pairs()
+        rotations = [(v, g.rotation(v)) for v in range(g.n_vertices)]
+        pairs, loops = list(g.edges), g.free_loops
         n, v = g.n_half_edges, g.n_vertices
         x, y = pairs.pop(rng.randrange(len(pairs)))
         pairs += [(x, n), (n + 1, n + 5), (n + 2, n + 4), (n + 3, y)]
