@@ -2,7 +2,7 @@
 
 The package has four layers: combinatorial maps and their faces
 (:mod:`tait.planar`, :mod:`tait.catalog`), the coloring count, a
-frontier DP over incidences (:mod:`tait.coloring`), the face-collapse
+tensor contraction over incidences (:mod:`tait.coloring`), the face-collapse
 reduction engine with integer and Laurent-polynomial weights
 (:mod:`tait.reduction`, :mod:`tait.laurent`), and the unitary
 realization of decorations (:mod:`tait.su3`).  :mod:`tait.verify`

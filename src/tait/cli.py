@@ -120,8 +120,8 @@ def _cmd_p3(args) -> int:
     if args.at is not None:
         try:
             q = Fraction(args.at)
-        except ZeroDivisionError:
-            raise ValueError(f"invalid rational {args.at!r}: zero denominator") from None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"invalid rational {args.at!r}") from None
     cmap = parse_map(_read_text(args.file), check_planar=True)
     poly = p3(cmap)
     if q is None:

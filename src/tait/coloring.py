@@ -7,29 +7,22 @@ meets its vertex twice and kills every coloring.
 
 Both functions use only the abstract incidence structure: the rotation
 data of the map is ignored, and non-planar maps are accepted.  The
-count is a frontier transfer-matrix DP over the vertices (frontier-based
-search, Knuth TAOCP 4A section 7.1.4), so its cost grows with the width
-of the frontier rather than with the number of colorings.  Enumeration
-is exact backtracking over the edges, for small graphs.
+count contracts a tensor network of one 3x3x3 table per vertex along a
+tree (bucket elimination; Dechter, AIJ 1999), so its cost grows with
+the edges the largest merge touches, not with the number of colorings.
+Enumeration is exact backtracking over the edges, for small graphs.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict, deque
-from itertools import permutations
+import heapq
+from itertools import count, permutations
+
+import numpy as np
 
 from .planar import CombinatorialMap
 
 __all__ = ["count_tait", "enumerate_tait"]
-
-# The ways to color a vertex's new edges with colors 0, 1, 2, keyed by
-# the colors its open edges already carry; a repeated color has no key.
-_FILLS = {
-    used: list(permutations([c for c in range(3) if c not in used]))
-    for size in range(4)
-    for used in permutations(range(3), size)
-}
 
 
 def _incidences(cmap: CombinatorialMap):
@@ -42,78 +35,32 @@ def _has_self_loop(at_vertex) -> bool:
     return any(len(set(tri)) < 3 for tri in at_vertex)
 
 
-def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
-    """``key`` with its colors renamed 0, 1, 2 in order of first appearance."""
-    rename: dict[int, int] = {}
-    return tuple([rename.setdefault(c, len(rename)) for c in key])
+# A connected cluster of k vertices with the colors of its open edges
+# fixed has at most 6 * 2**(k-1) = 3 * 2**k colorings: in a BFS order of
+# the cluster the first vertex has at most 6 ways and every later vertex,
+# one of whose edges is already colored, at most 2.  Every entry of a
+# merged table, and every partial sum that builds it, is bounded by that,
+# so int64 tables are exact while the merged cluster has at most 60
+# vertices (3 * 2**60 < 2**63); larger clusters use Python ints.
+_INT64_VERTICES = 60
 
-
-def _greedy_order(neighbours, start: int, bound):
-    """(order, cost) of a greedy run from ``start``, or None once cost >= ``bound``.
-
-    The next vertex is the one with the most placed neighbours, which
-    closes the most open edges; ties go to the vertex that reached that
-    number first.  When no unplaced vertex has a placed neighbour, the
-    run goes on from the smallest unplaced vertex.
-    """
-    n = len(neighbours)
-    placed = [False] * n
-    links = [0] * n
-    # unplaced vertices by number of placed neighbours, in arrival order;
-    # a vertex stays behind in lower queues and is skipped once placed
-    ready = [deque([start, *range(n)]), deque(), deque(), deque()]
-    order = []
-    width = cost = 0
-    for _ in range(n):
-        for queue in reversed(ready):
-            while queue and placed[queue[0]]:
-                queue.popleft()
-            if queue:
-                v = queue.popleft()
-                break
-        placed[v] = True
-        order.append(v)
-        width += 3 - 2 * links[v]
-        cost += 3**width
-        if cost >= bound:
-            return None
-        for u in neighbours[v]:
-            if not placed[u]:
-                links[u] += 1
-                ready[links[u]].append(u)
-    return order, cost
-
-
-def _elimination_order(at_vertex, endpoints) -> list[int]:
-    """Vertex order that keeps the frontier of :func:`count_tait` narrow.
-
-    A greedy run is made from every start vertex, and the order with the
-    least sum of 3^width over its steps wins, width being the number of
-    open edges after the step; the first such order is kept on a tie.
-    Each run is O(V), so the search is O(V^2).
-    """
-    neighbours = [
-        [u for e in edges for u in endpoints[e] if u != v]
-        for v, edges in enumerate(at_vertex)
-    ]
-    best, best_cost = [], math.inf
-    for start in range(len(at_vertex)):
-        run = _greedy_order(neighbours, start, best_cost)
-        if run is not None:
-            best, best_cost = run
-    return best
+_DISTINCT = np.zeros((3, 3, 3), dtype=np.int64)
+_DISTINCT[tuple(zip(*permutations(range(3))))] = 1
+_ANCHOR = np.zeros((3, 3, 3), dtype=np.int64)
+_ANCHOR[0, 1, 2] = 1
 
 
 def count_tait(cmap: CombinatorialMap) -> int:
     """Number of Tait colorings of the map's underlying multigraph.
 
-    Vertices are placed one at a time in :func:`_elimination_order`.  An
-    edge is open while exactly one of its endpoints is placed.
-    ``states`` maps the colors on the open edges, in ``frontier`` order,
-    to the number of colorings of the placed vertices' edges that show
-    them.  Keys are renamed by :func:`_canonical`, so each key stands for
-    its orbit under the six color permutations and its count is the sum
-    over that orbit; the counts stay exact.
+    Every vertex starts as a cluster whose table, indexed by the colors of
+    its three edges, is 1 where the colors differ.  The two adjacent
+    clusters whose merge leaves the fewest open edges, ties going to the
+    smaller pair of ids, are merged by summing over the colors of the
+    edges they share, until each connected component is one number.
+    Vertex 0 keeps only the colors (0, 1, 2), and the product is
+    multiplied by 6: the six color permutations act freely on the
+    colorings, and exactly one of each orbit gives vertex 0 those colors.
     """
     loop_factor = 3**cmap.free_loops
     if cmap.n_paired_edges == 0:
@@ -122,26 +69,38 @@ def count_tait(cmap: CombinatorialMap) -> int:
     if _has_self_loop(at_vertex):
         return 0
 
-    states = {(): 1}
-    frontier: list[int] = []
-    for v in _elimination_order(at_vertex, endpoints):
-        edges = at_vertex[v]
-        slot = {e: i for i, e in enumerate(frontier)}
-        closing = [slot[e] for e in edges if e in slot]
-        keep = [i for i, e in enumerate(frontier) if e not in edges]
-        frontier = [frontier[i] for i in keep] + [e for e in edges if e not in slot]
-        successors: defaultdict[tuple[int, ...], int] = defaultdict(int)
-        for key, count in states.items():
-            fills = _FILLS.get(tuple([key[i] for i in closing]))
-            if fills is None:
-                continue
-            rest = tuple([key[i] for i in keep])
-            for fill in fills:
-                successors[_canonical(rest + fill)] += count
-        if not successors:
-            return 0
-        states = successors
-    return states[()] * loop_factor
+    # cluster id -> (open edges, table with one axis per open edge, vertices)
+    clusters = {v: (edges, _DISTINCT, 1) for v, edges in enumerate(at_vertex)}
+    clusters[0] = (at_vertex[0], _ANCHOR, 1)
+    ends = [list(pair) for pair in endpoints]  # the clusters at each edge's two ends
+    fresh = count(len(at_vertex))  # so a merged cluster's id is above every live one
+
+    def key(a: int, b: int) -> tuple[int, int, int]:
+        return (len(set(clusters[a][0]).symmetric_difference(clusters[b][0])), a, b)
+
+    heap = sorted({key(min(pair), max(pair)) for pair in endpoints})  # sorted is a heap
+    total = 6 * loop_factor
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in clusters or b not in clusters:
+            continue
+        (edges_a, table_a, size_a), (edges_b, table_b, size_b) = clusters.pop(a), clusters.pop(b)
+        if size_a + size_b > _INT64_VERTICES:
+            table_a, table_b = table_a.astype(object), table_b.astype(object)
+        shared = [e for e in edges_a if e in edges_b]
+        axes = ([edges_a.index(e) for e in shared], [edges_b.index(e) for e in shared])
+        table = np.tensordot(table_a, table_b, axes)
+        edges = tuple([e for e in edges_a + edges_b if e not in shared])
+        if not edges:
+            total *= int(table)
+            continue
+        c = next(fresh)
+        clusters[c] = (edges, table, size_a + size_b)
+        for e in edges:
+            ends[e] = [c if x in (a, b) else x for x in ends[e]]
+        for d in {x for e in edges for x in ends[e]} - {c}:
+            heapq.heappush(heap, key(d, c))
+    return total
 
 
 def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:

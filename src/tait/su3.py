@@ -13,10 +13,10 @@ Whole decorations are processed as stacked arrays: a decoration is one
 (E, 3) array, a representation one (E, 3, 3) array, and the vertex
 triples one (V, 3) index array, so every check and conversion is one
 numpy expression over all edges or vertices.  The scalar functions
-(``is_special_unitary``, ``is_order_two``, ``reflection_from_line``,
-``axis_of``, ``line_overlap``) are the same kernels applied to a stack of
-one.  Every check runs on every edge; when some fail, the error names
-the first failing edge in index order and that edge's first failing
+(``is_order_two``, ``reflection_from_line``, ``axis_of``,
+``line_overlap``) are the same kernels applied to a stack of one.
+Every check runs on every edge; when some fail, the error names the
+first failing edge in index order and that edge's first failing
 check (shape, then special unitary, then order two).
 
 Every check uses one absolute tolerance, ``_TOL = 1e-9``: it leaves
@@ -37,12 +37,10 @@ __all__ = [
     "STANDARD_INVOLUTION",
     "InadmissibleDecorationError",
     "RetriesExhaustedError",
-    "is_special_unitary",
     "is_order_two",
     "reflection_from_line",
     "axis_of",
     "line_overlap",
-    "same_line",
     "random_line",
     "random_special_unitary",
     "OrderTwoProductReport",
@@ -186,10 +184,6 @@ def _line_overlaps(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return abs(_inner(u, w))
 
 
-def is_special_unitary(M) -> bool:
-    return bool(_special_unitary(_as_matrix(M)[None])[0])
-
-
 def is_order_two(M) -> bool:
     """Whether a special unitary matrix squares to I without being I.
 
@@ -232,10 +226,6 @@ def axis_of(M) -> np.ndarray:
 def line_overlap(u, w) -> float:
     """|<u, w>| for unit vectors: 0 for orthogonal lines, 1 for equal ones."""
     return float(_line_overlaps(_as_vector(u), _as_vector(w)))
-
-
-def same_line(u, w) -> bool:
-    return line_overlap(u, w) >= 1.0 - _TOL
 
 
 def random_line(rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Property campaigns run by the tests and the ``tait verify`` command.
 
 Each suite pits two independent computations against each other: the
-reduction value against the frontier-DP count, the quantum polynomial
+reduction value against the tensor-contraction count, the quantum polynomial
 at q = 1 against the same count, the order-2-product criterion against
 raw matrix arithmetic, and the decoration roundtrip against sampled
 inputs.  Suites report deterministic fixed-format text (and a dict for
@@ -132,7 +132,7 @@ def _check_campaign(trials: int, seed: int) -> None:
 
 
 def run_theorem1() -> SuiteReport:
-    """Reduction value equals the frontier-DP count on bipartite fixtures."""
+    """Reduction value equals the tensor-contraction count on bipartite fixtures."""
     lines = []
     failures = 0
     corpus = bipartite_corpus()

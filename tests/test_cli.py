@@ -133,10 +133,10 @@ def test_p3_at_zero_is_an_error(tmp_path, capsys):
 
 def test_p3_bad_rational(tmp_path, capsys):
     path = graph_file(tmp_path, theta())
-    for q in ("pi", "1/0"):
+    for q in ("pi", "1/0", "1/x"):
         code, out, err = run(["p3", path, "--at", q], capsys)
         assert (code, out) == (EXIT_INVALID, "")
-        assert repr(q) in err and "q = 0" not in err
+        assert err == f"tait: error: invalid rational {q!r}\n"
 
 
 def test_p3_bad_rational_wins_over_the_map(tmp_path, capsys, monkeypatch):
@@ -145,7 +145,7 @@ def test_p3_bad_rational_wins_over_the_map(tmp_path, capsys, monkeypatch):
 
     code, out, err = run(["p3", graph_file(tmp_path, k4()), "--at", "1/0"], capsys)
     assert (code, out) == (EXIT_INVALID, "")
-    assert err == "tait: error: invalid rational '1/0': zero denominator\n"
+    assert err == "tait: error: invalid rational '1/0'\n"
     code, out, err = run(["p3", "--at", "pi"], capsys, monkeypatch, stdin="not a map\n")
     assert (code, out) == (EXIT_INVALID, "")
     assert "'pi'" in err

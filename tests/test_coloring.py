@@ -141,7 +141,7 @@ def test_enumerate_free_loops_are_unconstrained():
 
 
 # ----------------------------------------------------------------------
-# the frontier count against the backtracking enumerator
+# the tensor-contraction count against the backtracking enumerator
 
 
 def random_planar_cubic(n_vertices: int, seed: int) -> CombinatorialMap:
@@ -229,6 +229,13 @@ def test_random_planar_cubic_is_seeded():
     a, b = random_planar_cubic(20, 7), random_planar_cubic(20, 7)
     assert serialize_map(a) == serialize_map(b)
     assert a.n_vertices == 20
+
+
+@pytest.mark.parametrize("sizes", [(40, 120), (60, 100), (80, 80), (120, 40)])
+def test_count_multiplies_over_large_random_components(sizes):
+    a, b = (random_planar_cubic(v, seed=4000 + v) for v in sizes)
+    assert count_tait(disjoint_union(a, b)) == count_tait(a) * count_tait(b)
+    assert count_tait(disjoint_union(b, a)) == count_tait(a) * count_tait(b)
 
 
 def test_count_has_no_depth_limit():

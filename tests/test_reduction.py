@@ -332,6 +332,20 @@ def test_evaluation_matches_count():
         assert euler_characteristic(g) == count_tait(g)
 
 
+def test_evaluation_matches_count_on_large_random_maps():
+    finished = 0
+    for v in range(60, 101, 10):
+        for seed in range(4):
+            g = random_planar_cubic(v, seed=100 * v + seed)
+            try:
+                value = euler_characteristic(g)
+            except IrreducibleError:
+                continue
+            assert value == count_tait(g), (v, seed)
+            finished += 1
+    assert finished >= 10
+
+
 def test_custom_weights_change_only_multipliers():
     # theta takes a bigon and then a loop, whatever their weights
     trace = reduce_map(theta(), RelationWeights(loop=5, bigon=7))
