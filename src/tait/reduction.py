@@ -17,8 +17,11 @@ distinct vertices: the matcher compares edges only, and the reduction
 reads no vertex data.  Applying moves until every branch reaches the
 empty map builds a tree whose value, with weights ``loop=3, bigon=2``,
 counts the Tait colorings of the starting map; other weight systems
-reuse the same tree.  Maps whose faces all have five or more sides (the dodecahedron
-is the smallest) admit no move and raise :class:`IrreducibleError`.
+reuse the same tree.  Two branches often reach identical maps, which
+are reduced once: the trace is a DAG whose shared nodes stand for
+identical maps, and it prints and evaluates as the unfolded tree.  Maps
+whose faces all have five or more sides (the dodecahedron is the
+smallest) admit no move and raise :class:`IrreducibleError`.
 """
 
 from __future__ import annotations
@@ -90,10 +93,12 @@ class IrreducibleError(Exception):
     """Raised when a non-empty map admits none of the four moves.
 
     The message gives the smallest face degree and how many faces of
-    degree at most 4 are degenerate; the stuck map is kept on ``graph``.
+    degree at most 4 are degenerate; the stuck map is kept on ``graph``,
+    and ``path`` holds the ``(move, child index)`` steps that reach it
+    from the root map: ``apply_move(g, move)[index]`` for each in turn.
     """
 
-    def __init__(self, graph: CombinatorialMap):
+    def __init__(self, graph: CombinatorialMap, path: tuple[tuple[Move, int], ...] = ()):
         small = [orbit for orbit in graph.face_orbits() if len(orbit) <= 4]
         smallest = min(map(len, graph.face_orbits()), default=0)
         reason = f"every face has five or more sides (smallest face degree {smallest})"
@@ -105,6 +110,7 @@ class IrreducibleError(Exception):
             )
         super().__init__(f"no reducible face in {graph!r}; {reason}")
         self.graph = graph
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,9 @@ class TraceNode(Generic[W]):
     move.  The node's value is ``multiplier * sum(child values)``, or just
     ``multiplier`` at a leaf.  Nodes keep no maps: replaying
     :func:`apply_move` from the root map along the moves rebuilds them.
+    A node made by :func:`reduce_map` may be the child of several nodes,
+    or twice of one, when their maps are identical; :meth:`value` and
+    :func:`format_trace` walk such a DAG as its unfolded tree.
     """
 
     move: Move | None
@@ -316,7 +325,7 @@ def _multiplier(move: Move, weights: RelationWeights[W]) -> W:
 def reduce_map(
     cmap: CombinatorialMap, weights: RelationWeights[W] = EULER_WEIGHTS
 ) -> TraceNode[W]:
-    """Reduce to the empty map, recording every move in a trace tree.
+    """Reduce to the empty map, recording every move in a trace.
 
     Every map takes its :func:`find_move`.  Runs that finish agree on the
     value whatever the order of moves, but any order can strand on a
@@ -327,35 +336,80 @@ def reduce_map(
     One loop over an explicit stack visits the maps depth first, children
     in order, and drops each map once its move has been applied: no
     depth meets the recursion limit, and only maps still waiting on the
-    stack are held.  The tree is assembled from the recorded steps.
+    stack are held.  A node is built once its children are, in post-order.
+
+    Each distinct map is reduced once.  A map expanded while another
+    waits on the stack is recorded in a memo, keyed by its own tables
+    ``(twin, next_at_vertex, free_loops)``, with its finished node; a
+    later map with the same tables takes that node as it is, so the
+    trace is a DAG.  This is exact: the move and children depend on the
+    tables alone, a move shrinks the map, so no map meets a copy of
+    itself below it, and depth first finishes a subtree before any later
+    branch is begun.  The memo holds nodes and the keys' tables, not the
+    maps, and lives until the call returns.  The first stuck map in
+    depth-first order is the one an unshared walk would meet, and
+    :class:`IrreducibleError` gives the move path from the root to it.
 
     Raises :class:`NonPlanarError` for a map, the root or any map a move
     makes, that does not embed in the sphere, and
     :class:`IrreducibleError` when no move matches.
     """
-    # (move, multiplier, number of children) for every node, in pre-order
-    steps: list[tuple[Move | None, W, int]] = []
-    todo = [cmap]
-    while todo:
-        graph = todo.pop()
-        if not graph.is_planar:
-            raise NonPlanarError("reduction moves are only valid for planar maps")
-        if graph.n_half_edges == 0 and graph.free_loops == 0:
-            steps.append((None, weights.one, 0))
-            continue
-        move = find_move(graph)
-        if move is None:
-            raise IrreducibleError(graph)
-        children = apply_move(graph, move)
-        steps.append((move, _multiplier(move, weights), len(children)))
-        todo.extend(reversed(children))
+    # a map waiting to be expanded, or the exit frame (move, multiplier,
+    # number of children, memo key or None) of a map whose children are
+    # above it; the exit frames on the stack are the current map's ancestors
+    stack: list[CombinatorialMap | tuple] = [cmap]
+    waiting = 1  # maps on the stack, exit frames not counted
+    memo: dict[tuple, TraceNode[W]] = {}
+    done: list[TraceNode[W]] = []  # finished nodes whose parent is not finished yet
+    while stack:
+        entry = stack.pop()
+        if type(entry) is tuple:
+            move, multiplier, n_children, key = entry
+            node = TraceNode(move, multiplier, tuple(done[-n_children:]))
+            del done[-n_children:]
+        else:
+            graph, waiting = entry, waiting - 1
+            key = (graph.twin, graph.next_at_vertex, graph.free_loops)
+            node = memo.get(key) if memo else None
+            if node is not None:
+                done.append(node)
+                continue
+            # only a branch still waiting on the stack can meet this map again
+            key = key if waiting else None
+            if not graph.is_planar:
+                raise NonPlanarError("reduction moves are only valid for planar maps")
+            if graph.n_half_edges == 0 and graph.free_loops == 0:
+                node = TraceNode(None, weights.one, ())
+            else:
+                move = find_move(graph)
+                if move is None:
+                    raise IrreducibleError(graph, _path(stack))
+                children = apply_move(graph, move)
+                stack.append((move, _multiplier(move, weights), len(children), key))
+                stack.extend(reversed(children))
+                waiting += len(children)
+                continue
+        if key is not None:
+            memo[key] = node
+        done.append(node)
+    return done[0]
 
-    # as in TraceNode.value: reverse pre-order finishes children first, the first on top
-    nodes: list[TraceNode[W]] = []
-    for move, multiplier, n_children in reversed(steps):
-        children = tuple([nodes.pop() for _ in range(n_children)])
-        nodes.append(TraceNode(move, multiplier, children))
-    return nodes[0]
+
+def _path(stack: list) -> tuple[tuple[Move, int], ...]:
+    """``(move, child index)`` from the root to the map just popped off ``stack``.
+
+    Each exit frame on the stack is an ancestor, and the maps above it
+    up to the next frame are its children not yet begun; children are
+    pushed last first, so ``k`` of them left means child ``n - 1 - k``.
+    """
+    path: list[tuple[Move, int]] = []
+    for entry in stack:
+        if type(entry) is tuple:
+            path.append((entry[0], entry[2] - 1))
+        else:
+            move, index = path[-1]
+            path[-1] = (move, index - 1)
+    return tuple(path)
 
 
 def euler_characteristic(cmap: CombinatorialMap) -> int:
@@ -367,7 +421,7 @@ def euler_characteristic(cmap: CombinatorialMap) -> int:
 
 
 def format_trace(root: TraceNode) -> str:
-    """Indented one-line-per-node rendering of a trace tree, in pre-order."""
+    """Indented one-line-per-node rendering of a trace unfolded into its tree, in pre-order."""
     lines: list[str] = []
     stack = [(root, 0)]
     while stack:

@@ -28,6 +28,7 @@ from tait.reduction import (
     Move,
     MoveKind,
     RelationWeights,
+    TraceNode,
     _checked_face,
     _orbit_kind,
     apply_move,
@@ -408,6 +409,106 @@ def test_dumbbell_is_irreducible_with_zero_count():
     message = str(info.value)
     assert "five or more" not in message
     assert "smallest face degree 1, and 3 faces of degree at most 4 are degenerate" in message
+
+
+def test_irreducible_error_path_replays_to_the_stuck_map():
+    # the dumbbell is stuck at the root, beside a theta after two moves,
+    # and in the random map below one second child (index 1)
+    stuck = [dumbbell(), disjoint_union(dumbbell(), theta()), random_planar_cubic(40, seed=4002)]
+    for g in stuck:
+        with pytest.raises(IrreducibleError) as info:
+            reduce_map(g)
+        graph = g
+        for move, index in info.value.path:
+            graph = apply_move(graph, move)[index]
+        assert graph == info.value.graph
+    assert [i for _, i in info.value.path].count(1) == 1
+    with pytest.raises(IrreducibleError) as info:
+        reduce_map(dodecahedron())
+    assert info.value.path == ()
+    # the path is not part of the message
+    assert str(IrreducibleError(dumbbell(), ((Move(MoveKind.LOOP), 0),))) == str(
+        IrreducibleError(dumbbell())
+    )
+
+
+def unshared_trace(cmap: CombinatorialMap) -> TraceNode:
+    """The Euler trace as a tree, every map reduced afresh by find_move and apply_move: no memo."""
+    if cmap.n_half_edges == 0 and cmap.free_loops == 0:
+        return TraceNode(None, 1, ())
+    move = find_move(cmap)
+    if move is None:
+        raise IrreducibleError(cmap)
+    factor = {MoveKind.LOOP: 3, MoveKind.BIGON: 2}.get(move.kind, 1)
+    return TraceNode(move, factor, tuple(unshared_trace(c) for c in apply_move(cmap, move)))
+
+
+SHARING_MAPS = [
+    cube(),
+    *[prism(n) for n in range(3, 11)],
+    *[necklace(k) for k in range(2, 7)],
+    disjoint_union(prism(5), necklace(3)),
+    *[random_planar_cubic(v, seed=v + s) for v in (20, 30, 40) for s in range(3)],
+    random_planar_cubic(40, seed=4002),  # strands
+]
+
+
+@pytest.mark.parametrize("cmap", SHARING_MAPS)
+def test_shared_trace_prints_as_the_unshared_tree(cmap):
+    try:
+        expected = unshared_trace(cmap)
+    except IrreducibleError as exc:
+        with pytest.raises(IrreducibleError) as info:
+            reduce_map(cmap)
+        assert info.value.graph == exc.graph
+        return
+    trace = reduce_map(cmap)
+    assert format_trace(trace) == format_trace(expected)
+    assert trace.value() == expected.value() == count_tait(cmap)
+
+
+def test_identical_maps_share_one_subtree():
+    # both square branches of the cube reach the same map after one bigon
+    trace = reduce_map(cube())
+    first, second = (child.children[0] for child in trace.children)
+    assert first.move == second.move == Move(MoveKind.BIGON, (0, 4))
+    assert first is second
+
+
+
+def test_maps_that_differ_only_in_free_loops_are_not_shared(monkeypatch):
+    # necklace(2)'s square rejoins its stubs into two loops one way and one
+    # the other: both children have empty tables, and only the loops differ
+    square = Move(MoveKind.SQUARE, (0, 3, 6, 9))
+    monkeypatch.setattr(reduction, "find_move", lambda g: square if g == necklace(2) else find_move(g))
+    trace = reduce_map(necklace(2))
+    assert format_trace(trace).splitlines() == [
+        "0 square 0,3,6,9 1",
+        "  1 loop - 3",
+        "    2 loop - 3",
+        "      3 empty 1",
+        "  1 loop - 3",
+        "    2 empty 1",
+    ]
+    assert trace.value() == count_tait(necklace(2)) == 12
+
+@pytest.mark.parametrize(
+    "cmap, unshared, shared",
+    [(cube(), 7, 5), (prism(8), 21, 13), (prism(12), 43, 19), (necklace(6), 7, 7)],
+)
+def test_each_distinct_map_is_reduced_once(monkeypatch, cmap, unshared, shared):
+    calls = []
+
+    def counted(g, move):
+        calls.append(move)
+        return apply_move(g, move)
+
+    monkeypatch.setattr(reduction, "apply_move", counted)
+    trace = reduce_map(cmap)
+    assert len(calls) == shared
+    # the trace still prints one line per move of the unshared tree
+    lines = format_trace(trace).splitlines()
+    assert sum(" empty " not in line for line in lines) == unshared
 
 
 def random_order_value(cmap, rng):
