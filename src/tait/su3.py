@@ -26,6 +26,7 @@ on 3x3 products, so no caller has a reason to set another.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -275,6 +276,35 @@ class OrderTwoProductReport:
         return worst
 
 
+def _check_order_two_products(S: np.ndarray, T: np.ndarray) -> list[OrderTwoProductReport]:
+    """:func:`check_order_two_product` on each pair ``(S[i], T[i])``, unchecked.
+
+    The caller vouches that both stacks hold order-2 special unitaries.
+    """
+    a, b = _axes(S), _axes(T)
+    product = S @ T
+    order_two, defect = _order_two(product)
+    c = _axes(product[order_two])
+    # overlaps of each order-2 product's axis with both input axes, in pair order
+    overlaps = zip(
+        _line_overlaps(c, a[order_two]).tolist(), _line_overlaps(c, b[order_two]).tolist()
+    )
+    reports = []
+    for inner, two, d in zip(_inner(a, b).tolist(), order_two.tolist(), defect.tolist()):
+        orthogonal = abs(inner) <= _TOL
+        reports.append(
+            OrderTwoProductReport(
+                axis_inner=inner,
+                axes_orthogonal=orthogonal,
+                product_order_two=two,
+                involution_defect=d,
+                product_axis_overlaps=next(overlaps) if two else None,
+                biconditional_holds=two == orthogonal,
+            )
+        )
+    return reports
+
+
 def check_order_two_product(S, T) -> OrderTwoProductReport:
     """Measure the order-2-product criterion on a pair of involutions.
 
@@ -287,24 +317,7 @@ def check_order_two_product(S, T) -> OrderTwoProductReport:
     fault = _first_fault(pair)
     if fault is not None:
         raise ValueError(f"{'ST'[fault[0]]}: {fault[1]}")
-    S, T = pair
-    a, b = _axes(pair)
-    inner = complex(_inner(a, b))
-    product = S @ T
-    order_two, defect = _order_two(product[None])
-    order_two, defect = bool(order_two[0]), float(defect[0])
-    overlaps = None
-    if order_two:
-        c = _axes(product[None])[0]
-        overlaps = (line_overlap(c, a), line_overlap(c, b))
-    return OrderTwoProductReport(
-        axis_inner=inner,
-        axes_orthogonal=abs(inner) <= _TOL,
-        product_order_two=order_two,
-        involution_defect=defect,
-        product_axis_overlaps=overlaps,
-        biconditional_holds=order_two == (abs(inner) <= _TOL),
-    )
+    return _check_order_two_products(pair[:1], pair[1:])[0]
 
 
 # ----------------------------------------------------------------------
@@ -460,9 +473,12 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     fixed neighbors of some edge span all of C^3 the attempt restarts.
     Each unfixed edge keeps its free subspace: rows spanning the
     orthogonal complement of its fixed neighbors.  Fixing an edge solves
-    that subspace again, with one SVD, only at its own unfixed
-    neighbors, the only edges whose constraints changed, and an edge is
-    later fixed from the rows it holds.
+    that subspace again only at its own unfixed neighbors, the only
+    edges whose constraints changed, and an edge is later fixed from the
+    rows it holds.  A solve is one SVD, kept for the rest of the attempt
+    by the fixed neighbors it spans: a neighbor that sees the same fixed
+    edges reuses it.  The next edge comes off a heap of (free rows,
+    breadth-first rank), whose outdated entries are skipped.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
     the necklaces), which therefore sample without restarts.  Other
@@ -490,10 +506,17 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
         lines: list[np.ndarray | None] = [None] * len(neighbors)
         # rows spanning the lines each unfixed edge may still take
         free = [_I3] * len(neighbors)
-        # (number of free rows, bfs_rank) for every unfixed edge
+        # (number of free rows, bfs_rank) of every unfixed edge, and a heap
+        # of such keys in which a key no longer in ``priority`` is stale
         priority = {e: (3, bfs_rank[e]) for e in range(len(neighbors))}
+        heap = [(rank, e) for e, rank in priority.items()]
+        heapq.heapify(heap)
+        # free rows by the fixed neighbours that determine them
+        solved: dict[tuple[int, ...], np.ndarray] = {}
         while priority:
-            e = min(priority, key=priority.get)
+            key, e = heapq.heappop(heap)
+            if priority.get(e) != key:
+                continue
             basis = free[e]
             if not len(basis):
                 break
@@ -505,10 +528,13 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
                 x = coef @ basis
             lines[e] = x / np.linalg.norm(x)
             for f in priority.keys() & neighbors[e]:
-                fixed = [lines[g] for g in neighbors[f] if lines[g] is not None]
-                _, s, vh = np.linalg.svd(np.conj(np.array(fixed)))
-                free[f] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
+                fixed = tuple(g for g in neighbors[f] if lines[g] is not None)
+                if fixed not in solved:
+                    _, s, vh = np.linalg.svd(np.conj(np.array([lines[g] for g in fixed])))
+                    solved[fixed] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
+                free[f] = solved[fixed]
                 priority[f] = (len(free[f]), bfs_rank[f])
+                heapq.heappush(heap, (priority[f], f))
         if not priority and _worst_overlap(triples, np.array(lines)) <= _TOL:
             lines.extend(random_line(rng) for _ in range(cmap.free_loops))
             return lines

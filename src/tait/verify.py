@@ -22,12 +22,12 @@ from .planar import CombinatorialMap, disjoint_union
 from .reduction import EULER_WEIGHTS, TraceNode, apply_move, euler_characteristic, reduce_map
 from .su3 import (
     _TOL,
+    _check_order_two_products,
     _line_overlaps,
-    check_order_two_product,
+    _reflections,
     decoration_to_representation,
     line_overlap,
     random_line,
-    reflection_from_line,
     representation_to_decoration,
     sample_admissible_decoration,
     vertex_product_deviation,
@@ -205,23 +205,34 @@ def run_lemma5(trials: int = 1000, seed: int = 0) -> SuiteReport:
     Half the pairs come from orthogonal lines (product must again be
     order 2, with its axis orthogonal to both inputs), half from lines
     with overlap at least 0.001 (product must not be order 2).  The
-    biconditional must hold on every pair.  Raises ``ValueError`` for
-    ``trials < 1``, ``seed < 0``, or either one not an int.
+    biconditional must hold on every pair.  The pairs are drawn one by
+    one and checked together, as one stack of reflections.  Raises
+    ``ValueError`` for ``trials < 1``, ``seed < 0``, or either one not
+    an int.
     """
     _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)
     n_orth = trials // 2
     n_slant = trials - n_orth
-    failures = 0
-    worst = 0.0
-    min_slant_overlap = 1.0
-
+    pairs = []
     for _ in range(n_orth):
         a = random_line(rng)
         raw = random_line(rng)
         b = raw - np.vdot(a, raw) * a
-        b = b / np.linalg.norm(b)
-        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
+        pairs.append((a, b / np.linalg.norm(b)))
+    for _ in range(n_slant):
+        while True:
+            a = random_line(rng)
+            b = random_line(rng)
+            if line_overlap(a, b) >= 1e-3:
+                break
+        pairs.append((a, b))
+    first, second = np.array(pairs).swapaxes(0, 1)
+    reports = _check_order_two_products(_reflections(first), _reflections(second))
+
+    failures = 0
+    worst = 0.0
+    for report in reports[:n_orth]:
         deviation = report.orthogonal_case_deviation
         worst = max(worst, deviation)
         if not (
@@ -231,13 +242,8 @@ def run_lemma5(trials: int = 1000, seed: int = 0) -> SuiteReport:
         ):
             failures += 1
 
-    for _ in range(n_slant):
-        while True:
-            a = random_line(rng)
-            b = random_line(rng)
-            if line_overlap(a, b) >= 1e-3:
-                break
-        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
+    min_slant_overlap = 1.0
+    for report in reports[n_orth:]:
         min_slant_overlap = min(min_slant_overlap, report.axis_overlap)
         if not (report.biconditional_holds and not report.product_order_two):
             failures += 1

@@ -315,12 +315,12 @@ def test_verify_has_no_tolerance_flag(suite, value, capsys):
 
 def test_lemma5_reports_failing_pairs(capsys, monkeypatch):
     # a suite that could never fail would pass every test
-    check = verify.check_order_two_product
+    check = verify._check_order_two_products
 
     def broken(S, T):
-        return dataclasses.replace(check(S, T), biconditional_holds=False)
+        return [dataclasses.replace(r, biconditional_holds=False) for r in check(S, T)]
 
-    monkeypatch.setattr(verify, "check_order_two_product", broken)
+    monkeypatch.setattr(verify, "_check_order_two_products", broken)
     report = verify.run_lemma5(trials=4)
     assert (report.passed, report.failures) == (False, 4)
     assert report.format_text().endswith("failures: 4\nresult: FAIL")

@@ -409,8 +409,10 @@ def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
 def test_sampler_solves_each_constraint_once(g, monkeypatch):
     # These maps sample on the first attempt.  Of two adjacent edges, the
     # one fixed second has its free subspace solved when the first is
-    # fixed and is later fixed from it, so one attempt makes exactly one
-    # SVD per pair of adjacent edges and never solves a matrix again.
+    # fixed and is later fixed from it.  A solve is stored under the ids of
+    # the fixed neighbours it spans, so one attempt never solves a matrix
+    # twice, and where two edges see the same fixed neighbours it makes
+    # fewer solves than there are pairs of adjacent edges.
     svd, solved = np.linalg.svd, []
 
     def spy(a, *args, **kwargs):
@@ -420,8 +422,9 @@ def test_sampler_solves_each_constraint_once(g, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     monkeypatch.setattr(su3, "_RETRIES", 1)
     sample_admissible_decoration(g, rng=0)
+    assert len({(m.shape, m.tobytes()) for m in solved}) == len(solved)
     adjacent = {frozenset((e, f)) for e, near in enumerate(_edge_neighbors(g)) for f in near}
-    assert len(solved) == len(adjacent)
+    assert len(solved) < len(adjacent)
 
 
 RIGID_MAPS = (
@@ -811,6 +814,43 @@ def test_line_faults_are_reported_like_the_reference(kind):
                     assert call_outcome(decoration_to_representation, g, both) == call_outcome(
                         ref_decoration_to_representation, g, both
                     )
+
+
+def per_pair_lemma5(trials, seed):
+    """(failures, max deviation, lines) of lemma5, checking one pair at a time."""
+    rng = np.random.default_rng(seed)
+    n_orth = trials // 2
+    failures, worst, min_slant_overlap = 0, 0.0, 1.0
+    for _ in range(n_orth):
+        a, raw = random_line(rng), random_line(rng)
+        b = raw - np.vdot(a, raw) * a
+        b = b / np.linalg.norm(b)
+        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
+        deviation = report.orthogonal_case_deviation
+        worst = max(worst, deviation)
+        good = report.biconditional_holds and report.product_order_two and deviation < 1e-9
+        failures += not good
+    for _ in range(trials - n_orth):
+        while True:
+            a, b = random_line(rng), random_line(rng)
+            if line_overlap(a, b) >= 1e-3:
+                break
+        report = check_order_two_product(reflection_from_line(a), reflection_from_line(b))
+        min_slant_overlap = min(min_slant_overlap, report.axis_overlap)
+        failures += not (report.biconditional_holds and not report.product_order_two)
+    lines = (
+        f"orthogonal pairs: {n_orth}, worst vanishing quantity {worst:.3e}",
+        f"non-orthogonal pairs: {trials - n_orth}, smallest axis overlap {min_slant_overlap:.3e}",
+    )
+    return failures, worst, lines
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("trials", [1, 2, 3, 10, 101])
+def test_lemma5_checks_its_stack_as_pairs_one_at_a_time(trials, seed):
+    # one pair has no orthogonal half, so the stacked check also runs on empty stacks
+    report = verify.run_lemma5(trials, seed)
+    assert (report.failures, report.max_deviation, report.lines) == per_pair_lemma5(trials, seed)
 
 
 @pytest.mark.parametrize("seed", range(20))
