@@ -46,8 +46,6 @@ _INT64_VERTICES = 60
 
 _DISTINCT = np.zeros((3, 3, 3), dtype=np.int64)
 _DISTINCT[tuple(zip(*permutations(range(3))))] = 1
-_ANCHOR = np.zeros((3, 3, 3), dtype=np.int64)
-_ANCHOR[0, 1, 2] = 1
 
 
 def count_tait(cmap: CombinatorialMap) -> int:
@@ -58,20 +56,15 @@ def count_tait(cmap: CombinatorialMap) -> int:
     clusters whose merge leaves the fewest open edges, ties going to the
     smaller pair of ids, are merged by summing over the colors of the
     edges they share, until each connected component is one number.
-    Vertex 0 keeps only the colors (0, 1, 2), and the product is
-    multiplied by 6: the six color permutations act freely on the
-    colorings, and exactly one of each orbit gives vertex 0 those colors.
+    Each table entry counts the colorings of its cluster, over the actual
+    colors, that give its open edges the colors of the entry's index.
     """
-    loop_factor = 3**cmap.free_loops
-    if cmap.n_paired_edges == 0:
-        return loop_factor
     at_vertex, endpoints = _incidences(cmap)
     if _has_self_loop(at_vertex):
         return 0
 
     # cluster id -> (open edges, table with one axis per open edge, vertices)
     clusters = {v: (edges, _DISTINCT, 1) for v, edges in enumerate(at_vertex)}
-    clusters[0] = (at_vertex[0], _ANCHOR, 1)
     ends = [list(pair) for pair in endpoints]  # the clusters at each edge's two ends
     fresh = count(len(at_vertex))  # so a merged cluster's id is above every live one
 
@@ -79,7 +72,7 @@ def count_tait(cmap: CombinatorialMap) -> int:
         return (len(set(clusters[a][0]).symmetric_difference(clusters[b][0])), a, b)
 
     heap = sorted({key(min(pair), max(pair)) for pair in endpoints})  # sorted is a heap
-    total = 6 * loop_factor
+    total = 3**cmap.free_loops
     while heap:
         _, a, b = heapq.heappop(heap)
         if a not in clusters or b not in clusters:

@@ -56,10 +56,6 @@ class LaurentPoly:
     # construction helpers
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
     def _coerce(cls, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
@@ -132,7 +128,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        result = LaurentPoly.one()
+        result = LaurentPoly({0: 1})
         for _ in range(n):
             result = result * self
         return result

@@ -47,7 +47,6 @@ __all__ = [
     "OrderTwoProductReport",
     "check_order_two_product",
     "admissibility_deviation",
-    "is_admissible",
     "decoration_to_representation",
     "representation_to_decoration",
     "vertex_product_deviation",
@@ -363,10 +362,6 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     return _worst_overlap(_vertex_triples(cmap), lines)
 
 
-def is_admissible(cmap: CombinatorialMap, decoration) -> bool:
-    return admissibility_deviation(cmap, decoration) <= _TOL
-
-
 def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.ndarray]:
     """Order-2 matrices of an admissible decoration, indexed by edge.
 
@@ -477,8 +472,10 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     edges whose constraints changed, and an edge is later fixed from the
     rows it holds.  A solve is one SVD, kept for the rest of the attempt
     by the fixed neighbors it spans: a neighbor that sees the same fixed
-    edges reuses it.  The next edge comes off a heap of (free rows,
-    breadth-first rank), whose outdated entries are skipped.
+    edges reuses it.  The next edge comes off one heap of (free rows,
+    breadth-first rank, edge) entries, one pushed each time an edge's
+    free rows are solved; an entry is outdated, and skipped, once its
+    edge is fixed or its row count differs from the rows the edge holds.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
     the necklaces), which therefore sample without restarts.  Other
@@ -506,38 +503,39 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
         lines: list[np.ndarray | None] = [None] * len(neighbors)
         # rows spanning the lines each unfixed edge may still take
         free = [_I3] * len(neighbors)
-        # (number of free rows, bfs_rank) of every unfixed edge, and a heap
-        # of such keys in which a key no longer in ``priority`` is stale
-        priority = {e: (3, bfs_rank[e]) for e in range(len(neighbors))}
-        heap = [(rank, e) for e, rank in priority.items()]
+        # a (free rows, bfs_rank, edge) entry per solve of an edge's free
+        # rows; an entry is stale once its edge is fixed or its row count
+        # is no longer that of ``free``
+        heap = [(3, bfs_rank[e], e) for e in range(len(neighbors))]
         heapq.heapify(heap)
         # free rows by the fixed neighbours that determine them
         solved: dict[tuple[int, ...], np.ndarray] = {}
-        while priority:
-            key, e = heapq.heappop(heap)
-            if priority.get(e) != key:
+        while heap:
+            n, _, e = heapq.heappop(heap)
+            if lines[e] is not None or n != len(free[e]):
                 continue
             basis = free[e]
-            if not len(basis):
+            if not n:
                 break
-            del priority[e]
-            if len(basis) == 1:
+            if n == 1:
                 x = basis[0]
             else:
-                coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 x = coef @ basis
             lines[e] = x / np.linalg.norm(x)
-            for f in priority.keys() & neighbors[e]:
+            for f in dict.fromkeys(neighbors[e]):
+                if lines[f] is not None:
+                    continue
                 fixed = tuple(g for g in neighbors[f] if lines[g] is not None)
                 if fixed not in solved:
                     _, s, vh = np.linalg.svd(np.conj(np.array([lines[g] for g in fixed])))
                     solved[fixed] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
                 free[f] = solved[fixed]
-                priority[f] = (len(free[f]), bfs_rank[f])
-                heapq.heappush(heap, (priority[f], f))
-        if not priority and _worst_overlap(triples, np.array(lines)) <= _TOL:
-            lines.extend(random_line(rng) for _ in range(cmap.free_loops))
-            return lines
+                heapq.heappush(heap, (len(free[f]), bfs_rank[f], f))
+        else:
+            if _worst_overlap(triples, np.array(lines)) <= _TOL:
+                lines.extend(random_line(rng) for _ in range(cmap.free_loops))
+                return lines
     raise RetriesExhaustedError(
         f"no admissible decoration found in {_RETRIES} attempts", retries=_RETRIES
     )

@@ -82,8 +82,10 @@ def test_count_multiplies_over_components():
     assert count_tait(disjoint_union(prism(2), circle())) == 36
 
 
-def test_empty_map_counts_one():
-    assert count_tait(CombinatorialMap((), (), 0)) == 1
+@pytest.mark.parametrize("k", range(4))
+def test_empty_map_counts_one(k):
+    # no vertices: each free loop takes any of the 3 colors
+    assert count_tait(circle(k)) == 3**k
 
 
 def test_self_loop_kills_count():

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     # su3
     "InadmissibleDecorationError", "OrderTwoProductReport", "RetriesExhaustedError",
     "STANDARD_INVOLUTION", "admissibility_deviation", "axis_of",
-    "check_order_two_product", "decoration_to_representation", "is_admissible",
+    "check_order_two_product", "decoration_to_representation",
     "is_order_two", "line_overlap", "random_line", "random_special_unitary",
     "reflection_from_line", "representation_to_decoration",
     "sample_admissible_decoration", "vertex_product_deviation",
@@ -34,7 +34,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 56
     assert len(tait.__all__) == len(set(tait.__all__))
     assert set(tait.__all__) == PUBLIC_NAMES
 

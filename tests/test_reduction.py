@@ -557,7 +557,7 @@ def test_euler_weights_constant():
     assert EULER_WEIGHTS == RelationWeights(loop=3, bigon=2)
     # the unit is the ring's own: an int here, a LaurentPoly for P3_WEIGHTS
     assert EULER_WEIGHTS.one == 1 and type(EULER_WEIGHTS.one) is int
-    assert P3_WEIGHTS.one == LaurentPoly.one() and type(P3_WEIGHTS.one) is LaurentPoly
+    assert P3_WEIGHTS.one == LaurentPoly({0: 1}) and type(P3_WEIGHTS.one) is LaurentPoly
     with pytest.raises(TypeError):
         RelationWeights(loop=3, bigon=2, one=1)
 

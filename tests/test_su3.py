@@ -20,7 +20,6 @@ from tait.su3 import (
     axis_of,
     check_order_two_product,
     decoration_to_representation,
-    is_admissible,
     is_order_two,
     line_overlap,
     random_line,
@@ -171,7 +170,7 @@ def test_product_check_rejects_non_involutions():
 def test_theta_standard_basis_decoration():
     g = theta()
     decoration = [E[0], E[1], E[2]]
-    assert is_admissible(g, decoration)
+    assert admissibility_deviation(g, decoration) <= 1e-9
     assert admissibility_deviation(g, decoration) <= 1e-15
     mats = decoration_to_representation(g, decoration)
     assert vertex_product_deviation(g, mats) <= 1e-12
@@ -184,7 +183,7 @@ def test_inadmissible_decoration_is_rejected():
     g = theta()
     with pytest.raises(InadmissibleDecorationError, match="overlap"):
         decoration_to_representation(g, [E[0], E[0], E[1]])
-    assert not is_admissible(g, [E[0], E[0], E[1]])
+    assert not admissibility_deviation(g, [E[0], E[0], E[1]]) <= 1e-9
 
 
 def test_decoration_shape_errors():
@@ -234,7 +233,7 @@ def test_nan_line_fails_every_line_check():
     with pytest.raises(ValueError, match="unit vector"):
         decoration_to_representation(g, [E[0], E[1], NAN_LINE])
     assert np.isnan(admissibility_deviation(g, [E[0], E[1], NAN_LINE]))
-    assert not is_admissible(g, [E[0], E[1], NAN_LINE])
+    assert not admissibility_deviation(g, [E[0], E[1], NAN_LINE]) <= 1e-9
     assert np.isnan(line_overlap(E[0], NAN_LINE))
 
 
@@ -275,7 +274,7 @@ def test_edge_bfs_order_is_permutation_and_deterministic():
 def test_sampler_produces_admissible_decorations(g):
     lines = sample_admissible_decoration(g, rng=0)
     assert len(lines) == g.n_edges
-    assert is_admissible(g, lines)
+    assert admissibility_deviation(g, lines) <= 1e-9
     mats = decoration_to_representation(g, lines)
     assert vertex_product_deviation(g, mats) <= 1e-9
     back = representation_to_decoration(mats)
@@ -442,7 +441,7 @@ def test_sampler_succeeds_on_rigid_maps_at_the_first_attempt(g, monkeypatch):
     monkeypatch.setattr(su3, "_RETRIES", 1)
     for rng in range(3):
         lines = sample_admissible_decoration(g, rng=rng)
-        assert is_admissible(g, lines)
+        assert admissibility_deviation(g, lines) <= 1e-9
 
 
 def sampler_outcome(sampler, g, seed):
@@ -704,13 +703,12 @@ def test_maps_without_paired_edges():
 def test_decoration_checks_reject_a_wrong_length(g, extra):
     # one line per edge, free loops included
     full = [E[e % 3] for e in range(g.n_edges)]
-    assert is_admissible(g, full)
+    assert admissibility_deviation(g, full) <= 1e-9
     lines = full[:extra] if extra < 0 else full + full[:extra]
     mats = [reflection_from_line(v) for v in lines]
     n, m = len(lines), g.n_edges
     checks = [
         (admissibility_deviation, lines, f"decoration has {n} lines"),
-        (is_admissible, lines, f"decoration has {n} lines"),
         (decoration_to_representation, lines, f"decoration has {n} lines"),
         (vertex_product_deviation, mats, f"representation has {n} matrices"),
     ]
