@@ -11,18 +11,6 @@ from __future__ import annotations
 
 from .planar import CombinatorialMap, build_map
 
-__all__ = [
-    "circle",
-    "theta",
-    "k4",
-    "prism",
-    "cube",
-    "dodecahedron",
-    "petersen",
-    "necklace",
-    "GENERATORS",
-]
-
 
 def circle(n: int = 1) -> CombinatorialMap:
     """``n`` disjoint vertexless circles, each a single free-loop edge."""
@@ -139,12 +127,8 @@ def necklace(k: int) -> CombinatorialMap:
 
 
 GENERATORS = {
-    "circle": circle,
-    "theta": theta,
-    "k4": k4,
-    "prism": prism,
-    "cube": cube,
-    "dodecahedron": dodecahedron,
-    "petersen": petersen,
-    "necklace": necklace,
+    make.__name__: make
+    for make in (circle, theta, k4, prism, cube, dodecahedron, petersen, necklace)
 }
+
+__all__ = [*GENERATORS, "GENERATORS"]

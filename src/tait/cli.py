@@ -10,6 +10,7 @@ graph, 3 non-bipartite input where bipartiteness is required.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -40,6 +41,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _any_digits():
+    """Lift the interpreter's int-to-str digit limit while values are written.
+
+    Exact values outgrow the limit (4,300 digits by default) long before
+    memory.  It guards parsing against quadratic-time conversions, so it
+    is back in place afterwards.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none, as before 3.10.7
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _read_text(path: str) -> str:
@@ -105,13 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     cmap = parse_map(_read_text(args.file))
-    print(count_tait(cmap))
+    count = count_tait(cmap)
+    with _any_digits():
+        print(count)
     return EXIT_OK
 
 
 def _cmd_euler(args) -> int:
     cmap = parse_map(_read_text(args.file), check_planar=True)
-    print(reduce_map(cmap, EULER_WEIGHTS).value())
+    value = reduce_map(cmap, EULER_WEIGHTS).value()
+    with _any_digits():
+        print(value)
     return EXIT_OK
 
 
@@ -123,23 +147,23 @@ def _cmd_p3(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"invalid rational {args.at!r}") from None
     cmap = parse_map(_read_text(args.file), check_planar=True)
-    poly = p3(cmap)
-    if q is None:
-        print(poly)
-        return EXIT_OK
-    try:
-        value = poly(q)
-    except ZeroDivisionError:
-        raise ValueError("evaluation at q = 0 hits a negative power") from None
-    print(value)
+    value = p3(cmap)
+    if q is not None:
+        try:
+            value = value(q)
+        except ZeroDivisionError:
+            raise ValueError("evaluation at q = 0 hits a negative power") from None
+    with _any_digits():
+        print(value)
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
     cmap = parse_map(_read_text(args.file), check_planar=True)
     trace = reduce_map(cmap, EULER_WEIGHTS)
-    print(format_trace(trace))
-    print(f"value {trace.value()}")
+    with _any_digits():
+        print(format_trace(trace))
+        print(f"value {trace.value()}")
     return EXIT_OK
 
 

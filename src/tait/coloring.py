@@ -31,10 +31,6 @@ def _incidences(cmap: CombinatorialMap):
     return at_vertex, endpoints
 
 
-def _has_self_loop(at_vertex) -> bool:
-    return any(len(set(tri)) < 3 for tri in at_vertex)
-
-
 # A connected cluster of k vertices with the colors of its open edges
 # fixed has at most 6 * 2**(k-1) = 3 * 2**k colorings: in a BFS order of
 # the cluster the first vertex has at most 6 ways and every later vertex,
@@ -59,9 +55,9 @@ def count_tait(cmap: CombinatorialMap) -> int:
     Each table entry counts the colorings of its cluster, over the actual
     colors, that give its open edges the colors of the entry's index.
     """
-    at_vertex, endpoints = _incidences(cmap)
-    if _has_self_loop(at_vertex):
+    if cmap.has_self_loop:
         return 0
+    at_vertex, endpoints = _incidences(cmap)
 
     # cluster id -> (open edges, table with one axis per open edge, vertices)
     clusters = {v: (edges, _DISTINCT, 1) for v, edges in enumerate(at_vertex)}
@@ -102,13 +98,11 @@ def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:
     A coloring is a tuple indexed by edge id, paired edges first and
     free-loop edges last.
     """
-    if limit <= 0:
+    if limit <= 0 or cmap.has_self_loop:
         return []
     n_edges = cmap.n_paired_edges
     n_total = cmap.n_edges
     at_vertex, endpoints = _incidences(cmap)
-    if _has_self_loop(at_vertex):
-        return []
 
     color = [0] * n_total
     found: list[tuple[int, ...]] = []

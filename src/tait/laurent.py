@@ -72,18 +72,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs, highest exponent first."""
         return iter(sorted(self._coeffs.items(), reverse=True))
 
-    @property
-    def min_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
-
-    @property
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
-
     # ring structure
 
     def __add__(self, other) -> "LaurentPoly":

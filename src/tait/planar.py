@@ -6,24 +6,26 @@ rotates the half-edges counterclockwise around the vertex carrying
 them.  Faces are the orbits of ``h -> next_at_vertex[twin[h]]``.  A
 rotation system describes an embedding in the sphere exactly when every
 connected component satisfies Euler's formula V - E + F = 2; every map
-records whether it does as ``is_planar``, and is built either way.
+reports whether it does as ``is_planar``, and is built either way.
 
 A vertex is a 3-cycle of ``next_at_vertex``, so the two permutations
 are the whole map: vertices are numbered in order of their smallest
-half-edge, and no vertex table is stored.  Every map, including each
-intermediate map of a reduction, runs every structural check and the
-Euler count at construction.  The constructor keeps the two
-permutations and traces the face orbits as tuples of half-edge ids,
-noting the face of each half-edge; the Euler count finds components by
-walking from face to face across ``twin``, so it needs nothing else.
-The checks compare whole tables built by C-level gathers
-(``itemgetter``) instead of stepping through the half-edges one at a
-time.  Four tables are :func:`functools.cached_property` values, built
-on first use and kept: ``_rotations``, ``vertex_of``, ``edges`` and
-``_edge_of``.  The methods ``rotation``, ``vertex_edges``, ``edge_of``
-and ``edge_endpoints`` read them, so a map that is only searched for
-moves and rewritten, as in a reduction, or tested for bipartiteness
-never builds them.
+half-edge, and no vertex table is stored.  The constructor keeps the
+two permutations and runs every structural check, each comparing whole
+tables built by C-level gathers (``itemgetter``) instead of stepping
+through the half-edges one at a time.  Everything derived from them is
+a :func:`functools.cached_property`, built on first read and kept:
+``_rotations``, ``vertex_of``, ``edges``, ``_edge_of``,
+``has_self_loop`` and ``_faces``.  ``_faces`` is one pass: it traces
+the face orbits as tuples of half-edge ids, noting the face of each
+half-edge, and runs the Euler count, which finds components by walking
+from face to face across ``twin``; ``face_orbits``, ``is_planar`` and
+``parse_map(check_planar=True)`` read it.  The methods ``rotation``,
+``vertex_edges``, ``edge_of`` and ``edge_endpoints`` read the vertex
+and edge tables.  So a map that is only searched for moves and
+rewritten, as in a reduction, or tested for bipartiteness never builds
+those, and a map that is only counted, printed or decorated never
+traces its faces.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
@@ -90,8 +92,9 @@ class CombinatorialMap:
     ids and relabels them densely) unless you already hold the two dense
     permutations.
     Every structural check runs on every construction, each as a
-    comparison of whole tables.  The vertex, edge and rotation tables
-    are cached properties, built on first read.
+    comparison of whole tables.  Faces, planarity, the self-loop test
+    and the vertex, edge and rotation tables are cached properties,
+    built on first read.
     """
 
     def __init__(
@@ -153,11 +156,10 @@ class CombinatorialMap:
         self._sigma = sigma
         self._free_loops = free_loops
 
-        self._orbits, face_of = self._trace_orbits()
-        self._non_planar = self._check_euler(face_of)
-
-    def _trace_orbits(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        """Face orbits by smallest half-edge, and the face of each half-edge."""
+    @cached_property
+    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], str | None]:
+        """Face orbits by smallest half-edge, and ``None`` for a planar map
+        or else the Euler count of its first non-planar component."""
         phi = _gather(self._sigma, self._twin)
         face_of = [-1] * len(phi)
         orbits = []
@@ -171,16 +173,12 @@ class CombinatorialMap:
                 orbit.append(h)
                 h = phi[h]
             orbits.append(tuple(orbit))
-        return tuple(orbits), face_of
 
-    def _check_euler(self, face_of: list[int]) -> str | None:
-        """``None`` for a planar map, else the first non-planar component."""
         # connected components as sets of faces, reached a whole frontier
         # at a time across twin: <phi, twin> = <sigma, twin>, so these are
         # the components of the map.  Faces go by smallest half-edge, so a
         # component's first face holds its smallest half-edge, and
         # components are numbered by it.
-        orbits = self._orbits
         across = _gather(face_of, self._twin)
         comps: list[set[int]] = []
         seen: set[int] = set()
@@ -197,14 +195,14 @@ class CombinatorialMap:
 
         # V - E + F is at most 2 on every component, so the total is 2 per
         # component exactly when each one is planar; V = n/3 and E = n/2
-        n = len(face_of)
+        n = len(phi)
         if n // 3 - n // 2 + len(orbits) == 2 * len(comps):
-            return None
+            return tuple(orbits), None
         for c, comp in enumerate(comps):
             # V - E + F = n/3 - n/2 + F on a component with n half-edges
             chi = len(comp) - sum([len(orbits[f]) for f in comp]) // 6
             if chi != 2:
-                return (
+                return tuple(orbits), (
                     f"component {c}: V - E + F = {chi}, expected 2 "
                     "(rotation system is not planar)"
                 )
@@ -269,7 +267,13 @@ class CombinatorialMap:
 
     @property
     def is_planar(self) -> bool:
-        return self._non_planar is None
+        return self._faces[1] is None
+
+    @cached_property
+    def has_self_loop(self) -> bool:
+        """Whether some edge joins a vertex to itself: its two halves follow
+        each other in the vertex's rotation, so some twin is the next half-edge."""
+        return any(map(eq, self._twin, self._sigma))
 
     # The id queries raise IndexError unless the id is in range: a
     # negative id would otherwise index the tables from the end.
@@ -296,7 +300,7 @@ class CombinatorialMap:
 
     def face_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Half-edge cycle of every face, by smallest half-edge, which comes first."""
-        return self._orbits
+        return self._faces[0]
 
     def is_bipartite(self) -> bool:
         """Whether the vertices 2-color with no monochromatic edge.
@@ -420,7 +424,10 @@ def _parse_id(token: str, lineno: int, *, strip_colon: bool = False) -> int:
         token = token[:-1]
     if not token.isascii() or not token.isdigit():
         raise ParseError(f"line {lineno}: expected a non-negative integer, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # the interpreter's digit limit, kept against quadratic-time parsing
+        raise ParseError(f"line {lineno}: integer of {len(token)} digits is too long") from None
 
 
 def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
@@ -476,7 +483,7 @@ def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
     except MapError as exc:
         raise ParseError(str(exc)) from exc
     if check_planar and not cmap.is_planar:
-        raise NonPlanarError(cmap._non_planar)
+        raise NonPlanarError(cmap._faces[1])
     return cmap
 
 

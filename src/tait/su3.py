@@ -335,13 +335,9 @@ def _vertex_triples(cmap: CombinatorialMap) -> np.ndarray:
     return np.array(triples, dtype=np.intp).reshape(-1, 3)
 
 
-def _has_self_loop(triples: np.ndarray) -> bool:
-    return bool((triples[:, _PAIR_FIRST] == triples[:, _PAIR_SECOND]).any())
-
-
-def _worst_overlap(triples: np.ndarray, lines: np.ndarray) -> float:
-    """Worst overlap of incident lines over a vertex-triple table; 1 at a self-loop."""
-    if _has_self_loop(triples):
+def _worst_overlap(cmap: CombinatorialMap, triples: np.ndarray, lines: np.ndarray) -> float:
+    """Worst overlap of incident lines over the map's vertex triples; 1 at a self-loop."""
+    if cmap.has_self_loop:
         return 1.0
     overlaps = _line_overlaps(lines[triples[:, _PAIR_FIRST]], lines[triples[:, _PAIR_SECOND]])
     # max, unlike fmax, lets a NaN overlap through
@@ -359,7 +355,7 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     lines, error = _stack(decoration, _as_vector, (3,))
     if error is not None:
         raise error
-    return _worst_overlap(_vertex_triples(cmap), lines)
+    return _worst_overlap(cmap, _vertex_triples(cmap), lines)
 
 
 def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.ndarray]:
@@ -375,7 +371,7 @@ def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.
     _require_unit(lines)
     if error is not None:
         raise error
-    deviation = _worst_overlap(_vertex_triples(cmap), lines)
+    deviation = _worst_overlap(cmap, _vertex_triples(cmap), lines)
     if not deviation <= _TOL:
         raise InadmissibleDecorationError(
             f"incident lines overlap by {deviation:.3e} (tolerance {_TOL:.1e})"
@@ -491,11 +487,11 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     :class:`RetriesExhaustedError` after ``_RETRIES`` (100) failed attempts.
     """
     rng = np.random.default_rng(rng)
-    triples = _vertex_triples(cmap)
-    if _has_self_loop(triples):
+    if cmap.has_self_loop:
         raise RetriesExhaustedError(
             "a vertex self-loop admits no admissible decoration", retries=0
         )
+    triples = _vertex_triples(cmap)
     neighbors = _edge_neighbors(cmap)
     bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(neighbors))}
 
@@ -533,7 +529,7 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
                 free[f] = solved[fixed]
                 heapq.heappush(heap, (len(free[f]), bfs_rank[f], f))
         else:
-            if _worst_overlap(triples, np.array(lines)) <= _TOL:
+            if _worst_overlap(cmap, triples, np.array(lines)) <= _TOL:
                 lines.extend(random_line(rng) for _ in range(cmap.free_loops))
                 return lines
     raise RetriesExhaustedError(

@@ -14,7 +14,7 @@ import pytest
 
 import tait
 from tait import verify
-from tait.catalog import cube, dodecahedron, necklace, petersen, theta
+from tait.catalog import circle, cube, dodecahedron, necklace, petersen, theta
 from tait.cli import (
     EXIT_INVALID,
     EXIT_IRREDUCIBLE,
@@ -347,6 +347,55 @@ def test_verify_passes_flags_through_a_wrapped_suite(capsys, monkeypatch):
 def test_count_on_long_necklace(tmp_path, capsys):
     code, out, err = run(["count", graph_file(tmp_path, necklace(400))], capsys)
     assert (code, out, err) == (EXIT_OK, f"{3 * 2**400}\n", "")
+
+
+def digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 for none, as before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def decimal(value) -> str:
+    """``str(value)``, past the interpreter's digit limit too."""
+    limit = digit_limit()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, cmap, want",
+    [
+        # 3**9100 has 4,342 digits, past the default limit of 4,300
+        (["count"], circle(9100), lambda: decimal(3**9100)),
+        (["euler"], circle(9100), lambda: decimal(3**9100)),
+        (["reduce"], circle(9100), lambda: "value " + decimal(3**9100)),
+        (
+            ["p3", "--at", "1e200"],
+            necklace(20),
+            lambda: decimal(p3(necklace(20))(Fraction("1e200"))),
+        ),
+    ],
+    ids=["count", "euler", "reduce", "p3-at"],
+)
+def test_values_print_at_any_size(argv, cmap, want, tmp_path, capsys):
+    limit = digit_limit()
+    code, out, err = run([argv[0], graph_file(tmp_path, cmap), *argv[1:]], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == want()
+    # the limit is lifted only while the value is written
+    assert digit_limit() == limit
+
+
+@pytest.mark.skipif(not digit_limit(), reason="the interpreter has no digit limit")
+def test_over_long_id_is_a_parse_error_on_its_line(capsys, monkeypatch):
+    text = serialize_map(theta()) + "loops " + "9" * 5000 + "\n"
+    code, out, err = run(["count"], capsys, monkeypatch, stdin=text)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: line 6: integer of 5000 digits is too long\n"
 
 
 def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -136,11 +136,6 @@ def test_queries():
     assert p.coefficient(3) == 1
     assert p.coefficient(2) == 0
     assert list(p.items()) == [(3, 1), (0, -2), (-4, 5)]
-    assert (p.min_exponent, p.max_exponent) == (-4, 3)
-    with pytest.raises(ValueError, match="no exponents"):
-        LaurentPoly().min_exponent  # noqa: B018
-    with pytest.raises(ValueError, match="no exponents"):
-        LaurentPoly().max_exponent  # noqa: B018
 
 
 def test_constructor_drops_zeros_and_rejects_nonints():

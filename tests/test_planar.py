@@ -1,10 +1,23 @@
 import random
 import re
+import sys
 from collections import deque
 
 import pytest
 
-from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
+from tait import reduction
+from tait.catalog import (
+    GENERATORS,
+    circle,
+    cube,
+    dodecahedron,
+    k4,
+    necklace,
+    petersen,
+    prism,
+    theta,
+)
+from tait.coloring import count_tait, enumerate_tait
 from tait.planar import (
     CombinatorialMap,
     MapError,
@@ -15,6 +28,8 @@ from tait.planar import (
     parse_map,
     serialize_map,
 )
+from tait.reduction import apply_move, available_moves, reduce_map
+from tait.su3 import decoration_to_representation, sample_admissible_decoration
 from test_coloring import CATALOG_MAPS, dumbbell, random_planar_cubic
 from test_reduction import SEARCH_MAPS, built_tables, priority_path_maps
 
@@ -251,6 +266,15 @@ def test_parse_comments_whitespace_and_default_loops():
         ("loops -1", "non-negative integer"),
         ("thing 1 2", "unknown directive"),
         ("vertex 0: 0 1 2", "unmatched"),
+        pytest.param(
+            "vertex 0: 0 1 " + "9" * 5000,
+            "^line 1: integer of 5000 digits is too long$",
+            id="over-long id",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", int)(),
+                reason="the interpreter has no digit limit",
+            ),
+        ),
     ],
 )
 def test_parse_errors(text, message):
@@ -343,7 +367,7 @@ def constructor_outcome(twin, sigma):
         g = CombinatorialMap(twin, sigma)
     except MapError as exc:
         return type(exc), str(exc)
-    return None if g.is_planar else (NonPlanarError, g._non_planar)
+    return None if g.is_planar else (NonPlanarError, g._faces[1])
 
 
 def corrupt(cmap, rng):
@@ -617,3 +641,80 @@ def test_is_bipartite_matches_vertex_search():
         assert answer == vertex_bfs_bipartite(g), name
         answers.add(answer)
     assert answers == {True, False}
+
+
+# ----------------------------------------------------------------------
+# faces, planarity and self-loops, derived on first read
+
+
+def holds_faces(g: CombinatorialMap) -> bool:
+    """Whether ``g`` has traced its faces, read without tracing them."""
+    return "_faces" in vars(g)
+
+
+def test_maps_hold_no_face_data_until_read():
+    sizes = {"circle": (2,), "prism": (5,), "necklace": (3,)}
+    made = [make(*sizes.get(name, ())) for name, make in GENERATORS.items()]
+    made += [
+        CombinatorialMap(theta().twin, theta().next_at_vertex, 1),
+        build_map(THETA_ROTATIONS, THETA_PAIRS),
+        parse_map(serialize_map(petersen())),
+        parse_map(serialize_map(disjoint_union(k4(), circle(2)))),
+        disjoint_union(necklace(2), cube()),
+    ]
+    for g in made:
+        assert not holds_faces(g), g
+        count_tait(g)
+        enumerate_tait(g, 3)
+        serialize_map(g)
+        if g.n_vertices <= 12 and g != petersen():  # the sampler exhausts on the other two
+            decoration_to_representation(g, sample_admissible_decoration(g, rng=0))
+        assert not holds_faces(g), g
+        # the first read traces them, and every later read shares that pass
+        faces = g.face_orbits()
+        assert holds_faces(g)
+        assert g.is_planar == (g != petersen())
+        assert g.face_orbits() is faces
+
+
+def test_reduction_traces_no_map_it_takes_from_the_memo(monkeypatch):
+    made = []
+
+    def recording(cmap, move):
+        children = apply_move(cmap, move)
+        made.extend(children)
+        return children
+
+    monkeypatch.setattr(reduction, "apply_move", recording)
+    shared = 0
+    for cmap in [prism(12), necklace(6), *[random_planar_cubic(v, 7) for v in (30, 40, 50)]]:
+        made.clear()
+        reduce_map(cmap)
+        seen = set()
+        for g in made:
+            key = (g.twin, g.next_at_vertex, g.free_loops)
+            # the first copy of a map is expanded, which reads its faces; a
+            # later copy takes the finished node and is never traced
+            assert holds_faces(g) == (key not in seen)
+            shared += key in seen
+            seen.add(key)
+    assert shared > 0
+
+
+def self_loop_by_incidence(g: CombinatorialMap) -> bool:
+    """Reference: some vertex meets one edge twice."""
+    return any(len(set(g.vertex_edges(v))) < 3 for v in range(g.n_vertices))
+
+
+def test_has_self_loop_matches_incidence():
+    maps = [g for _, g in bipartite_test_maps()]
+    maps += [
+        child
+        for g in list(maps)
+        if g.is_planar
+        for move in available_moves(g)
+        for child in apply_move(g, move)
+    ]
+    answers = [g.has_self_loop for g in maps]
+    assert answers == [self_loop_by_incidence(g) for g in maps]
+    assert 0 < sum(answers) < len(answers)

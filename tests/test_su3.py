@@ -485,6 +485,44 @@ def test_sampler_matches_rescanning_reference(g, max_retries, monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_sampler_skips_an_entry_whose_edge_gained_free_rows(seed, monkeypatch):
+    # In exact arithmetic an edge's free rows only shrink as its neighbours
+    # are fixed, so an outdated heap entry of an unfixed edge always has
+    # more rows than the edge holds.  A numerical rank can drop instead:
+    # here the SVD reports one rank less for the first three-row input of
+    # an unpatched run, chosen by its content, so that edge's free rows
+    # grow while its older, smaller entry is still queued.  The sampler
+    # must skip that entry, as the rescanning reference never sees it.
+    g, svd, inputs = k4(), np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sample_admissible_decoration(g, rng=seed)
+    chosen = next(a for a in inputs if len(a) == 3)
+    lowered = []
+
+    def lower_rank(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if np.array_equal(a, chosen):
+            lowered.append(a)
+            s = out[1] if kwargs.get("compute_uv", True) else out
+            s[np.count_nonzero(s > s[0] * 1e-8) - 1] = 0
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", lower_rank)
+    want = rescanning_sampler(g, seed)
+    assert lowered
+    lowered.clear()
+    got = sample_admissible_decoration(g, rng=seed)
+    assert lowered
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ----------------------------------------------------------------------
 # stacked decoration functions against a per-edge reference
 
