@@ -145,6 +145,11 @@ def _cmd_p3(args) -> int:
         try:
             q = Fraction(args.at)
         except (ValueError, ZeroDivisionError):
+            # the interpreter's digit limit (0: none), kept against quadratic-time parsing
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            digits = sum(map(str.isdigit, args.at))
+            if 0 < limit < digits:
+                raise ValueError(f"rational of {digits} digits is too long") from None
             raise ValueError(f"invalid rational {args.at!r}") from None
     cmap = parse_map(_read_text(args.file), check_planar=True)
     value = p3(cmap)

@@ -398,6 +398,19 @@ def test_over_long_id_is_a_parse_error_on_its_line(capsys, monkeypatch):
     assert err == "tait: error: line 6: integer of 5000 digits is too long\n"
 
 
+@pytest.mark.skipif(not digit_limit(), reason="the interpreter has no digit limit")
+def test_over_long_rational_is_refused_in_one_short_line(tmp_path, capsys):
+    path = graph_file(tmp_path, theta())
+    code, out, err = run(["p3", path, "--at", "1" + "0" * 5000], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "tait: error: rational of 5001 digits is too long\n"
+    # the limit stays in place; a value within it is evaluated as before
+    assert digit_limit() > 0
+    code, out, err = run(["p3", path, "--at", "1" + "0" * 100], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == decimal(p3(theta())(Fraction(10**100))) + "\n"
+
+
 def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     # the reduction runs on an explicit stack, so a tight limit still reduces necklace(100)
     path = graph_file(tmp_path, necklace(100))

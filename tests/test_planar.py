@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from collections import deque
+from functools import cached_property
 
 import pytest
 
@@ -677,28 +678,44 @@ def test_maps_hold_no_face_data_until_read():
         assert g.face_orbits() is faces
 
 
-def test_reduction_traces_no_map_it_takes_from_the_memo(monkeypatch):
+def test_reduction_traces_only_its_root(monkeypatch):
     made = []
+    apply = reduction._apply
 
-    def recording(cmap, move):
-        children = apply_move(cmap, move)
+    def recording(cmap, kind, face):
+        children = apply(cmap, kind, face)
         made.extend(children)
         return children
 
-    monkeypatch.setattr(reduction, "apply_move", recording)
+    monkeypatch.setattr(reduction, "_apply", recording)
     shared = 0
     for cmap in [prism(12), necklace(6), *[random_planar_cubic(v, 7) for v in (30, 40, 50)]]:
+        root = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops)
         made.clear()
-        reduce_map(cmap)
-        seen = set()
-        for g in made:
-            key = (g.twin, g.next_at_vertex, g.free_loops)
-            # the first copy of a map is expanded, which reads its faces; a
-            # later copy takes the finished node and is never traced
-            assert holds_faces(g) == (key not in seen)
-            shared += key in seen
-            seen.add(key)
+        reduce_map(root)
+        # the root's planarity check traces its faces; no map a move makes is traced
+        assert holds_faces(root)
+        assert not any(map(holds_faces, made))
+        keys = [(g.twin, g.next_at_vertex, g.free_loops) for g in made]
+        shared += len(keys) - len(set(keys))
+    # later copies of a map still take the finished node from the memo
     assert shared > 0
+
+
+def test_reduce_map_traces_faces_once(monkeypatch):
+    traced = []
+    trace_faces = CombinatorialMap._faces.func
+
+    def counted(g):
+        traced.append(g)
+        return trace_faces(g)
+
+    faces = cached_property(counted)
+    faces.__set_name__(CombinatorialMap, "_faces")
+    monkeypatch.setattr(CombinatorialMap, "_faces", faces)
+    root = necklace(50)
+    assert reduce_map(root).value() == 3 * 2**50
+    assert traced == [root]
 
 
 def self_loop_by_incidence(g: CombinatorialMap) -> bool:

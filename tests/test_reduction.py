@@ -355,25 +355,11 @@ def test_custom_weights_change_only_multipliers():
 
 
 def test_nonplanar_is_rejected():
-    with pytest.raises(NonPlanarError):
-        reduce_map(petersen())
-
-
-def test_nonplanar_child_is_rejected(monkeypatch):
-    # every map reduce_map pops is checked, not only the root: Petersen
-    # offers no move, so without the check this would be irreducible
-    moves = []
-
-    def first_move_makes_petersen(g, move):
-        moves.append(move)
-        return (petersen(),) if len(moves) == 1 else apply_move(g, move)
-
-    monkeypatch.setattr(reduction, "apply_move", first_move_makes_petersen)
-    assert find_move(petersen()) is None
-    with pytest.raises(NonPlanarError) as info:
-        reduce_map(theta())
-    assert str(info.value) == "reduction moves are only valid for planar maps"
-    assert len(moves) == 1
+    # only the root is checked: theta's bigon beside Petersen is refused too
+    for cmap in (petersen(), disjoint_union(petersen(), theta())):
+        with pytest.raises(NonPlanarError) as info:
+            reduce_map(cmap)
+        assert str(info.value) == "reduction moves are only valid for planar maps"
 
 
 def test_every_move_is_refused_on_a_nonplanar_map():
@@ -499,11 +485,13 @@ def test_maps_that_differ_only_in_free_loops_are_not_shared(monkeypatch):
 def test_each_distinct_map_is_reduced_once(monkeypatch, cmap, unshared, shared):
     calls = []
 
-    def counted(g, move):
-        calls.append(move)
-        return apply_move(g, move)
+    apply = reduction._apply
 
-    monkeypatch.setattr(reduction, "apply_move", counted)
+    def counted(g, kind, face):
+        calls.append((kind, face))
+        return apply(g, kind, face)
+
+    monkeypatch.setattr(reduction, "_apply", counted)
     trace = reduce_map(cmap)
     assert len(calls) == shared
     # the trace still prints one line per move of the unshared tree
@@ -637,6 +625,43 @@ def test_move_search_matches_eager_definition(cmap):
         assert moves == eager_moves(g)
         assert fresh.face_orbits() == eager_faces(g)
         assert fresh.face_orbits() is fresh.face_orbits()
+
+
+def reduction_tree_maps(g: CombinatorialMap) -> list[CombinatorialMap]:
+    """Every distinct map of ``g``'s priority reduction tree, up to any strand."""
+    todo, seen = [g], {}
+    while todo:
+        x = todo.pop()
+        key = (x.twin, x.next_at_vertex, x.free_loops)
+        if key in seen:
+            continue
+        seen[key] = x
+        move = find_move(x)
+        if move is not None and x.is_planar:
+            todo.extend(apply_move(x, move))
+    return list(seen.values())
+
+
+TREE_MAPS = (
+    [
+        (f"random{v}-{s}", random_planar_cubic(v, seed=5000 + 100 * s + v))
+        for v in range(60, 101, 5)
+        for s in range(3)
+    ]
+    + [("necklace50", necklace(50)), ("prism24", prism(24))]
+    + UNIONS
+)
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in TREE_MAPS], ids=[name for name, _ in TREE_MAPS])
+def test_move_search_matches_available_moves_over_reduction_trees(cmap):
+    for g in reduction_tree_maps(cmap):
+        fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
+        move = find_move(fresh)
+        # the search reads the two permutations only; it traces no face
+        assert "_faces" not in vars(fresh)
+        moves = available_moves(fresh)
+        assert move == min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
 
 
 def built_tables(g: CombinatorialMap) -> list[str]:
@@ -862,6 +887,23 @@ def dict_rebuild(cmap, sigma, dead_half, welds):
 RELABEL_MAPS = [g for _, g in SEARCH_MAPS] + [
     random_planar_cubic(v, seed=3000 + v) for v in range(4, 81, 4)
 ]
+
+
+def test_every_child_of_a_planar_map_is_planar():
+    # the invariant that lets reduce_map check only its root: a move
+    # rewrites one face's closed disk; RELABEL_MAPS holds SEARCH_MAPS too
+    branches = {kind: 0 for kind in MoveKind}
+    for cmap in RELABEL_MAPS:
+        for g in priority_path_maps(cmap):
+            if not g.is_planar:
+                continue
+            for move in available_moves(g):
+                children = apply_move(g, move)
+                assert len(children) == (2 if move.kind is MoveKind.SQUARE else 1)
+                for child in children:
+                    assert child.is_planar, move
+                    branches[move.kind] += 1
+    assert all(branches.values()), branches
 
 
 def test_run_relabel_matches_dict_relabel(monkeypatch):
