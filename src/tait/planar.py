@@ -25,9 +25,10 @@ from face to face across ``twin``; ``face_orbits``, ``is_planar`` and
 and edge tables.  So a map that is only searched for moves and
 rewritten, as in a reduction, or tested for bipartiteness never builds
 those, and a map that is only counted, printed or decorated never
-traces its faces.  Nor does a map that a reduction move makes: the move
-search walks ``phi`` from the permutations, and a move keeps a planar
-map planar, so a reduction traces only its root.
+traces its faces.  Nor does a map searched for moves: ``find_move`` and
+``available_moves`` share one search that walks the face permutation
+built from the two permutations, and a move keeps a planar map planar,
+so a reduction traces only its root.
 
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is

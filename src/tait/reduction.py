@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, Iterable, Iterator, TypeVar
 
 from .planar import CombinatorialMap, MapError, NonPlanarError, _gather
 from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
@@ -169,32 +168,20 @@ def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | No
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
 
 
-def available_moves(cmap: CombinatorialMap) -> list[Move]:
-    """Every matching move, loop first, then faces by smallest half-edge."""
-    moves = [Move(MoveKind.LOOP)] if cmap.free_loops > 0 else []
-    for orbit in cmap.face_orbits():
-        kind = _orbit_kind(cmap, orbit)
-        if kind is not None:
-            moves.append(Move(kind, orbit))
-    return moves
+def _moves(cmap: CombinatorialMap) -> Iterator[Move]:
+    """Every matching move: a loop, then faces of 2, 3 and 4 sides, each by smallest half-edge.
 
-
-def find_move(cmap: CombinatorialMap) -> Move | None:
-    """Highest-priority move: loop, then bigon, triangle, square.
-
-    Priority follows the face degree, and ties go to the smallest
-    half-edge, as in ``available_moves``, but no face is traced.  With
-    the face permutation ``phi = sigma . twin``, a half-edge on a face of
-    ``d`` sides is a fixed point of ``phi^d``.  For ``d = 2, 3, 4`` one
-    gather takes ``phi^d`` from ``phi^(d-1)``, and only its fixed points,
-    in increasing order, are walked: the first one on a face of exactly
-    ``d`` sides that matches a move wins.  On the first 300 maps of the
-    priority path of ``necklace(500)`` (700 vertices on average) this
-    takes about 50 us a map, against about 450 us to trace the faces and
-    count the components (Python 3.11, Xeon).
+    No face is traced.  With the face permutation ``phi = sigma . twin``,
+    a half-edge on a face of ``d`` sides is a fixed point of ``phi^d``.
+    For ``d = 2, 3, 4`` one gather takes ``phi^d`` from ``phi^(d-1)``, and
+    its fixed points are walked in increasing order, each walk dropped
+    at a smaller half-edge, so a face is met once, where its orbit starts.
+    The gathers are lazy: the first move of a map on the priority path of
+    ``necklace(500)`` (700 vertices on average) takes about 50 us, against
+    about 450 us to trace its faces and count components (Python 3.11, Xeon).
     """
     if cmap.free_loops > 0:
-        return Move(MoveKind.LOOP)
+        yield Move(MoveKind.LOOP)
     halves = range(cmap.n_half_edges)
     phi = _gather(cmap.next_at_vertex, cmap.twin)
     power = phi
@@ -202,18 +189,31 @@ def find_move(cmap: CombinatorialMap) -> Move | None:
         power = _gather(phi, power)
         for h in compress(halves, map(operator.eq, power, halves)):
             orbit, x = [h], phi[h]
-            while x != h:
+            while x > h:
                 orbit.append(x)
                 x = phi[x]
-            # a fixed point of phi^d lies on a face whose sides divide d;
-            # fixed points come in increasing order, so the first one met
-            # on a face is its smallest half-edge, where its orbit starts
-            if len(orbit) == degree:
+            # a fixed point of phi^d lies on a face whose sides divide d
+            if x == h and len(orbit) == degree:
                 site = tuple(orbit)
                 kind = _orbit_kind(cmap, site)
                 if kind is not None:
-                    return Move(kind, site)
-    return None
+                    yield Move(kind, site)
+
+
+def available_moves(cmap: CombinatorialMap) -> list[Move]:
+    """Every matching move, loop first, then faces by smallest half-edge.
+
+    :func:`_moves` finds them from the two permutations; no face is traced.
+    """
+    return sorted(_moves(cmap), key=operator.attrgetter("half_edges"))
+
+
+def find_move(cmap: CombinatorialMap) -> Move | None:
+    """Highest-priority move: loop, then bigon, triangle, square, ties by smallest half-edge.
+
+    The first of :func:`_moves`, found from the two permutations; no face is traced.
+    """
+    return next(_moves(cmap), None)
 
 
 def _checked_face(
@@ -221,20 +221,17 @@ def _checked_face(
 ) -> tuple[int, ...]:
     """``half_edges`` as ints, once checked to be a face cycle from its smallest half-edge.
 
-    Faces are listed by smallest half-edge, which comes first, so the
-    face table is sorted and a binary search finds the site; a site that
-    is not iterable, or ids that are not integers (``operator.index``
-    refuses them), name no face.
+    Unlike the move search, this reads the traced faces, which
+    :func:`apply_move`'s planarity check has already traced.  A site
+    that is not iterable, or ids that are not integers
+    (``operator.index`` refuses them), name no face.
     """
-    orbits = cmap.face_orbits()
     try:
         half_edges = tuple(half_edges)
         site = tuple(map(operator.index, half_edges))
-        i = bisect_left(orbits, site)
-        found = i < len(orbits) and orbits[i] == site
-    except (TypeError, ValueError):
-        found = False
-    if not found:
+    except TypeError:
+        site = None
+    if site not in cmap.face_orbits():
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
     if _orbit_kind(cmap, site) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")

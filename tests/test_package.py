@@ -45,9 +45,13 @@ def test_every_public_name_resolves():
 
 
 def test_reduction_and_sampler_take_no_settings():
-    # move order and the retry budget are fixed: priority order, 100 attempts
+    # move order and the retry budget are fixed: priority order, 100 attempts;
+    # the move queries take the map alone, and a move its map and site
     for f, params in (
         (tait.reduce_map, ["cmap", "weights"]),
+        (tait.find_move, ["cmap"]),
+        (tait.available_moves, ["cmap"]),
+        (tait.apply_move, ["cmap", "move"]),
         (tait.sample_admissible_decoration, ["cmap", "rng"]),
     ):
         assert [*inspect.signature(f).parameters] == params

@@ -29,7 +29,7 @@ from tait.planar import (
     parse_map,
     serialize_map,
 )
-from tait.reduction import apply_move, available_moves, reduce_map
+from tait.reduction import apply_move, available_moves, find_move, reduce_map
 from tait.su3 import decoration_to_representation, sample_admissible_decoration
 from test_coloring import CATALOG_MAPS, dumbbell, random_planar_cubic
 from test_reduction import SEARCH_MAPS, built_tables, priority_path_maps
@@ -670,6 +670,9 @@ def test_maps_hold_no_face_data_until_read():
         serialize_map(g)
         if g.n_vertices <= 12 and g != petersen():  # the sampler exhausts on the other two
             decoration_to_representation(g, sample_admissible_decoration(g, rng=0))
+        # both move queries work from the two permutations
+        find_move(g)
+        available_moves(g)
         assert not holds_faces(g), g
         # the first read traces them, and every later read shares that pass
         faces = g.face_orbits()

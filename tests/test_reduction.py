@@ -653,14 +653,25 @@ TREE_MAPS = (
 )
 
 
+def traced_moves(g: CombinatorialMap) -> list[Move]:
+    """Reference ``available_moves``: the loop, then each matching face of the face table."""
+    moves = [Move(MoveKind.LOOP)] if g.free_loops > 0 else []
+    for orbit in g.face_orbits():
+        kind = _orbit_kind(g, orbit)
+        if kind is not None:
+            moves.append(Move(kind, orbit))
+    return moves
+
+
 @pytest.mark.parametrize("cmap", [g for _, g in TREE_MAPS], ids=[name for name, _ in TREE_MAPS])
 def test_move_search_matches_available_moves_over_reduction_trees(cmap):
     for g in reduction_tree_maps(cmap):
         fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
         move = find_move(fresh)
-        # the search reads the two permutations only; it traces no face
-        assert "_faces" not in vars(fresh)
         moves = available_moves(fresh)
+        # both queries read the two permutations only; they trace no face
+        assert "_faces" not in vars(fresh)
+        assert moves == traced_moves(g)
         assert move == min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
 
 
