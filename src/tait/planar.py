@@ -13,7 +13,12 @@ are the whole map: vertices are numbered in order of their smallest
 half-edge, and no vertex table is stored.  The constructor keeps the
 two permutations and runs every structural check, each comparing whole
 tables built by C-level gathers (``itemgetter``) instead of stepping
-through the half-edges one at a time.  Everything derived from them is
+through the half-edges one at a time.  A map built from outside
+(``CombinatorialMap(...)``, :func:`build_map`, :func:`parse_map`,
+:func:`disjoint_union`) always goes through it.  The one exception is a
+reduction move's child: the move checks the half-edges it rewrote, and
+the private ``CombinatorialMap._spliced`` stores the tables as they are,
+since the rest was checked in the parent.  Everything derived from them is
 a :func:`functools.cached_property`, built on first read and kept:
 ``_rotations``, ``vertex_of``, ``edges``, ``_edge_of``,
 ``has_self_loop`` and ``_faces``.  ``_faces`` is one pass: it traces
@@ -94,10 +99,11 @@ class CombinatorialMap:
     Construct through :func:`build_map` (which accepts arbitrary integer
     ids and relabels them densely) unless you already hold the two dense
     permutations.
-    Every structural check runs on every construction, each as a
-    comparison of whole tables.  Faces, planarity, the self-loop test
-    and the vertex, edge and rotation tables are cached properties,
-    built on first read.
+    The constructor runs every structural check, each as a comparison
+    of whole tables; only a reduction move's child, checked where the
+    move rewrote it, skips them (:meth:`_spliced`).  Faces, planarity,
+    the self-loop test and the vertex, edge and rotation tables are
+    cached properties, built on first read.
     """
 
     def __init__(
@@ -158,6 +164,22 @@ class CombinatorialMap:
         self._twin = twin
         self._sigma = sigma
         self._free_loops = free_loops
+
+    @classmethod
+    def _spliced(
+        cls, twin: tuple[int, ...], sigma: tuple[int, ...], free_loops: int
+    ) -> CombinatorialMap:
+        """A map holding ``twin``, ``sigma`` and ``free_loops`` as they are, with no check.
+
+        For a reduction move's child only: the parent was checked, and the
+        move checks every half-edge it rewrote, so the whole-table checks
+        of the constructor would find nothing.  The caller passes tuples.
+        """
+        cmap = cls.__new__(cls)
+        cmap._twin = twin
+        cmap._sigma = sigma
+        cmap._free_loops = free_loops
+        return cmap
 
     @cached_property
     def _faces(self) -> tuple[tuple[tuple[int, ...], ...], str | None]:

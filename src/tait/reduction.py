@@ -240,45 +240,72 @@ def _checked_face(
 
 def _rebuild(
     cmap: CombinatorialMap,
-    sigma: tuple[int, ...] | list[int],
     dead_half: set[int],
-    welds: Iterable[tuple[int, int]],
+    welds: Iterable[tuple[int, int]] = (),
+    patch: tuple[tuple[int, int], ...] = (),
 ) -> CombinatorialMap:
     """Remove ``dead_half``, joining ``twin[a]`` with ``twin[b]`` for each weld ``(a, b)``.
 
-    ``sigma`` is the rotation the survivors keep, in old half-edge ids:
-    the map's own, or one with a collapsed triangle's vertex patched in.
-    Each weld is spliced into a copy of ``twin``, in any order; a run of
-    welds joins the half-edges at its two ends, and a weld whose stubs
-    are already twins closes a circle, a free loop.  Survivors keep their
-    relative order, and vertices are numbered by smallest half-edge.
+    Each ``(h, s)`` in ``patch`` sets ``next_at_vertex[h] = s``, as a
+    collapsed triangle puts its outer half-edges on one new vertex.  Each
+    weld is spliced into a copy of ``twin``, in any order; a run of welds
+    joins the half-edges at its two ends, and a weld whose stubs are
+    already twins closes a circle, a free loop.
 
-    The survivors between two dead ids form a run, and the j-th run moves
-    down by j: the new-id table is ``0..m-1`` with ``-1`` inserted at each
-    dead id, in increasing order.  Deleting the dead entries from copies
-    of ``twin`` and ``sigma``, highest first, leaves the survivors' entries,
-    and one gather through the table maps both.  A survivor still pointing
-    at a dead id would read ``-1``, which the constructor rejects.
+    Only what the move touched is checked: the twin and the
+    rotation-predecessor of each dead half-edge, both halves and both
+    stubs of each weld, and each patched half-edge with the two others of
+    its old vertex.  Each survivor among them needs a surviving twin that
+    is an involution partner and not itself, and a surviving 3-cycle;
+    otherwise :class:`MapError` names it.  Every other survivor kept its
+    twin and its vertex, both valid in the parent, so the child is a
+    valid map and ``CombinatorialMap._spliced`` stores it unchecked: the
+    cost is O(face), not O(n).
+
+    Survivors keep their relative order, and vertices are numbered by
+    smallest half-edge.  The survivors between two dead ids form a run,
+    and the j-th run moves down by j: the new-id table is ``0..m-1`` with
+    ``-1`` inserted at each dead id, in increasing order.  Deleting the
+    dead entries from copies of ``twin`` and ``next_at_vertex``, highest
+    first, leaves the survivors' entries, and one gather through the
+    table maps both; after the check no survivor points at a dead id, so
+    no ``-1`` is read.
     """
-    twin = list(cmap.twin)
+    twin_0, sigma_0 = cmap.twin, cmap.next_at_vertex
+    touched = set()
+    for d in dead_half:
+        touched.add(twin_0[d])
+        touched.add(sigma_0[sigma_0[d]])
+    twin = list(twin_0)
     new_loops = 0
     for a, b in welds:
         ta, tb = twin[a], twin[b]
+        touched.update((a, b, ta, tb))
         if ta == b:
             new_loops += 1
         else:
             twin[ta], twin[tb] = tb, ta
+    sigma = list(sigma_0)
+    for h, s in patch:
+        sigma[h] = s
+        touched.update((h, sigma_0[h], sigma_0[sigma_0[h]]))
+    for h in sorted(touched - dead_half):
+        t = twin[h]
+        if t in dead_half or t == h or twin[t] != h:
+            raise MapError(f"half-edge {h} has no surviving twin after the move")
+        s = sigma[h]
+        if s == h or s in dead_half or sigma[s] in dead_half or sigma[sigma[s]] != h:
+            raise MapError(f"half-edge {h} is not on a surviving 3-cycle after the move")
     dead = sorted(dead_half)
     m = len(twin) - len(dead)
     new_id = list(range(m))
     for d in dead:
         new_id.insert(d, -1)
-    kept_sigma = list(sigma)
     for d in reversed(dead):
-        del twin[d], kept_sigma[d]
+        del twin[d], sigma[d]
     # one gather maps both tables, so they share new_id's int objects
-    tables = _gather(new_id, twin + kept_sigma)
-    return CombinatorialMap(tables[:m], tables[m:], cmap.free_loops + new_loops)
+    tables = _gather(new_id, twin + sigma)
+    return CombinatorialMap._spliced(tables[:m], tables[m:], cmap.free_loops + new_loops)
 
 
 def apply_move(
@@ -320,18 +347,18 @@ def _apply(
     """
     sigma, twin = cmap.next_at_vertex, cmap.twin
     if kind is MoveKind.LOOP:
-        return (CombinatorialMap(twin, sigma, cmap.free_loops - 1),)
+        # the tables are the parent's, already checked
+        return (CombinatorialMap._spliced(twin, sigma, cmap.free_loops - 1),)
     x = [sigma[k] for k in face]
     dead = {*face, *[twin[k] for k in face]}
     if kind is MoveKind.TRIANGLE:
         # x on one vertex in reversed face order keeps the rotation planar
-        sigma = list(sigma)
-        sigma[x[0]], sigma[x[2]], sigma[x[1]] = x[2], x[1], x[0]
-        return (_rebuild(cmap, sigma, dead, ()),)
+        patch = ((x[0], x[2]), (x[2], x[1]), (x[1], x[0]))
+        return (_rebuild(cmap, dead, patch=patch),)
     dead.update(x)
     # a square rejoins both planar ways: x, and x turned by one
     ways = (x,) if kind is MoveKind.BIGON else (x, x[1:] + x[:1])
-    return tuple([_rebuild(cmap, sigma, dead, zip(y[::2], y[1::2])) for y in ways])
+    return tuple([_rebuild(cmap, dead, zip(y[::2], y[1::2])) for y in ways])
 
 
 def _multiplier(move: Move, weights: RelationWeights[W]) -> W:

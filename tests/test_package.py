@@ -46,8 +46,11 @@ def test_every_public_name_resolves():
 
 def test_reduction_and_sampler_take_no_settings():
     # move order and the retry budget are fixed: priority order, 100 attempts;
-    # the move queries take the map alone, and a move its map and site
+    # the move queries take the map alone, and a move its map and site; a map
+    # is checked whole unless a move spliced it, which no option can ask for
     for f, params in (
+        (tait.CombinatorialMap.__init__, ["self", "twin", "next_at_vertex", "free_loops"]),
+        (tait.CombinatorialMap._spliced, ["twin", "sigma", "free_loops"]),
         (tait.reduce_map, ["cmap", "weights"]),
         (tait.find_move, ["cmap"]),
         (tait.available_moves, ["cmap"]),

@@ -17,6 +17,7 @@ from tait.coloring import count_tait
 from tait.laurent import P3_WEIGHTS, LaurentPoly, p3
 from tait.planar import (
     CombinatorialMap,
+    MapError,
     NonPlanarError,
     disjoint_union,
     serialize_map,
@@ -667,6 +668,8 @@ def traced_moves(g: CombinatorialMap) -> list[Move]:
 def test_move_search_matches_available_moves_over_reduction_trees(cmap):
     for g in reduction_tree_maps(cmap):
         fresh = CombinatorialMap(g.twin, g.next_at_vertex, g.free_loops)
+        # the constructor's whole-table checks accept every spliced child
+        assert fresh == g
         move = find_move(fresh)
         moves = available_moves(fresh)
         # both queries read the two permutations only; they trace no face
@@ -878,9 +881,12 @@ def test_spliced_welds_match_chain_walker():
 # survivors relabelled by runs, against the dict relabel
 
 
-def dict_rebuild(cmap, sigma, dead_half, welds):
+def dict_rebuild(cmap, dead_half, welds=(), patch=()):
     """Reference ``_rebuild``: splice the welds, then relabel survivors through a dict."""
     twin = list(cmap.twin)
+    sigma = list(cmap.next_at_vertex)
+    for h, s in patch:
+        sigma[h] = s
     new_loops = 0
     for a, b in welds:
         ta, tb = twin[a], twin[b]
@@ -893,6 +899,27 @@ def dict_rebuild(cmap, sigma, dead_half, welds):
     new_twin = [hid[twin[h]] for h in survivors]
     new_sigma = [hid[sigma[h]] for h in survivors]
     return CombinatorialMap(new_twin, new_sigma, cmap.free_loops + new_loops)
+
+
+def test_a_bad_splice_is_refused():
+    # the splice checks each half-edge the move touched, and names the first bad one
+    g = k4()
+    twin, sigma = g.twin, g.next_at_vertex
+    # removing vertex 0 alone leaves its three neighbours' twins dangling
+    vertex = set(g.rotation(0))
+    first = min(twin[h] for h in vertex)
+    with pytest.raises(MapError, match=rf"^half-edge {first} has no surviving twin"):
+        reduction._rebuild(g, vertex)
+    face = next(orbit for orbit in g.face_orbits() if 0 not in orbit)
+    x = [sigma[k] for k in face]
+    dead = {*face, *[twin[k] for k in face]}
+    good = ((x[0], x[2]), (x[2], x[1]), (x[1], x[0]))
+    child = apply_move(g, Move(MoveKind.TRIANGLE, face))[0]
+    assert reduction._rebuild(g, dead, patch=good) == child
+    # x[0] and x[1] swapped onto each other leave x[2] pointing at a removed corner
+    bad = ((x[0], x[1]), (x[1], x[0]))
+    with pytest.raises(MapError, match=rf"^half-edge {min(x)} is not on a surviving 3-cycle"):
+        reduction._rebuild(g, dead, patch=bad)
 
 
 RELABEL_MAPS = [g for _, g in SEARCH_MAPS] + [
@@ -913,6 +940,10 @@ def test_every_child_of_a_planar_map_is_planar():
                 assert len(children) == (2 if move.kind is MoveKind.SQUARE else 1)
                 for child in children:
                     assert child.is_planar, move
+                    # the constructor's whole-table checks accept the spliced child
+                    assert child == CombinatorialMap(
+                        child.twin, child.next_at_vertex, child.free_loops
+                    ), move
                     branches[move.kind] += 1
     assert all(branches.values()), branches
 
