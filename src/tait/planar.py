@@ -16,10 +16,13 @@ tables built by C-level gathers (``itemgetter``) instead of stepping
 through the half-edges one at a time.  A map built from outside
 (``CombinatorialMap(...)``, :func:`build_map`, :func:`parse_map`,
 :func:`disjoint_union`) always goes through it.  The one exception is a
-reduction move's child: the move checks the half-edges it rewrote, and
+map a reduction makes: each move checks the half-edges it rewrote, and
 the private ``CombinatorialMap._spliced`` stores the tables as they are,
-since the rest was checked in the parent.  Everything derived from them is
-a :func:`functools.cached_property`, built on first read and kept:
+since the rest was checked before the move.  That holds for a move's
+child, and for the map where a reduction's trunk ends, made by a run of
+such moves on one working copy of the root's tables.  Everything
+derived from the two permutations is a
+:func:`functools.cached_property`, built on first read and kept:
 ``_rotations``, ``vertex_of``, ``edges``, ``_edge_of``,
 ``has_self_loop`` and ``_faces``.  ``_faces`` is one pass: it traces
 the face orbits as tuples of half-edge ids, noting the face of each
@@ -171,9 +174,10 @@ class CombinatorialMap:
     ) -> CombinatorialMap:
         """A map holding ``twin``, ``sigma`` and ``free_loops`` as they are, with no check.
 
-        For a reduction move's child only: the parent was checked, and the
-        move checks every half-edge it rewrote, so the whole-table checks
-        of the constructor would find nothing.  The caller passes tuples.
+        For a map a reduction makes only: the map before each move was
+        checked, and the move checks every half-edge it rewrote, so the
+        whole-table checks of the constructor would find nothing.  The
+        caller passes tuples.
         """
         cmap = cls.__new__(cls)
         cmap._twin = twin

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import Generic, Iterable, Iterator, TypeVar
+from typing import Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .planar import CombinatorialMap, MapError, NonPlanarError, _gather
 from .planar import build_map  # noqa: F401  (bench/tracer.py patches it here)
@@ -103,7 +105,7 @@ class IrreducibleError(Exception):
         smallest = min(map(len, graph.face_orbits()), default=0)
         reason = f"every face has five or more sides (smallest face degree {smallest})"
         if small:
-            degenerate = sum(_orbit_kind(graph, orbit) is None for orbit in small)
+            degenerate = sum(_orbit_kind(graph.twin, orbit) is None for orbit in small)
             reason = (
                 f"smallest face degree {smallest}, and {degenerate} faces of degree "
                 "at most 4 are degenerate (a monogon, or a repeated vertex or edge)"
@@ -150,8 +152,8 @@ class TraceNode(Generic[W]):
         return values[0]
 
 
-def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | None:
-    """The move matching the face with half-edge cycle ``orbit``, or ``None``.
+def _orbit_kind(twin: Sequence[int], orbit: tuple[int, ...]) -> MoveKind | None:
+    """The move matching the face with half-edge cycle ``orbit`` under ``twin``, or ``None``.
 
     Distinct edges suffice.  Any two of the three half-edges at a vertex
     are neighbours in its rotation, so a face with two corners at one
@@ -162,7 +164,6 @@ def _orbit_kind(cmap: CombinatorialMap, orbit: tuple[int, ...]) -> MoveKind | No
     if not 2 <= degree <= 4:
         return None
     # an edge is named by its smaller half-edge, as in the edge table
-    twin = cmap.twin
     if len({min(h, twin[h]) for h in orbit}) != degree:
         return None
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
@@ -195,7 +196,7 @@ def _moves(cmap: CombinatorialMap) -> Iterator[Move]:
             # a fixed point of phi^d lies on a face whose sides divide d
             if x == h and len(orbit) == degree:
                 site = tuple(orbit)
-                kind = _orbit_kind(cmap, site)
+                kind = _orbit_kind(cmap.twin, site)
                 if kind is not None:
                     yield Move(kind, site)
 
@@ -233,24 +234,25 @@ def _checked_face(
         site = None
     if site not in cmap.face_orbits():
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
-    if _orbit_kind(cmap, site) is not kind:
+    if _orbit_kind(cmap.twin, site) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
     return site
 
 
-def _rebuild(
-    cmap: CombinatorialMap,
+def _splice(
+    twin: list[int],
+    sigma: list[int],
     dead_half: set[int],
     welds: Iterable[tuple[int, int]] = (),
     patch: tuple[tuple[int, int], ...] = (),
-) -> CombinatorialMap:
-    """Remove ``dead_half``, joining ``twin[a]`` with ``twin[b]`` for each weld ``(a, b)``.
+) -> int:
+    """Rewrite ``twin`` and ``sigma`` in place for a move; return the free loops it closes.
 
-    Each ``(h, s)`` in ``patch`` sets ``next_at_vertex[h] = s``, as a
-    collapsed triangle puts its outer half-edges on one new vertex.  Each
-    weld is spliced into a copy of ``twin``, in any order; a run of welds
-    joins the half-edges at its two ends, and a weld whose stubs are
-    already twins closes a circle, a free loop.
+    Each weld ``(a, b)`` joins ``twin[a]`` with ``twin[b]``, in any order:
+    a run of welds joins the half-edges at its two ends, and a weld whose
+    stubs are already twins closes a circle, a free loop.  Each ``(h, s)``
+    in ``patch`` sets ``sigma[h] = s``, as a collapsed triangle puts its
+    outer half-edges on one new vertex.
 
     Only what the move touched is checked: the twin and the
     rotation-predecessor of each dead half-edge, both halves and both
@@ -258,25 +260,17 @@ def _rebuild(
     its old vertex.  Each survivor among them needs a surviving twin that
     is an involution partner and not itself, and a surviving 3-cycle;
     otherwise :class:`MapError` names it.  Every other survivor kept its
-    twin and its vertex, both valid in the parent, so the child is a
-    valid map and ``CombinatorialMap._spliced`` stores it unchecked: the
-    cost is O(face), not O(n).
-
-    Survivors keep their relative order, and vertices are numbered by
-    smallest half-edge.  The survivors between two dead ids form a run,
-    and the j-th run moves down by j: the new-id table is ``0..m-1`` with
-    ``-1`` inserted at each dead id, in increasing order.  Deleting the
-    dead entries from copies of ``twin`` and ``next_at_vertex``, highest
-    first, leaves the survivors' entries, and one gather through the
-    table maps both; after the check no survivor points at a dead id, so
-    no ``-1`` is read.
+    twin and its vertex, both valid before the move, so the tables hold a
+    valid map again: the cost is O(face), not O(n).  The check reads only
+    this move's ``dead_half``, which is exact for tables holding ids that
+    earlier moves removed: no survivor points at those.
     """
-    twin_0, sigma_0 = cmap.twin, cmap.next_at_vertex
     touched = set()
     for d in dead_half:
-        touched.add(twin_0[d])
-        touched.add(sigma_0[sigma_0[d]])
-    twin = list(twin_0)
+        touched.add(twin[d])
+        touched.add(sigma[sigma[d]])
+    for h, _ in patch:
+        touched.update((h, sigma[h], sigma[sigma[h]]))
     new_loops = 0
     for a, b in welds:
         ta, tb = twin[a], twin[b]
@@ -285,10 +279,8 @@ def _rebuild(
             new_loops += 1
         else:
             twin[ta], twin[tb] = tb, ta
-    sigma = list(sigma_0)
     for h, s in patch:
         sigma[h] = s
-        touched.update((h, sigma_0[h], sigma_0[sigma_0[h]]))
     for h in sorted(touched - dead_half):
         t = twin[h]
         if t in dead_half or t == h or twin[t] != h:
@@ -296,7 +288,25 @@ def _rebuild(
         s = sigma[h]
         if s == h or s in dead_half or sigma[s] in dead_half or sigma[sigma[s]] != h:
             raise MapError(f"half-edge {h} is not on a surviving 3-cycle after the move")
-    dead = sorted(dead_half)
+    return new_loops
+
+
+def _relabel(
+    twin: list[int], sigma: list[int], dead: list[int], free_loops: int
+) -> CombinatorialMap:
+    """The map of the survivors of ``twin`` and ``sigma``, relabelled densely.
+
+    ``dead`` lists the removed ids in increasing order, and no survivor
+    points at one of them.  Survivors keep their relative order, and
+    vertices are numbered by smallest half-edge.  The survivors between
+    two dead ids form a run, and the j-th run moves down by j: the new-id
+    table is ``0..m-1`` with ``-1`` inserted at each dead id, in
+    increasing order.  Deleting the dead entries from ``twin`` and
+    ``sigma``, highest first, leaves the survivors' entries, and one
+    gather through the table maps both, so no ``-1`` is read.  The
+    tables are checked already, so ``CombinatorialMap._spliced`` stores
+    them as they are.
+    """
     m = len(twin) - len(dead)
     new_id = list(range(m))
     for d in dead:
@@ -305,7 +315,47 @@ def _rebuild(
         del twin[d], sigma[d]
     # one gather maps both tables, so they share new_id's int objects
     tables = _gather(new_id, twin + sigma)
-    return CombinatorialMap._spliced(tables[:m], tables[m:], cmap.free_loops + new_loops)
+    return CombinatorialMap._spliced(tables[:m], tables[m:], free_loops)
+
+
+def _rebuild(
+    cmap: CombinatorialMap,
+    dead_half: set[int],
+    welds: Iterable[tuple[int, int]] = (),
+    patch: tuple[tuple[int, int], ...] = (),
+) -> CombinatorialMap:
+    """The child of ``cmap`` that :func:`_splice` makes, relabelled by :func:`_relabel`.
+
+    The splice rewrites copies of both tables and checks the half-edges
+    it touched, so the child costs one copy and one relabel of the
+    parent's tables on top of O(face).
+    """
+    twin, sigma = list(cmap.twin), list(cmap.next_at_vertex)
+    new_loops = _splice(twin, sigma, dead_half, welds, patch)
+    return _relabel(twin, sigma, sorted(dead_half), cmap.free_loops + new_loops)
+
+
+def _rewrite(
+    twin: Sequence[int], sigma: Sequence[int], kind: MoveKind, face: Sequence[int]
+) -> tuple[set[int], tuple[tuple, ...], tuple[tuple[int, int], ...]]:
+    """``(dead, ways, patch)`` of a ``kind`` face move at ``face``: what :func:`_splice` takes.
+
+    The move cuts out the face's edges; ``x[i] = sigma(k[i])`` is the
+    outer half-edge at its corner ``k[i]``.  A triangle's ``patch`` puts
+    ``x`` on one new vertex.  A bigon or square also cuts the spokes
+    through ``x`` and welds the stubs left behind in pairs, one weld list
+    per child in ``ways``: a bigon ``x[0]`` to ``x[1]``, a square its four
+    in both planar ways.
+    """
+    x = [sigma[k] for k in face]
+    dead = {*face, *[twin[k] for k in face]}
+    if kind is MoveKind.TRIANGLE:
+        # x on one vertex in reversed face order keeps the rotation planar
+        return dead, ((),), ((x[0], x[2]), (x[2], x[1]), (x[1], x[0]))
+    dead.update(x)
+    # a square rejoins both planar ways: x, and x turned by one
+    ways = (x,) if kind is MoveKind.BIGON else (x, x[1:] + x[:1])
+    return dead, tuple([tuple(zip(y[::2], y[1::2])) for y in ways]), ()
 
 
 def apply_move(
@@ -337,28 +387,16 @@ def _apply(
 ) -> tuple[CombinatorialMap, ...]:
     """The children of a ``kind`` move at ``face``, a site already known to match it.
 
-    A loop move drops one free loop.  A face move cuts out the face's
-    edges; ``x[i] = sigma(k[i])`` is the outer half-edge at its corner
-    ``k[i]``.  A triangle puts ``x`` on one new vertex.  A bigon or square
-    also cuts the spokes through ``x`` and welds the stubs left behind in
-    pairs, as in :func:`_rebuild`: a bigon ``x[0]`` to ``x[1]``, a square
-    its four in both planar ways.  Each move rewrites the closed disk of
-    one face, so the children of a planar map are planar.
+    A loop move drops one free loop.  A face move makes one child per
+    way of :func:`_rewrite`, each by :func:`_rebuild`.  Each move
+    rewrites the closed disk of one face, so the children of a planar
+    map are planar.
     """
-    sigma, twin = cmap.next_at_vertex, cmap.twin
     if kind is MoveKind.LOOP:
         # the tables are the parent's, already checked
-        return (CombinatorialMap._spliced(twin, sigma, cmap.free_loops - 1),)
-    x = [sigma[k] for k in face]
-    dead = {*face, *[twin[k] for k in face]}
-    if kind is MoveKind.TRIANGLE:
-        # x on one vertex in reversed face order keeps the rotation planar
-        patch = ((x[0], x[2]), (x[2], x[1]), (x[1], x[0]))
-        return (_rebuild(cmap, dead, patch=patch),)
-    dead.update(x)
-    # a square rejoins both planar ways: x, and x turned by one
-    ways = (x,) if kind is MoveKind.BIGON else (x, x[1:] + x[:1])
-    return tuple([_rebuild(cmap, dead, zip(y[::2], y[1::2])) for y in ways])
+        return (CombinatorialMap._spliced(cmap.twin, cmap.next_at_vertex, cmap.free_loops - 1),)
+    dead, ways, patch = _rewrite(cmap.twin, cmap.next_at_vertex, kind, face)
+    return tuple([_rebuild(cmap, dead, welds, patch) for welds in ways])
 
 
 def _multiplier(move: Move, weights: RelationWeights[W]) -> W:
@@ -367,6 +405,75 @@ def _multiplier(move: Move, weights: RelationWeights[W]) -> W:
     if move.kind is MoveKind.BIGON:
         return weights.bigon
     return weights.one
+
+
+def _trunk(cmap: CombinatorialMap) -> tuple[tuple[Move, ...], CombinatorialMap]:
+    """The moves :func:`find_move` takes from planar ``cmap`` up to a square, and the map there.
+
+    Until a square branches, each map has one child and none is met
+    twice, so these moves rewrite one working copy of the tables in
+    place, in ``cmap``'s ids, through :func:`_rewrite` and
+    :func:`_splice`.  ``live`` marks the surviving half-edges and
+    ``dead`` lists the removed ones in increasing order; a survivor's id
+    in the current map is ``h - bisect_left(dead, h)``, as relabelling
+    keeps the survivors' order, so each move prints as in
+    :func:`find_move`.
+
+    The next face comes from a heap of ``(sides, smallest half-edge)``,
+    which orders bigons before triangles and ties by smallest half-edge,
+    as :func:`_moves` does.  The heap starts with ``cmap``'s faces of two
+    and three sides, and after each move it takes the faces of at most
+    three sides through each half-edge whose face successor
+    ``sigma[twin[h]]`` changed: the stubs a bigon welds, and the twins of
+    the half-edges a triangle puts on its new vertex.  Every other face
+    kept its cycle, so every current face of two or three sides has an
+    entry; an entry is used only if its half-edge is live and still
+    starts a face of that many sides that :func:`_orbit_kind` matches.
+
+    Free loops come first, the root's and each one a weld closes, as in
+    :func:`find_move`.  The trunk ends when no bigon or triangle is left:
+    at a square, the empty map, or a stuck map.  That map is relabelled
+    once by :func:`_relabel`; with no move, it is ``cmap`` itself.
+    """
+    twin, sigma = list(cmap.twin), list(cmap.next_at_vertex)
+    live = bytearray(b"\x01") * len(twin)
+    dead: list[int] = []
+    heap = [(len(orbit), orbit[0]) for orbit in cmap.face_orbits() if 2 <= len(orbit) <= 3]
+    heapify(heap)
+    moves = [Move(MoveKind.LOOP)] * cmap.free_loops
+    while heap:
+        sides, h = heappop(heap)
+        if not live[h]:
+            continue
+        orbit, x = [h], sigma[twin[h]]
+        while x > h and len(orbit) < sides:
+            orbit.append(x)
+            x = sigma[twin[x]]
+        kind = _orbit_kind(twin, orbit) if x == h and len(orbit) == sides else None
+        if kind is None:
+            continue
+        moves.append(Move(kind, tuple([k - bisect_left(dead, k) for k in orbit])))
+        dead_half, (welds,), patch = _rewrite(twin, sigma, kind, orbit)
+        # the half-edges whose face successor the move changes: the weld
+        # stubs, and the twins of the patched half-edges (twin is unchanged)
+        changed = [twin[a] for weld in welds for a in weld] + [twin[p] for p, _ in patch]
+        # a free loop the weld closes is the next move
+        moves += [Move(MoveKind.LOOP)] * _splice(twin, sigma, dead_half, welds, patch)
+        for d in dead_half:
+            live[d] = 0
+            insort(dead, d)
+        for c in changed:
+            if not live[c]:
+                continue  # the stub of a weld that closed a free loop
+            orbit, x = [c], sigma[twin[c]]
+            while x != c and len(orbit) < 3:
+                orbit.append(x)
+                x = sigma[twin[x]]
+            if x == c and len(orbit) >= 2:
+                heappush(heap, (len(orbit), min(orbit)))
+    if not moves:
+        return (), cmap
+    return tuple(moves), _relabel(twin, sigma, dead, 0)
 
 
 def reduce_map(
@@ -379,6 +486,13 @@ def reduce_map(
     zero-count intermediate map (a vertex self-loop blocks every move):
     priority order strands on 14-16% of random planar cubic maps with
     60-100 vertices.  See ROADMAP.md, item 1.
+
+    The root's trunk, its moves up to the first square, has one child
+    per map, so :func:`_trunk` applies those moves to one working copy of
+    the root's tables and relabels once, where the trunk ends; a long
+    run of bigons costs O(face) per move, not O(n).  The trunk's moves
+    go on the stack as exit frames of one child each, under the map
+    where it ends, and the loop below takes over from there.
 
     One loop over an explicit stack visits the maps depth first, children
     in order, and drops each map once its move has been applied: no
@@ -399,8 +513,9 @@ def reduce_map(
 
     Only the root is checked to embed in the sphere, and so only the
     root's faces are traced: each move rewrites one face's closed disk,
-    so every map a move makes from a planar map is planar, and
-    :func:`find_move` finds moves without tracing faces.  Raises
+    so every map a move makes from a planar map is planar, the trunk
+    starts from the root's faces, and :func:`find_move` finds moves
+    without tracing faces.  Raises
     :class:`NonPlanarError` for a root that does not embed, and
     :class:`IrreducibleError` when no move matches.
     """
@@ -409,7 +524,11 @@ def reduce_map(
     # a map waiting to be expanded, or the exit frame (move, multiplier,
     # number of children, memo key or None) of a map whose children are
     # above it; the exit frames on the stack are the current map's ancestors
-    stack: list[CombinatorialMap | tuple] = [cmap]
+    trunk, end = _trunk(cmap)
+    stack: list[CombinatorialMap | tuple] = [
+        (move, _multiplier(move, weights), 1, None) for move in trunk
+    ]
+    stack.append(end)
     waiting = 1  # maps on the stack, exit frames not counted
     memo: dict[tuple, TraceNode[W]] = {}
     done: list[TraceNode[W]] = []  # finished nodes whose parent is not finished yet

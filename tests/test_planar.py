@@ -682,15 +682,23 @@ def test_maps_hold_no_face_data_until_read():
 
 
 def test_reduction_traces_only_its_root(monkeypatch):
-    made = []
-    apply = reduction._apply
+    made, ends = [], []
+    apply, trunk = reduction._apply, reduction._trunk
 
     def recording(cmap, kind, face):
         children = apply(cmap, kind, face)
         made.extend(children)
         return children
 
+    def recording_trunk(cmap):
+        moves, end = trunk(cmap)
+        if moves:
+            ends.append(end)
+            made.append(end)
+        return moves, end
+
     monkeypatch.setattr(reduction, "_apply", recording)
+    monkeypatch.setattr(reduction, "_trunk", recording_trunk)
     shared = 0
     for cmap in [prism(12), necklace(6), *[random_planar_cubic(v, 7) for v in (30, 40, 50)]]:
         root = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops)
@@ -703,6 +711,8 @@ def test_reduction_traces_only_its_root(monkeypatch):
         shared += len(keys) - len(set(keys))
     # later copies of a map still take the finished node from the memo
     assert shared > 0
+    # the trunk's end map, made in place from the root's tables, is not traced either
+    assert len(ends) >= 2
 
 
 def test_reduce_map_traces_faces_once(monkeypatch):

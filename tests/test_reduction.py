@@ -44,7 +44,7 @@ from test_coloring import CATALOG_MAPS, UNIONS, dumbbell, random_planar_cubic
 
 
 def kinds(g: CombinatorialMap) -> set:
-    return {_orbit_kind(g, orbit) for orbit in g.face_orbits()}
+    return {_orbit_kind(g.twin, orbit) for orbit in g.face_orbits()}
 
 
 def test_classify_face_by_degree():
@@ -398,11 +398,17 @@ def test_dumbbell_is_irreducible_with_zero_count():
     assert "smallest face degree 1, and 3 faces of degree at most 4 are degenerate" in message
 
 
+# the dumbbell is stuck at the root, beside a theta after two moves, and
+# in the random map below one second child (index 1)
+STUCK_MAPS = [
+    ("dumbbell", dumbbell()),
+    ("dumbbell+theta", disjoint_union(dumbbell(), theta())),
+    ("random40-4002", random_planar_cubic(40, seed=4002)),
+]
+
+
 def test_irreducible_error_path_replays_to_the_stuck_map():
-    # the dumbbell is stuck at the root, beside a theta after two moves,
-    # and in the random map below one second child (index 1)
-    stuck = [dumbbell(), disjoint_union(dumbbell(), theta()), random_planar_cubic(40, seed=4002)]
-    for g in stuck:
+    for _, g in STUCK_MAPS:
         with pytest.raises(IrreducibleError) as info:
             reduce_map(g)
         graph = g
@@ -462,11 +468,12 @@ def test_identical_maps_share_one_subtree():
     assert first is second
 
 
-
 def test_maps_that_differ_only_in_free_loops_are_not_shared(monkeypatch):
     # necklace(2)'s square rejoins its stubs into two loops one way and one
     # the other: both children have empty tables, and only the loops differ
     square = Move(MoveKind.SQUARE, (0, 3, 6, 9))
+    # the trunk would take the root's bigons without asking find_move
+    monkeypatch.setattr(reduction, "_trunk", lambda g: ((), g))
     monkeypatch.setattr(reduction, "find_move", lambda g: square if g == necklace(2) else find_move(g))
     trace = reduce_map(necklace(2))
     assert format_trace(trace).splitlines() == [
@@ -479,20 +486,27 @@ def test_maps_that_differ_only_in_free_loops_are_not_shared(monkeypatch):
     ]
     assert trace.value() == count_tait(necklace(2)) == 12
 
+
 @pytest.mark.parametrize(
     "cmap, unshared, shared",
     [(cube(), 7, 5), (prism(8), 21, 13), (prism(12), 43, 19), (necklace(6), 7, 7)],
 )
 def test_each_distinct_map_is_reduced_once(monkeypatch, cmap, unshared, shared):
     calls = []
-
-    apply = reduction._apply
+    apply, trunk = reduction._apply, reduction._trunk
 
     def counted(g, kind, face):
         calls.append((kind, face))
         return apply(g, kind, face)
 
+    def counted_trunk(g):
+        moves, end = trunk(g)
+        calls.extend(moves)
+        return moves, end
+
+    # every applied move counts, the trunk's in-place moves included
     monkeypatch.setattr(reduction, "_apply", counted)
+    monkeypatch.setattr(reduction, "_trunk", counted_trunk)
     trace = reduce_map(cmap)
     assert len(calls) == shared
     # the trace still prints one line per move of the unshared tree
@@ -658,7 +672,7 @@ def traced_moves(g: CombinatorialMap) -> list[Move]:
     """Reference ``available_moves``: the loop, then each matching face of the face table."""
     moves = [Move(MoveKind.LOOP)] if g.free_loops > 0 else []
     for orbit in g.face_orbits():
-        kind = _orbit_kind(g, orbit)
+        kind = _orbit_kind(g.twin, orbit)
         if kind is not None:
             moves.append(Move(kind, orbit))
     return moves
@@ -676,6 +690,60 @@ def test_move_search_matches_available_moves_over_reduction_trees(cmap):
         assert "_faces" not in vars(fresh)
         assert moves == traced_moves(g)
         assert move == min(moves, key=lambda m: (PRIORITY[m.kind], m.half_edges), default=None)
+
+
+def replayed_trunk(g: CombinatorialMap) -> tuple[list[Move], CombinatorialMap]:
+    """``find_move`` and ``apply_move`` from ``g`` up to the first square, stuck or empty map."""
+    moves = []
+    while True:
+        move = find_move(g)
+        if move is None or move.kind is MoveKind.SQUARE:
+            return moves, g
+        moves.append(move)
+        (g,) = apply_move(g, move)
+
+
+TRUNK_ROOTS = dict(SEARCH_MAPS + TREE_MAPS + [("necklace200", necklace(200))] + STUCK_MAPS)
+TRUNK_MAPS = [(name, g) for name, g in TRUNK_ROOTS.items() if g.is_planar]
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in TRUNK_MAPS], ids=[name for name, _ in TRUNK_MAPS])
+def test_trunk_replays_find_move_up_to_the_first_square(cmap):
+    moves, end = replayed_trunk(cmap)
+    trunk, trunk_end = reduction._trunk(cmap)
+    assert list(trunk) == moves
+    assert trunk_end == end
+    # the constructor's whole-table checks accept the in-place end map
+    assert trunk_end == CombinatorialMap(end.twin, end.next_at_vertex, end.free_loops)
+
+
+def test_trunk_runs_loops_bigons_and_triangles_and_stops_at_a_square():
+    kinds = {move.kind for _, g in TRUNK_MAPS for move in reduction._trunk(g)[0]}
+    assert kinds == {MoveKind.LOOP, MoveKind.BIGON, MoveKind.TRIANGLE}
+    # a root whose first move is a square, or none, is its own trunk end
+    for g in (cube(), dodecahedron(), dumbbell()):
+        moves, end = reduction._trunk(g)
+        assert moves == () and end is g
+    # a necklace's trunk runs down to the empty map; k4's first collapses a triangle
+    moves, end = reduction._trunk(necklace(6))
+    assert len(moves) == 7 and end == CombinatorialMap((), (), 0)
+    assert reduction._trunk(k4())[0][0] == Move(MoveKind.TRIANGLE, (0, 3, 6))
+
+
+def test_a_long_trunk_relabels_once(monkeypatch):
+    relabelled = []
+    relabel = reduction._relabel
+
+    def counted(twin, sigma, dead, free_loops):
+        relabelled.append(len(twin))
+        return relabel(twin, sigma, dead, free_loops)
+
+    monkeypatch.setattr(reduction, "_relabel", counted)
+    for k in (1, 6, 200):
+        relabelled.clear()
+        assert reduce_map(necklace(k)).value() == 3 * 2**k
+        # one dense relabel, at the trunk's end, of the root's 6k half-edges
+        assert relabelled == [6 * k]
 
 
 def built_tables(g: CombinatorialMap) -> list[str]:
@@ -733,7 +801,7 @@ def walked_face(cmap: CombinatorialMap, half_edges: tuple, kind: MoveKind) -> tu
             h = sigma[twin[h]]
     if not orbit or tuple(orbit) != site or min(orbit) != orbit[0]:
         raise InvalidMoveError(f"no face with half-edge cycle {half_edges}")
-    if _orbit_kind(cmap, site) is not kind:
+    if _orbit_kind(cmap.twin, site) is not kind:
         raise InvalidMoveError(f"face {half_edges} does not match a {kind.value} move")
     return site
 
