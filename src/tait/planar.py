@@ -188,7 +188,10 @@ class CombinatorialMap:
     @cached_property
     def _faces(self) -> tuple[tuple[tuple[int, ...], ...], str | None]:
         """Face orbits by smallest half-edge, and ``None`` for a planar map
-        or else the Euler count of its first non-planar component."""
+        or else the Euler count of its first non-planar component.
+
+        Each component's V - E + F is counted as the component is found,
+        and the first one that is not 2 ends the search."""
         phi = _gather(self._sigma, self._twin)
         face_of = [-1] * len(phi)
         orbits = []
@@ -209,8 +212,8 @@ class CombinatorialMap:
         # component's first face holds its smallest half-edge, and
         # components are numbered by it.
         across = _gather(face_of, self._twin)
-        comps: list[set[int]] = []
         seen: set[int] = set()
+        c = 0  # components found so far
         for f0 in range(len(orbits)):
             if f0 in seen:
                 continue
@@ -219,15 +222,6 @@ class CombinatorialMap:
                 comp |= frontier
                 sides = chain.from_iterable(map(orbits.__getitem__, frontier))
                 frontier = set(map(across.__getitem__, sides)) - comp
-            seen |= comp
-            comps.append(comp)
-
-        # V - E + F is at most 2 on every component, so the total is 2 per
-        # component exactly when each one is planar; V = n/3 and E = n/2
-        n = len(phi)
-        if n // 3 - n // 2 + len(orbits) == 2 * len(comps):
-            return tuple(orbits), None
-        for c, comp in enumerate(comps):
             # V - E + F = n/3 - n/2 + F on a component with n half-edges
             chi = len(comp) - sum([len(orbits[f]) for f in comp]) // 6
             if chi != 2:
@@ -235,6 +229,9 @@ class CombinatorialMap:
                     f"component {c}: V - E + F = {chi}, expected 2 "
                     "(rotation system is not planar)"
                 )
+            seen |= comp
+            c += 1
+        return tuple(orbits), None
 
     # ------------------------------------------------------------------
     # basic queries

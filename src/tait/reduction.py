@@ -169,36 +169,50 @@ def _orbit_kind(twin: Sequence[int], orbit: tuple[int, ...]) -> MoveKind | None:
     return MoveKind.BIGON if degree == 2 else MoveKind.TRIANGLE if degree == 3 else MoveKind.SQUARE
 
 
+def _site(twin: Sequence[int], sigma: Sequence[int], h: int, sides: int) -> Move | None:
+    """The move at the face of ``sides`` sides whose smallest half-edge is ``h``, or ``None``.
+
+    The walk follows the face permutation ``sigma[twin[x]]`` from ``h``
+    and stops at the first half-edge not above ``h``: the whole face if
+    ``h`` is its smallest half-edge, less otherwise.  A face so found
+    with ``sides`` sides takes the move :func:`_orbit_kind` gives it.
+    Both move searches ask this of each candidate: :func:`_moves` of
+    each fixed point of ``phi^d``, :func:`_trunk` of each heap entry.
+    """
+    orbit, x = [h], sigma[twin[h]]
+    while x > h:
+        orbit.append(x)
+        x = sigma[twin[x]]
+    kind = _orbit_kind(twin, orbit) if x == h and len(orbit) == sides else None
+    return None if kind is None else Move(kind, tuple(orbit))
+
+
 def _moves(cmap: CombinatorialMap) -> Iterator[Move]:
     """Every matching move: a loop, then faces of 2, 3 and 4 sides, each by smallest half-edge.
 
     No face is traced.  With the face permutation ``phi = sigma . twin``,
     a half-edge on a face of ``d`` sides is a fixed point of ``phi^d``.
     For ``d = 2, 3, 4`` one gather takes ``phi^d`` from ``phi^(d-1)``, and
-    its fixed points are walked in increasing order, each walk dropped
-    at a smaller half-edge, so a face is met once, where its orbit starts.
-    The gathers are lazy: the first move of a map on the priority path of
-    ``necklace(500)`` (700 vertices on average) takes about 50 us, against
-    about 450 us to trace its faces and count components (Python 3.11, Xeon).
+    :func:`_site` walks its fixed points in increasing order, each walk
+    dropped at a smaller half-edge, so a face is met once, where its
+    orbit starts.  The gathers are lazy: the first move of the first
+    square child of ``prism(60)`` (116 vertices; a bigon) takes about
+    8 us, against about 48 us to trace its faces and count components
+    (Python 3.11.7, Xeon).
     """
     if cmap.free_loops > 0:
         yield Move(MoveKind.LOOP)
+    twin, sigma = cmap.twin, cmap.next_at_vertex
     halves = range(cmap.n_half_edges)
-    phi = _gather(cmap.next_at_vertex, cmap.twin)
+    phi = _gather(sigma, twin)
     power = phi
     for degree in (2, 3, 4):
         power = _gather(phi, power)
+        # a fixed point of phi^d lies on a face whose sides divide d
         for h in compress(halves, map(operator.eq, power, halves)):
-            orbit, x = [h], phi[h]
-            while x > h:
-                orbit.append(x)
-                x = phi[x]
-            # a fixed point of phi^d lies on a face whose sides divide d
-            if x == h and len(orbit) == degree:
-                site = tuple(orbit)
-                kind = _orbit_kind(cmap.twin, site)
-                if kind is not None:
-                    yield Move(kind, site)
+            move = _site(twin, sigma, h, degree)
+            if move is not None:
+                yield move
 
 
 def available_moves(cmap: CombinatorialMap) -> list[Move]:
@@ -245,8 +259,11 @@ def _splice(
     dead_half: set[int],
     welds: Iterable[tuple[int, int]] = (),
     patch: tuple[tuple[int, int], ...] = (),
-) -> int:
-    """Rewrite ``twin`` and ``sigma`` in place for a move; return the free loops it closes.
+) -> tuple[int, list[int]]:
+    """Rewrite ``twin`` and ``sigma`` in place for a move; return ``(new_loops, survivors)``.
+
+    ``new_loops`` counts the free loops the move closes, and ``survivors``
+    lists, in increasing order, the surviving half-edges it checked.
 
     Each weld ``(a, b)`` joins ``twin[a]`` with ``twin[b]``, in any order:
     a run of welds joins the half-edges at its two ends, and a weld whose
@@ -281,14 +298,15 @@ def _splice(
             twin[ta], twin[tb] = tb, ta
     for h, s in patch:
         sigma[h] = s
-    for h in sorted(touched - dead_half):
+    survivors = sorted(touched - dead_half)
+    for h in survivors:
         t = twin[h]
         if t in dead_half or t == h or twin[t] != h:
             raise MapError(f"half-edge {h} has no surviving twin after the move")
         s = sigma[h]
         if s == h or s in dead_half or sigma[s] in dead_half or sigma[sigma[s]] != h:
             raise MapError(f"half-edge {h} is not on a surviving 3-cycle after the move")
-    return new_loops
+    return new_loops, survivors
 
 
 def _relabel(
@@ -331,7 +349,7 @@ def _rebuild(
     parent's tables on top of O(face).
     """
     twin, sigma = list(cmap.twin), list(cmap.next_at_vertex)
-    new_loops = _splice(twin, sigma, dead_half, welds, patch)
+    new_loops, _ = _splice(twin, sigma, dead_half, welds, patch)
     return _relabel(twin, sigma, sorted(dead_half), cmap.free_loops + new_loops)
 
 
@@ -423,12 +441,14 @@ def _trunk(cmap: CombinatorialMap) -> tuple[tuple[Move, ...], CombinatorialMap]:
     which orders bigons before triangles and ties by smallest half-edge,
     as :func:`_moves` does.  The heap starts with ``cmap``'s faces of two
     and three sides, and after each move it takes the faces of at most
-    three sides through each half-edge whose face successor
-    ``sigma[twin[h]]`` changed: the stubs a bigon welds, and the twins of
-    the half-edges a triangle puts on its new vertex.  Every other face
-    kept its cycle, so every current face of two or three sides has an
-    entry; an entry is used only if its half-edge is live and still
-    starts a face of that many sides that :func:`_orbit_kind` matches.
+    three sides through each survivor that :func:`_splice` checked.
+    Every face the move changed runs through one: a bigon's two weld
+    stubs, and a triangle's three outer half-edges, each of which comes
+    right after a half-edge ``twin[x]`` whose face successor changed.
+    Every other face kept its cycle, and a changed face keeps a subset of
+    its old one, so every current face of two or three sides has an
+    entry; an entry is used only if its half-edge is live and
+    :func:`_site` finds a move there.
 
     Free loops come first, the root's and each one a weld closes, as in
     :func:`find_move`.  The trunk ends when no bigon or triangle is left:
@@ -443,28 +463,18 @@ def _trunk(cmap: CombinatorialMap) -> tuple[tuple[Move, ...], CombinatorialMap]:
     moves = [Move(MoveKind.LOOP)] * cmap.free_loops
     while heap:
         sides, h = heappop(heap)
-        if not live[h]:
+        move = _site(twin, sigma, h, sides) if live[h] else None
+        if move is None:
             continue
-        orbit, x = [h], sigma[twin[h]]
-        while x > h and len(orbit) < sides:
-            orbit.append(x)
-            x = sigma[twin[x]]
-        kind = _orbit_kind(twin, orbit) if x == h and len(orbit) == sides else None
-        if kind is None:
-            continue
-        moves.append(Move(kind, tuple([k - bisect_left(dead, k) for k in orbit])))
-        dead_half, (welds,), patch = _rewrite(twin, sigma, kind, orbit)
-        # the half-edges whose face successor the move changes: the weld
-        # stubs, and the twins of the patched half-edges (twin is unchanged)
-        changed = [twin[a] for weld in welds for a in weld] + [twin[p] for p, _ in patch]
+        moves.append(Move(move.kind, tuple([k - bisect_left(dead, k) for k in move.half_edges])))
+        dead_half, (welds,), patch = _rewrite(twin, sigma, move.kind, move.half_edges)
+        new_loops, survivors = _splice(twin, sigma, dead_half, welds, patch)
         # a free loop the weld closes is the next move
-        moves += [Move(MoveKind.LOOP)] * _splice(twin, sigma, dead_half, welds, patch)
+        moves += [Move(MoveKind.LOOP)] * new_loops
         for d in dead_half:
             live[d] = 0
             insort(dead, d)
-        for c in changed:
-            if not live[c]:
-                continue  # the stub of a weld that closed a free loop
+        for c in survivors:
             orbit, x = [c], sigma[twin[c]]
             while x != c and len(orbit) < 3:
                 orbit.append(x)

@@ -746,6 +746,45 @@ def test_a_long_trunk_relabels_once(monkeypatch):
         assert relabelled == [6 * k]
 
 
+def spliced_faces(twin: list, sigma: list, dead: set) -> list[tuple[int, ...]]:
+    """The face cycles of the live half-edges of spliced tables, each from its smallest."""
+    seen, faces = set(dead), []
+    for h0 in range(len(twin)):
+        orbit, h = [], h0
+        while h not in seen:
+            seen.add(h)
+            orbit.append(h)
+            h = sigma[twin[h]]
+        if orbit:
+            faces.append(tuple(orbit))
+    return faces
+
+
+def test_every_face_a_move_changes_runs_through_a_survivor_it_touched():
+    # the invariant the trunk's heap refresh relies on, in the parent's ids
+    seen = dict.fromkeys(MoveKind, 0)
+    for _, cmap in SEARCH_MAPS:
+        for g in priority_path_maps(cmap):
+            if not g.is_planar:
+                continue
+            old = set(g.face_orbits())
+            for move in available_moves(g):
+                if move.kind is MoveKind.LOOP:
+                    continue
+                dead, ways, patch = reduction._rewrite(
+                    g.twin, g.next_at_vertex, move.kind, move.half_edges
+                )
+                for welds in ways:
+                    twin, sigma = list(g.twin), list(g.next_at_vertex)
+                    _, survivors = reduction._splice(twin, sigma, dead, welds, patch)
+                    assert survivors == sorted(set(survivors) - dead)
+                    for face in spliced_faces(twin, sigma, dead):
+                        if face not in old:
+                            assert set(face) & set(survivors), (move, face)
+                    seen[move.kind] += 1
+    assert all(seen[kind] for kind in (MoveKind.BIGON, MoveKind.TRIANGLE, MoveKind.SQUARE)), seen
+
+
 def built_tables(g: CombinatorialMap) -> list[str]:
     """The lazily built tables that ``g`` holds, read without building any."""
     return [name for name in ("edges", "_edge_of", "_rotations", "vertex_of") if name in vars(g)]
