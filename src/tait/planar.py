@@ -38,6 +38,13 @@ traces its faces.  Nor does a map searched for moves: ``find_move`` and
 built from the two permutations, and a move keeps a planar map planar,
 so a reduction traces only its root.
 
+Map text is read in bulk when it is canonical, exactly what
+:func:`serialize_map` writes (as ``tait gen`` and a stuck map on stderr
+do): one split, C-level ``int`` over slices, a comparison with the
+canonical text of the ids read, and the constructor with every check.
+Any other text is read line by line.  Both readers give the same map,
+or the same error.
+
 Circle components carrying no vertex ("free loops") cannot be encoded
 with half-edges, so they live in a separate counter.  Each free loop is
 one edge of the graph, so the total edge count is ``n/2 + free_loops``.
@@ -456,6 +463,59 @@ def _parse_id(token: str, lineno: int, *, strip_colon: bool = False) -> int:
         raise ParseError(f"line {lineno}: integer of {len(token)} digits is too long") from None
 
 
+def _cycle_table(columns: list[list[int]], n: int) -> tuple[int, ...] | None:
+    """The table sending each id to the next in its row across ``columns``,
+    the last to the first, or ``None`` unless the ids are ``0..n-1`` once each.
+
+    A row is a line's ids: a vertex's rotation, or an edge's two halves.
+    """
+    if len(columns[0]) * len(columns) != n:
+        return None
+    table = dict(zip(chain.from_iterable(columns), chain(*columns[1:], columns[0])))
+    if len(table) != n:
+        return None
+    try:
+        return _gather(table, range(n))
+    except KeyError:
+        return None
+
+
+def _parse_canonical(text: str) -> CombinatorialMap | None:
+    """The map of text exactly as :func:`serialize_map` writes it, or ``None``.
+
+    The ids are read from one split of the whole text by C-level ``int``
+    over slices, as if it were canonical; the text :func:`serialize_map`
+    writes for those ids must then equal ``text``, which rules out every
+    other spacing, order, numbering, comment or spelling of an integer,
+    and a ``loops 0`` line.  Its rotations and its edges must list the half-edges
+    ``0..n-1`` once.  Then the half-edge ids are the dense ones
+    :func:`build_map` would assign, every check it runs before the
+    constructor passes, and the tables are those it would build.  They
+    go to :class:`CombinatorialMap`, whose checks still run and cannot
+    fail: the rotations are 3-cycles and the edges pair distinct
+    half-edges.  Any other text gets ``None``, and :func:`parse_map`
+    reads it line by line.  (A single regular expression over the whole
+    text would check it too, but its backtracking state took more peak
+    memory than the line loop's whole parse.)
+    """
+    tokens = text.split()
+    v, e = text.count("vertex"), text.count("edge")
+    mid, end = 5 * v, 5 * v + 4 * e
+    try:
+        a, b, c = (list(map(int, tokens[i:mid:5])) for i in (2, 3, 4))
+        x, y = (list(map(int, tokens[i:end:4])) for i in (mid + 2, mid + 3))
+        loops = int(tokens[-1]) if len(tokens) > end else 0
+    except ValueError:  # not an int, or one past the interpreter's digit limit
+        return None
+    del tokens  # the strings are most of the peak memory of a large text
+    if _canonical_text(zip(a, b, c), zip(x, y), loops) != text:
+        return None
+    sigma, twin = _cycle_table([a, b, c], 3 * v), _cycle_table([x, y], 3 * v)
+    if sigma is None or twin is None:
+        return None
+    return CombinatorialMap(twin, sigma, loops)
+
+
 def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
     """Parse the plain-text graph format.
 
@@ -463,7 +523,20 @@ def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
     ``loops <n>`` (default 0); ``#`` starts a comment.  Structure is
     validated.  A non-planar map is read too, unless ``check_planar``
     asks for :class:`NonPlanarError`, naming its first failing component.
+
+    Canonical text, as :func:`serialize_map` writes it, is read in bulk;
+    any other text line by line, with the same results and errors.
     """
+    cmap = _parse_canonical(text)
+    if cmap is None:
+        cmap = _parse_lines(text)
+    if check_planar and not cmap.is_planar:
+        raise NonPlanarError(cmap._faces[1])
+    return cmap
+
+
+def _parse_lines(text: str) -> CombinatorialMap:
+    """The map of any text in the format, read line by line, or the first error in it."""
     rotations: list[tuple[int, tuple[int, int, int]]] = []
     pairs: list[tuple[int, int]] = []
     loops = 0
@@ -505,22 +578,20 @@ def parse_map(text: str, *, check_planar: bool = False) -> CombinatorialMap:
         else:
             raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
     try:
-        cmap = build_map(rotations, pairs, loops)
+        return build_map(rotations, pairs, loops)
     except MapError as exc:
         raise ParseError(str(exc)) from exc
-    if check_planar and not cmap.is_planar:
-        raise NonPlanarError(cmap._faces[1])
-    return cmap
+
+
+def _canonical_text(
+    rotations: Iterable[tuple[int, int, int]], edges: Iterable[tuple[int, int]], free_loops: int
+) -> str:
+    """The canonical text of rotations and edges, each numbered from 0 in order, and free loops."""
+    text = "".join([f"vertex {v}: {a} {b} {c}\n" for v, (a, b, c) in enumerate(rotations)])
+    text += "".join([f"edge {e}: {a} {b}\n" for e, (a, b) in enumerate(edges)])
+    return text + (f"loops {free_loops}\n" if free_loops else "")
 
 
 def serialize_map(cmap: CombinatorialMap) -> str:
     """Canonical text for a map; ``parse_map`` inverts it exactly."""
-    lines = []
-    for v in range(cmap.n_vertices):
-        h1, h2, h3 = cmap.rotation(v)
-        lines.append(f"vertex {v}: {h1} {h2} {h3}")
-    for e, (a, b) in enumerate(cmap.edges):
-        lines.append(f"edge {e}: {a} {b}")
-    if cmap.free_loops:
-        lines.append(f"loops {cmap.free_loops}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _canonical_text(cmap._rotations, cmap.edges, cmap.free_loops)

@@ -19,7 +19,7 @@ empty map builds a tree whose value, with weights ``loop=3, bigon=2``,
 counts the Tait colorings of the starting map; other weight systems
 reuse the same tree.  Two branches often reach identical maps, which
 are reduced once: the trace is a DAG whose shared nodes stand for
-identical maps, and it prints and evaluates as the unfolded tree.  Maps
+identical maps, and it prints as the unfolded tree and has its value.  Maps
 whose faces all have five or more sides (the dodecahedron is the
 smallest) admit no move and raise :class:`IrreducibleError`.
 """
@@ -124,8 +124,9 @@ class TraceNode(Generic[W]):
     ``multiplier`` at a leaf.  Nodes keep no maps: replaying
     :func:`apply_move` from the root map along the moves rebuilds them.
     A node made by :func:`reduce_map` may be the child of several nodes,
-    or twice of one, when their maps are identical; :meth:`value` and
-    :func:`format_trace` walk such a DAG as its unfolded tree.
+    or twice of one, when their maps are identical.  :func:`format_trace`
+    prints such a DAG as its unfolded tree, and :meth:`value` gives the
+    unfolded tree's value but evaluates each distinct node once.
     """
 
     move: Move | None
@@ -133,23 +134,37 @@ class TraceNode(Generic[W]):
     children: tuple["TraceNode[W]", ...]
 
     def value(self) -> W:
-        """The node's value, summed bottom-up in reverse pre-order."""
-        order, stack = [], [self]
+        """The node's value, each distinct node evaluated once.
+
+        Nodes are told apart by identity.  One walk lists the distinct
+        nodes in post-order and counts the parent slots naming each,
+        repeats included; a node's value is then kept only until its
+        last parent slot has read it.
+        """
+        order: list[TraceNode[W]] = []
+        unread: dict[int, int] = {}  # parent slots not yet read, by node id
+        begun: set[int] = set()
+        stack = [(self, False)]
         while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(node.children))
-        # a node's children are finished before it, its first child on top
-        values: list[W] = []
-        for node in reversed(order):
-            if not node.children:
-                values.append(node.multiplier)
-                continue
-            total = values.pop()
-            for _ in node.children[1:]:
-                total = total + values.pop()
-            values.append(node.multiplier * total)
-        return values[0]
+            node, ready = stack.pop()
+            if ready:
+                order.append(node)
+            elif id(node) not in begun:
+                begun.add(id(node))
+                stack.append((node, True))
+                for child in node.children:
+                    unread[id(child)] = unread.get(id(child), 0) + 1
+                    stack.append((child, False))
+        values: dict[int, W] = {}
+        for node in order:
+            total = None
+            for child in node.children:
+                k = id(child)
+                unread[k] -= 1
+                v = values[k] if unread[k] else values.pop(k)
+                total = v if total is None else total + v
+            values[id(node)] = node.multiplier if total is None else node.multiplier * total
+        return values[id(self)]
 
 
 def _orbit_kind(twin: Sequence[int], orbit: tuple[int, ...]) -> MoveKind | None:

@@ -147,6 +147,83 @@ def test_constructor_drops_zeros_and_rejects_nonints():
         LaurentPoly({0.5: 1})
 
 
+@pytest.mark.parametrize("terms", [{True: 1}, {0: True}, {True: True}, {1: False}])
+def test_constructor_rejects_bools(terms):
+    with pytest.raises(TypeError, match="must be ints"):
+        LaurentPoly(terms)
+
+
+def test_bool_operands_count_as_ints():
+    assert repr(LaurentPoly() + True) == "LaurentPoly({0: 1})"
+    assert quantum_integer(2) * True == quantum_integer(2)
+    assert quantum_integer(2) - False == quantum_integer(2)
+
+
+def nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def sparse_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return nonzero(out)
+
+
+def sparse_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return nonzero(out)
+
+
+def assert_terms(poly: LaurentPoly, terms: dict) -> None:
+    """``poly`` is the polynomial of ``terms``, read through every query."""
+    terms = nonzero(terms)
+    ordered = sorted(terms.items(), reverse=True)
+    assert list(poly.items()) == ordered
+    assert repr(poly) == f"LaurentPoly({dict(ordered)})"
+    assert all(poly.coefficient(e) == terms.get(e, 0) for e in range(-70, 71))
+    built = LaurentPoly(terms)
+    assert poly == built and hash(poly) == hash(built) and str(poly) == str(built)
+    if terms.keys() <= {0}:
+        assert poly == terms.get(0, 0) and hash(poly) == hash(terms.get(0, 0))
+
+
+# small coefficients over a wide range of exponents, so sums cancel often,
+# at either end and in between
+sparse_terms = st.dictionaries(st.integers(-30, 30), st.integers(-2, 2), max_size=8)
+
+
+@given(sparse_terms, sparse_terms, st.integers(-3, 3))
+def test_dense_arithmetic_matches_a_sparse_reference(a, b, k):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert_terms(pa, a)
+    assert_terms(pa + pb, sparse_sum(a, b))
+    assert_terms(pa - pb, sparse_sum(a, {e: -c for e, c in b.items()}))
+    assert_terms(pa * pb, sparse_product(a, b))
+    assert_terms(k - pa, sparse_sum({0: k}, {e: -c for e, c in a.items()}))
+    assert_terms(pa * k, sparse_product(a, {0: k}))
+    assert_terms(pa.reciprocal(), {-e: c for e, c in a.items()})
+    assert_terms(pa + (-pa), {})
+    assert_terms((pa + k) - pa, {0: k})
+
+
+def test_sums_drop_the_zeros_a_cancellation_leaves():
+    p = LaurentPoly({3: 1, 1: 2, -2: 5})
+    ends = p - LaurentPoly({3: 1}) - LaurentPoly({-2: 5})
+    assert repr(ends) == "LaurentPoly({1: 2})" and ends == LaurentPoly({1: 2})
+    zero = p - p
+    assert (repr(zero), str(zero), list(zero.items())) == ("LaurentPoly({})", "0", [])
+    assert zero == 0 and hash(zero) == hash(0) and zero == LaurentPoly()
+    # q + q^-1 squared, less its outer terms, is the constant 2
+    two = quantum_integer(2) * quantum_integer(2) - LaurentPoly({2: 1, -2: 1})
+    assert two == 2 and hash(two) == hash(2) and str(two) == "2"
+    # the gaps inside [3] hold no terms
+    assert list(quantum_integer(3).items()) == [(2, 1), (0, 1), (-2, 1)]
+
+
 def test_printing_edge_cases():
     assert str(LaurentPoly()) == "0"
     assert str(LaurentPoly({0: 1})) == "1"

@@ -3,10 +3,13 @@ import re
 import sys
 from collections import deque
 from functools import cached_property
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tait import reduction
+from tait import planar, reduction
 from tait.catalog import (
     GENERATORS,
     circle,
@@ -261,6 +264,11 @@ def test_parse_comments_whitespace_and_default_loops():
         ("loops", "expected 'loops"),
         ("loops 1\nloops 2", "duplicate loops"),
         ("vertex 0: 0 1 2\nvertex 0: 3 4 5", "duplicate vertex"),
+        # canonical but for the leading zero, so the line loop reads it
+        (
+            serialize_map(theta()).replace("vertex 1:", "vertex 00:"),
+            "^line 2: duplicate vertex id 0$",
+        ),
         ("edge 0: 0 1\nedge 0: 2 3", "duplicate edge"),
         ("vertex x: 0 1 2", "non-negative integer"),
         ("vertex 0: 0 1 two", "non-negative integer"),
@@ -288,6 +296,142 @@ def test_parse_checks_planarity_only_on_request():
     assert parse_map(text) == petersen()
     with pytest.raises(NonPlanarError):
         parse_map(text, check_planar=True)
+
+
+# ----------------------------------------------------------------------
+# the bulk reader of canonical text against the line loop
+
+
+def read_outcome(text: str, check_planar: bool):
+    """``parse_map``'s tables for ``text``, or its error's type and text."""
+    try:
+        cmap = parse_map(text, check_planar=check_planar)
+    except MapError as exc:
+        return type(exc), str(exc)
+    return cmap.twin, cmap.next_at_vertex, cmap.free_loops
+
+
+def assert_readers_agree(text: str) -> None:
+    for check_planar in (False, True):
+        bulk = read_outcome(text, check_planar)
+        with mock.patch.object(planar, "_parse_canonical", return_value=None):
+            assert bulk == read_outcome(text, check_planar), text
+
+
+READER_MAPS = [
+    *(g for _, g in CATALOG_MAPS),
+    circle(0),
+    disjoint_union(theta(), circle(2)),
+    disjoint_union(necklace(3), k4()),
+    *[random_planar_cubic(v, seed=s) for v in (10, 16, 24) for s in range(2)],
+]
+
+
+def _id_tokens(lines: list[str], rnd: random.Random) -> tuple[list[str], int, int]:
+    """The tokens of a random line, its index, and the index of a random id token in it
+    (of its only token, when a tab has joined them)."""
+    i = rnd.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    return tokens, i, rnd.randrange(1, len(tokens)) if len(tokens) > 1 else 0
+
+
+def _replace_id(lines, rnd, token):
+    tokens, i, j = _id_tokens(lines, rnd)
+    tokens[j] = token(tokens[j])
+    lines[i] = " ".join(tokens)
+
+
+def _repeated_half_edge(lines, rnd):
+    halves = [t for line in lines if not line.startswith("loops") for t in line.split(" ")[2:]]
+    _replace_id(lines, rnd, lambda t: t if t.endswith(":") or not halves else rnd.choice(halves))
+
+
+def _swapped_half_edges(lines, rnd):
+    (a, i, j), (b, k, m) = _id_tokens(lines, rnd), _id_tokens(lines, rnd)
+    if i != k and not a[j].endswith(":") and not b[m].endswith(":"):
+        a[j], b[m] = b[m], a[j]
+        lines[i], lines[k] = " ".join(a), " ".join(b)
+
+
+def _vertex_renamed_00(lines, rnd):
+    vertices = [i for i, line in enumerate(lines) if line.startswith("vertex")]
+    if vertices:
+        i = rnd.choice(vertices)
+        lines.insert(i + 1, lines[i].replace("vertex ", "vertex 0", 1))
+
+
+def _duplicate_edge_id(lines, rnd):
+    edges = [i for i, line in enumerate(lines) if line.startswith("edge")]
+    if edges:
+        i, j = rnd.choice(edges), rnd.choice(edges)
+        lines[j] = " ".join(lines[i].split(" ")[:2] + lines[j].split(" ")[2:])
+
+
+def _shifted_ids(lines, rnd):
+    k = rnd.randrange(1, 20)
+
+    def shift(match):
+        return str(int(match[0]) + k)
+
+    # ids of up to 9 digits, which leaves an over-long one as it is
+    lines[:] = [
+        line if line.startswith("loops") else re.sub(r"\b\d{1,9}\b", shift, line)
+        for line in lines
+    ]
+
+
+def _extra_edge(lines, rnd):
+    # two half-edges that another edge or no rotation holds
+    n = 3 * sum(line.startswith("vertex") for line in lines)
+    edges = sum(line.startswith("edge") for line in lines)
+    a, b = rnd.sample(range(n + 2), 2)
+    lines.append(f"edge {edges}: {a} {b}")
+
+
+def _dropped_line(lines, rnd):
+    if lines:
+        del lines[rnd.randrange(len(lines))]
+
+
+# each rewrites a text's lines in place and returns None, or returns the new text
+TEXT_MUTATIONS = {
+    "leading zero": lambda lines, rnd: _replace_id(lines, rnd, lambda t: "0" + t),
+    "vertex 00 after vertex 0": _vertex_renamed_00,
+    "duplicate edge id": _duplicate_edge_id,
+    "repeated half-edge": _repeated_half_edge,
+    "swapped half-edges": _swapped_half_edges,
+    "shifted ids": _shifted_ids,
+    "extra edge": _extra_edge,
+    "dropped line": _dropped_line,
+    "shuffled lines": lambda lines, rnd: rnd.shuffle(lines),
+    "comment line": lambda lines, rnd: lines.insert(rnd.randrange(len(lines) + 1), "# note"),
+    "trailing comment": lambda lines, rnd: lines.__setitem__(-1, lines[-1] + " # x"),
+    "loops line": lambda lines, rnd: lines.append(f"loops {rnd.randrange(3)}"),
+    "over-long id": lambda lines, rnd: _replace_id(
+        lines, rnd, lambda t: "9" * 5000 + t[len(t.rstrip(":")) :]
+    ),
+    "tab": lambda lines, rnd: lines.__setitem__(0, lines[0].replace(" ", "\t", 1)),
+    "no final newline": lambda lines, rnd: "\n".join(lines),
+    "crlf": lambda lines, rnd: "".join(line + "\r\n" for line in lines),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(READER_MAPS),
+    st.lists(st.sampled_from(sorted(TEXT_MUTATIONS)), max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_bulk_reader_and_line_loop_agree(cmap, mutations, rnd):
+    text = serialize_map(cmap)
+    if not mutations:
+        # canonical text takes the bulk reader
+        assert planar._parse_canonical(text) == cmap
+    for name in mutations:
+        lines = text.splitlines() or ["loops 0"]  # the empty map, as a line to rewrite
+        rewritten = TEXT_MUTATIONS[name](lines, rnd)
+        text = rewritten if isinstance(rewritten, str) else "".join(f"{line}\n" for line in lines)
+    assert_readers_agree(text)
 
 
 def test_build_map_inverts_a_maps_tables():

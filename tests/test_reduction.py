@@ -6,10 +6,13 @@ import operator
 import random
 import re
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tait import reduction
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
@@ -458,6 +461,81 @@ def test_shared_trace_prints_as_the_unshared_tree(cmap):
     trace = reduce_map(cmap)
     assert format_trace(trace) == format_trace(expected)
     assert trace.value() == expected.value() == count_tait(cmap)
+
+
+def unfolded_value(root: TraceNode):
+    """The value of a trace unfolded into its tree: each child slot summed afresh, bottom-up."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(node.children))
+    values: list = []
+    for node in reversed(order):
+        if not node.children:
+            values.append(node.multiplier)
+            continue
+        total = values.pop()
+        for _ in node.children[1:]:
+            total = total + values.pop()
+        values.append(node.multiplier * total)
+    return values[0]
+
+
+@pytest.mark.parametrize("weights", [EULER_WEIGHTS, P3_WEIGHTS], ids=["euler", "p3"])
+def test_value_of_a_shared_trace_is_the_unfolded_trees(weights):
+    for cmap in SHARING_MAPS:
+        if weights is P3_WEIGHTS and not cmap.is_bipartite():
+            continue
+        try:
+            trace = reduce_map(cmap, weights)
+        except IrreducibleError:
+            continue
+        assert trace.value() == unfolded_value(trace)
+
+
+SQUARE = Move(MoveKind.SQUARE, (0, 1, 2, 3))
+
+
+def test_value_evaluates_each_distinct_node_once():
+    node = TraceNode(None, 1, ())
+    for _ in range(200):
+        node = TraceNode(SQUARE, 1, (node, node))
+    # the unfolded tree has 2^200 leaves
+    assert node.value() == 2**200
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 99), max_size=3)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_value_matches_the_unfolded_walk_on_any_dag(spec):
+    # each node's children are earlier nodes, repeats allowed, so a node
+    # may sit below its parent at several depths
+    nodes: list[TraceNode] = []
+    for multiplier, picks in spec:
+        children = tuple(nodes[p % len(nodes)] for p in picks) if nodes else ()
+        nodes.append(TraceNode(SQUARE if children else None, multiplier, children))
+    assert nodes[-1].value() == unfolded_value(nodes[-1])
+
+
+def test_value_drops_each_value_once_its_parents_have_read_it():
+    node = TraceNode(None, 1, ())
+    for _ in range(1000):
+        node = TraceNode(Move(MoveKind.BIGON, (0, 1)), 2**64, (node,))
+    expected = 2 ** (64 * 1000)
+    tracemalloc.start()
+    try:
+        value = node.value()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    # every value kept would hold 1,000 ints of up to 8,000 bytes: about 4 MB
+    assert peak < 1_000_000
 
 
 def test_identical_maps_share_one_subtree():
