@@ -96,8 +96,11 @@ def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:
     """First ``limit`` Tait colorings in lexicographic edge-color order.
 
     A coloring is a tuple indexed by edge id, paired edges first and
-    free-loop edges last.
+    free-loop edges last.  A ``limit`` that is a bool or not an int
+    raises ``ValueError``; one of zero or less gives no colorings.
     """
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise ValueError(f"limit must be an int, got {limit!r}")
     if limit <= 0 or cmap.has_self_loop:
         return []
     n_edges = cmap.n_paired_edges

@@ -115,7 +115,7 @@ class IrreducibleError(Exception):
         self.path = path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TraceNode(Generic[W]):
     """One evaluation step: the move taken and its factor.
 
@@ -124,9 +124,12 @@ class TraceNode(Generic[W]):
     ``multiplier`` at a leaf.  Nodes keep no maps: replaying
     :func:`apply_move` from the root map along the moves rebuilds them.
     A node made by :func:`reduce_map` may be the child of several nodes,
-    or twice of one, when their maps are identical.  :func:`format_trace`
-    prints such a DAG as its unfolded tree, and :meth:`value` gives the
-    unfolded tree's value but evaluates each distinct node once.
+    or twice of one, when their maps are identical.  A node is an
+    identity: it equals only itself, hashes by identity and prints as
+    ``object`` does, so none of these walks its children.
+    :func:`format_trace` is the one walk that unfolds a trace into its
+    tree, and :meth:`value` gives the unfolded tree's value but evaluates
+    each distinct node once.
     """
 
     move: Move | None
@@ -142,29 +145,28 @@ class TraceNode(Generic[W]):
         last parent slot has read it.
         """
         order: list[TraceNode[W]] = []
-        unread: dict[int, int] = {}  # parent slots not yet read, by node id
-        begun: set[int] = set()
+        unread: dict[TraceNode[W], int] = {}  # parent slots not yet read
+        begun: set[TraceNode[W]] = set()
         stack = [(self, False)]
         while stack:
             node, ready = stack.pop()
             if ready:
                 order.append(node)
-            elif id(node) not in begun:
-                begun.add(id(node))
+            elif node not in begun:
+                begun.add(node)
                 stack.append((node, True))
                 for child in node.children:
-                    unread[id(child)] = unread.get(id(child), 0) + 1
+                    unread[child] = unread.get(child, 0) + 1
                     stack.append((child, False))
-        values: dict[int, W] = {}
+        values: dict[TraceNode[W], W] = {}
         for node in order:
             total = None
             for child in node.children:
-                k = id(child)
-                unread[k] -= 1
-                v = values[k] if unread[k] else values.pop(k)
+                unread[child] -= 1
+                v = values[child] if unread[child] else values.pop(child)
                 total = v if total is None else total + v
-            values[id(node)] = node.multiplier if total is None else node.multiplier * total
-        return values[id(self)]
+            values[node] = node.multiplier if total is None else node.multiplier * total
+        return values[self]
 
 
 def _orbit_kind(twin: Sequence[int], orbit: tuple[int, ...]) -> MoveKind | None:

@@ -390,6 +390,22 @@ def test_values_print_at_any_size(argv, cmap, want, tmp_path, capsys):
     assert digit_limit() == limit
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+def test_values_print_with_the_digit_limit_already_lifted(tmp_path, capsys):
+    limit = digit_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run(["count", graph_file(tmp_path, circle(9100))], capsys)
+        # the limit is left as it was found: lifted
+        assert digit_limit() == 0
+        assert (code, err, out) == (EXIT_OK, "", f"{3**9100}\n")
+        assert len(out) == 4342 + 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.skipif(not digit_limit(), reason="the interpreter has no digit limit")
 def test_over_long_id_is_a_parse_error_on_its_line(capsys, monkeypatch):
     text = serialize_map(theta()) + "loops " + "9" * 5000 + "\n"

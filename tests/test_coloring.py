@@ -1,6 +1,7 @@
 """Tait-coloring counts against an independent exhaustive oracle."""
 
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -110,6 +111,9 @@ def test_enumerate_limit_and_prefix():
     assert enumerate_tait(cube(), -2) == []
     assert len(enumerate_tait(cube(), 5)) == 5
     assert enumerate_tait(cube(), 3) == enumerate_tait(cube(), 10)[:3]
+    for bad in (2.5, True, False, "3", 3.0, None):
+        with pytest.raises(ValueError, match=re.escape(f"limit must be an int, got {bad!r}")):
+            enumerate_tait(theta(), bad)
 
 
 @pytest.mark.parametrize(

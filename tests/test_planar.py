@@ -434,6 +434,21 @@ def test_bulk_reader_and_line_loop_agree(cmap, mutations, rnd):
     assert_readers_agree(text)
 
 
+def test_ids_with_a_gap_fall_back_to_the_line_loop():
+    # theta's canonical layout with id 5 written as 6: n distinct ids, so
+    # only looking up 5 in the cycle table finds the gap
+    good = serialize_map(theta()).replace(" 5", " 6")
+    # the same in the rotation only: the line loop refuses it
+    bad = serialize_map(theta()).replace(" 5 ", " 6 ")
+    assert good != bad
+    for text in (good, bad):
+        assert planar._parse_canonical(text) is None
+        assert_readers_agree(text)
+    assert parse_map(good) == theta()
+    with pytest.raises(ParseError, match="half-edge 5 appears in an edge pair but in no rotation"):
+        parse_map(bad)
+
+
 def test_build_map_inverts_a_maps_tables():
     for g in (theta(), k4(), necklace(2), disjoint_union(theta(), circle(2))):
         rotations = [(v, g.rotation(v)) for v in range(g.n_vertices)]

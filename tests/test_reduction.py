@@ -538,6 +538,41 @@ def test_value_drops_each_value_once_its_parents_have_read_it():
     assert peak < 1_000_000
 
 
+def test_a_node_equals_only_itself():
+    # object's == and hash: neither reads the children
+    assert TraceNode.__eq__ is object.__eq__ and TraceNode.__hash__ is object.__hash__
+    first, second = reduce_map(cube()), reduce_map(cube())
+    assert first == first and hash(first) == hash(first)
+    # built apart, they print alike but are two traces
+    assert format_trace(first) == format_trace(second)
+    assert first != second
+    assert dataclasses.replace(first, multiplier=1) != first
+
+
+def test_a_long_trace_prints_hashes_and_compares_without_recursion():
+    trace = reduce_map(necklace(3000))
+    assert repr(trace) == object.__repr__(trace)
+    assert hash(trace) == hash(trace)
+    assert trace == trace
+    assert trace != reduce_map(necklace(3000))
+
+
+def test_a_shared_dag_hashes_and_compares_at_once():
+    # checked first, so a generated hash or == fails here instead of
+    # unfolding the 2^200 leaves below
+    assert TraceNode.__eq__ is object.__eq__ and TraceNode.__hash__ is object.__hash__
+    dags = []
+    for _ in range(2):
+        node = TraceNode(None, 1, ())
+        for _ in range(200):
+            node = TraceNode(SQUARE, 1, (node, node))
+        dags.append(node)
+    first, second = dags
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+    assert repr(first) == object.__repr__(first)
+
+
 def test_identical_maps_share_one_subtree():
     # both square branches of the cube reach the same map after one bigon
     trace = reduce_map(cube())
