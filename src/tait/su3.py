@@ -331,8 +331,8 @@ def _require_one_per_edge(cmap: CombinatorialMap, items, kind: str, unit: str) -
 
 def _vertex_triples(cmap: CombinatorialMap) -> np.ndarray:
     """(V, 3) edge ids at every vertex, in rotation order (a self-loop repeats)."""
-    triples = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    return np.array(triples, dtype=np.intp).reshape(-1, 3)
+    edge_of = np.array(cmap._edge_of, dtype=np.intp)
+    return edge_of[np.array(cmap._rotations, dtype=np.intp).reshape(-1, 3)]
 
 
 def _worst_overlap(cmap: CombinatorialMap, triples: np.ndarray, lines: np.ndarray) -> float:
@@ -421,9 +421,11 @@ def _edge_neighbors(cmap: CombinatorialMap) -> list[list[int]]:
     An edge appears once per vertex it shares, so the two edges parallel
     to a theta edge appear twice each.
     """
+    triples = _vertex_triples(cmap).tolist()
+    vertex_of = cmap.vertex_of
     return [
-        [f for v in cmap.edge_endpoints(e) for f in cmap.vertex_edges(v) if f != e]
-        for e in range(cmap.n_paired_edges)
+        [f for h in half_edges for f in triples[vertex_of[h]] if f != e]
+        for e, half_edges in enumerate(cmap.edges)
     ]
 
 
@@ -462,16 +464,16 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     is forced to the remaining line, otherwise it gets a Haar-random
     line in the orthogonal complement of whatever is fixed.  If the
     fixed neighbors of some edge span all of C^3 the attempt restarts.
-    Each unfixed edge keeps its free subspace: rows spanning the
-    orthogonal complement of its fixed neighbors.  Fixing an edge solves
-    that subspace again only at its own unfixed neighbors, the only
-    edges whose constraints changed, and an edge is later fixed from the
-    rows it holds.  A solve is one SVD, kept for the rest of the attempt
-    by the fixed neighbors it spans: a neighbor that sees the same fixed
-    edges reuses it.  The next edge comes off one heap of (free rows,
-    breadth-first rank, edge) entries, one pushed each time an edge's
-    free rows are solved; an entry is outdated, and skipped, once its
-    edge is fixed or its row count differs from the rows the edge holds.
+    An edge's free subspace, rows spanning the orthogonal complement of
+    its fixed neighbors, is solved only when the edge reaches the top of
+    one heap of (key, breadth-first rank, edge) entries.  A key is a lower
+    bound on the edge's free rows: fixing an edge pushes 3 minus the
+    number of fixed neighbor slots at each unfixed neighbor, as k fixed
+    lines leave at least 3 - k free rows.  A popped edge whose solved row
+    count exceeds its key goes back with the exact count; one whose count
+    equals its key is the most constrained edge, and is fixed.  A solve is
+    one SVD, kept for the rest of the attempt by the fixed neighbors it
+    spans: an edge that sees the same fixed edges reuses it.
     Assigning forced edges first makes every constraint a consequence
     of earlier choices on frame-rigid graphs (theta, K4, the prisms,
     the necklaces), which therefore sample without restarts.  Other
@@ -497,20 +499,27 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
 
     for _ in range(_RETRIES):
         lines: list[np.ndarray | None] = [None] * len(neighbors)
-        # rows spanning the lines each unfixed edge may still take
-        free = [_I3] * len(neighbors)
-        # a (free rows, bfs_rank, edge) entry per solve of an edge's free
-        # rows; an entry is stale once its edge is fixed or its row count
-        # is no longer that of ``free``
+        # fixed neighbour slots of each edge; a repeated neighbour counts twice
+        seen = [0] * len(neighbors)
+        # (lower bound on free rows, bfs_rank, edge): every unfixed edge has
+        # an entry whose key is at most its free-row count
         heap = [(3, bfs_rank[e], e) for e in range(len(neighbors))]
         heapq.heapify(heap)
-        # free rows by the fixed neighbours that determine them
-        solved: dict[tuple[int, ...], np.ndarray] = {}
+        # rows spanning the lines an edge may take, by the fixed neighbours
+        # that determine them
+        solved: dict[tuple[int, ...], np.ndarray] = {(): _I3}
         while heap:
-            n, _, e = heapq.heappop(heap)
-            if lines[e] is not None or n != len(free[e]):
+            n, tie, e = heapq.heappop(heap)
+            if lines[e] is not None:
                 continue
-            basis = free[e]
+            fixed = tuple(g for g in neighbors[e] if lines[g] is not None)
+            if fixed not in solved:
+                _, s, vh = np.linalg.svd(np.conj(np.array([lines[g] for g in fixed])))
+                solved[fixed] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
+            basis = solved[fixed]
+            if len(basis) != n:
+                heapq.heappush(heap, (len(basis), tie, e))
+                continue
             if not n:
                 break
             if n == 1:
@@ -519,15 +528,11 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
                 coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 x = coef @ basis
             lines[e] = x / np.linalg.norm(x)
+            for f in neighbors[e]:
+                seen[f] += 1
             for f in dict.fromkeys(neighbors[e]):
-                if lines[f] is not None:
-                    continue
-                fixed = tuple(g for g in neighbors[f] if lines[g] is not None)
-                if fixed not in solved:
-                    _, s, vh = np.linalg.svd(np.conj(np.array([lines[g] for g in fixed])))
-                    solved[fixed] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
-                free[f] = solved[fixed]
-                heapq.heappush(heap, (len(free[f]), bfs_rank[f], f))
+                if lines[f] is None:
+                    heapq.heappush(heap, (max(0, 3 - seen[f]), bfs_rank[f], f))
         else:
             if _worst_overlap(cmap, triples, np.array(lines)) <= _TOL:
                 lines.extend(random_line(rng) for _ in range(cmap.free_loops))

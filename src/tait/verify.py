@@ -22,6 +22,7 @@ from .planar import CombinatorialMap, disjoint_union
 from .reduction import EULER_WEIGHTS, TraceNode, apply_move, euler_characteristic, reduce_map
 from .su3 import (
     _TOL,
+    RetriesExhaustedError,
     _check_order_two_products,
     _line_overlaps,
     _reflections,
@@ -269,20 +270,27 @@ def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
 
     Trials rotate through the roundtrip fixtures; each samples a fresh
     admissible decoration, converts it both ways, and measures the line
-    recovery defect 1 - |<v, v'>| per edge plus the vertex products.
-    Raises ``ValueError`` as :func:`run_lemma5` does.
+    recovery defect 1 - |<v, v'>| per edge plus the vertex products.  A
+    trial whose sampling exhausts its retries fails, and the report counts
+    such trials per fixture.  Raises ``ValueError`` as :func:`run_lemma5` does.
     """
     _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)
     corpus = roundtrip_corpus()
     per_graph = {name: 0 for name, _ in corpus}
+    exhausted = dict.fromkeys(per_graph, 0)
     failures = 0
     worst = 0.0
 
     for i in range(trials):
         name, graph = corpus[i % len(corpus)]
+        try:
+            decoration = sample_admissible_decoration(graph, rng)
+        except RetriesExhaustedError:
+            exhausted[name] += 1
+            failures += 1
+            continue
         per_graph[name] += 1
-        decoration = sample_admissible_decoration(graph, rng)
         matrices = decoration_to_representation(graph, decoration)
         recovered = representation_to_decoration(matrices)
         overlaps = _line_overlaps(np.array(decoration), np.array(recovered))
@@ -293,7 +301,9 @@ def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
         if not deviation < _TOL:
             failures += 1
 
-    lines = tuple(f"{name}: {n} decorations" for name, n in per_graph.items())
+    lines = tuple(f"{name}: {n} decorations" for name, n in per_graph.items()) + tuple(
+        f"{name}: {n} exhausted" for name, n in exhausted.items() if n
+    )
     return SuiteReport(
         suite="roundtrip",
         passed=failures == 0 and worst < _TOL,

@@ -25,6 +25,7 @@ from tait.cli import (
 from tait.laurent import p3
 from tait.planar import parse_map, serialize_map
 from tait.reduction import IrreducibleError
+from tait.su3 import RetriesExhaustedError
 
 
 def run(argv, capsys, monkeypatch=None, stdin=None):
@@ -327,6 +328,33 @@ def test_lemma5_reports_failing_pairs(capsys, monkeypatch):
     code, out, _ = run(["verify", "lemma5", "--trials", "4"], capsys)
     assert code == EXIT_INVALID
     assert out.endswith("failures: 4\nresult: FAIL\n")
+
+
+def test_roundtrip_counts_an_exhausted_sample_as_a_failed_trial(capsys, monkeypatch):
+    # a sampler that gives up fails the suite instead of crashing the command
+    sample, calls = verify.sample_admissible_decoration, []
+
+    def exhausts_first(graph, rng):
+        calls.append(graph)
+        if len(calls) == 1:
+            raise RetriesExhaustedError("no admissible decoration found in 100 attempts", 100)
+        return sample(graph, rng)
+
+    monkeypatch.setattr(verify, "sample_admissible_decoration", exhausts_first)
+    code, out, err = run(["verify", "roundtrip", "--trials", "8"], capsys)
+    assert (code, err, len(calls)) == (EXIT_INVALID, "", 8)
+    lines = out.splitlines()
+    assert lines[4:9] == [
+        "  theta: 1 decorations",
+        "  k4: 2 decorations",
+        "  prism(3): 2 decorations",
+        "  cube: 2 decorations",
+        "  theta: 1 exhausted",
+    ]
+    assert lines[-2:] == ["failures: 1", "result: FAIL"]
+    calls.clear()
+    report = verify.run_roundtrip(trials=8)
+    assert (report.passed, report.failures, report.max_deviation < 1e-9) == (False, 1, True)
 
 
 def test_verify_passes_flags_through_a_wrapped_suite(capsys, monkeypatch):

@@ -426,6 +426,29 @@ def test_sampler_solves_each_constraint_once(g, monkeypatch):
     assert len(solved) < len(adjacent)
 
 
+def test_sampler_solves_only_what_it_fixes_from(monkeypatch):
+    # An edge's free rows are solved when it reaches the top of the heap,
+    # not each time a neighbour is fixed.  On a necklace no solve is
+    # outdated before its edge is fixed and no two edges see the same
+    # fixed neighbours, so every edge but the first, which takes all of
+    # C^3, is fixed from exactly one solve.  A sampler that solved every
+    # unfixed neighbour at each fix would make k - 1 more.
+    svd, solved = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        solved.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(su3, "_RETRIES", 1)
+    for k in range(1, 21):
+        g = necklace(k)
+        for rng in range(3):
+            solved.clear()
+            sample_admissible_decoration(g, rng=rng)
+            assert len(solved) == g.n_paired_edges - 1, (k, rng)
+
+
 RIGID_MAPS = (
     [(f"prism{n}", prism(n)) for n in range(2, 21)]
     + [(f"necklace{k}", necklace(k)) for k in range(1, 21)]
@@ -485,15 +508,41 @@ def test_sampler_matches_rescanning_reference(g, max_retries, monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+# Maps whose fixed neighbour sets are often rank-deficient, so that a popped
+# edge solves to more rows than its key and goes back on the heap: 1,120
+# times over their 145 samples (five seeds each), against 1,140 over the
+# 170 of REFERENCE_MAPS.  At 24-32 vertices a random map mostly exhausts
+# three attempts, and each attempt must restart where the reference does.
+LAZY_KEY_MAPS = (
+    [("prism12", prism(12), 100), ("prism20", prism(20), 100)]
+    + [("necklace12", necklace(12), 100)]
+    + [("necklace5+prism9", disjoint_union(necklace(5), prism(9)), 100)]
+    + [
+        (f"random{v}-{seed}", random_planar_cubic(v, seed), 3)
+        for v in range(24, 33, 2)
+        for seed in range(5)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "g, max_retries",
+    [(g, r) for _, g, r in LAZY_KEY_MAPS],
+    ids=[n for n, _, _ in LAZY_KEY_MAPS],
+)
+def test_lazy_keys_match_rescanning_reference_at_scale(g, max_retries, monkeypatch):
+    test_sampler_matches_rescanning_reference(g, max_retries, monkeypatch)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_sampler_skips_an_entry_whose_edge_gained_free_rows(seed, monkeypatch):
     # In exact arithmetic an edge's free rows only shrink as its neighbours
-    # are fixed, so an outdated heap entry of an unfixed edge always has
-    # more rows than the edge holds.  A numerical rank can drop instead:
-    # here the SVD reports one rank less for the first three-row input of
-    # an unpatched run, chosen by its content, so that edge's free rows
-    # grow while its older, smaller entry is still queued.  The sampler
-    # must skip that entry, as the rescanning reference never sees it.
+    # are fixed.  A numerical rank can drop instead: here the SVD reports
+    # one rank less for the first three-row input of an unpatched run,
+    # chosen by its content, so that edge's free rows grow.  A heap key is
+    # 3 minus the edge's fixed neighbour slots, a lower bound that a rank
+    # drop only widens: the sampler must put the edge back with its exact,
+    # larger row count, and so pick the edge the rescanning reference picks.
     g, svd, inputs = k4(), np.linalg.svd, []
 
     def spy(a, *args, **kwargs):
