@@ -10,13 +10,15 @@ data of the map is ignored, and non-planar maps are accepted.  The
 count contracts a tensor network of one 3x3x3 table per vertex along a
 tree (bucket elimination; Dechter, AIJ 1999), so its cost grows with
 the edges the largest merge touches, not with the number of colorings.
+Each cluster keeps how many open edges it shares with each neighbour,
+so a pair's merge key costs O(1), and each merge is one matrix product.
 Enumeration is exact backtracking over the edges, for small graphs.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -26,8 +28,11 @@ __all__ = ["count_tait", "enumerate_tait"]
 
 
 def _incidences(cmap: CombinatorialMap):
-    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    endpoints = [cmap.edge_endpoints(e) for e in range(cmap.n_paired_edges)]
+    """Edge ids at each vertex, in rotation order, and the two vertices
+    of each paired edge, read from the map's cached tables."""
+    edge_of, vertex_of = cmap._edge_of, cmap.vertex_of
+    at_vertex = [(edge_of[a], edge_of[b], edge_of[c]) for a, b, c in cmap._rotations]
+    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in cmap.edges]
     return at_vertex, endpoints
 
 
@@ -54,41 +59,72 @@ def count_tait(cmap: CombinatorialMap) -> int:
     edges they share, until each connected component is one number.
     Each table entry counts the colorings of its cluster, over the actual
     colors, that give its open edges the colors of the entry's index.
+
+    A pair's key is the open edge count of its merge, ``len(Ea) +
+    len(Eb) - 2 * shared``, read from each cluster's map of neighbour to
+    shared edge count; a merge adds the two maps and pushes one key per
+    neighbour of the new cluster.  The merge itself moves the shared axes
+    of the two tables to meet, flattens each to a matrix and multiplies
+    them with one ``np.dot``.
     """
     if cmap.has_self_loop:
         return 0
-    at_vertex, endpoints = _incidences(cmap)
+    # per cluster id: open edges, table with one axis per open edge (None
+    # once merged away), vertices, and each neighbouring cluster -> the
+    # number of open edges the two share
+    edges, endpoints = _incidences(cmap)
+    tables = [_DISTINCT] * len(edges)
+    sizes = [1] * len(edges)
+    links: list[dict[int, int]] = [{} for _ in edges]
+    for u, v in endpoints:
+        links[u][v] = links[u].get(v, 0) + 1
+        links[v][u] = links[v].get(u, 0) + 1
 
-    # cluster id -> (open edges, table with one axis per open edge, vertices)
-    clusters = {v: (edges, _DISTINCT, 1) for v, edges in enumerate(at_vertex)}
-    ends = [list(pair) for pair in endpoints]  # the clusters at each edge's two ends
-    fresh = count(len(at_vertex))  # so a merged cluster's id is above every live one
-
-    def key(a: int, b: int) -> tuple[int, int, int]:
-        return (len(set(clusters[a][0]).symmetric_difference(clusters[b][0])), a, b)
-
-    heap = sorted({key(min(pair), max(pair)) for pair in endpoints})  # sorted is a heap
+    # a cluster's open edges are distinct, so a key equals the size of the
+    # symmetric difference of the two clusters' open edges; sorted is a heap
+    heap = sorted({(6 - 2 * links[u][v], min(u, v), max(u, v)) for u, v in endpoints})
     total = 3**cmap.free_loops
     while heap:
         _, a, b = heapq.heappop(heap)
-        if a not in clusters or b not in clusters:
+        table_a, table_b = tables[a], tables[b]
+        if table_a is None or table_b is None:
             continue
-        (edges_a, table_a, size_a), (edges_b, table_b, size_b) = clusters.pop(a), clusters.pop(b)
-        if size_a + size_b > _INT64_VERTICES:
+        tables[a] = tables[b] = None
+        size = sizes[a] + sizes[b]
+        if size > _INT64_VERTICES:
             table_a, table_b = table_a.astype(object), table_b.astype(object)
+        edges_a, edges_b = edges[a], edges[b]
         shared = [e for e in edges_a if e in edges_b]
-        axes = ([edges_a.index(e) for e in shared], [edges_b.index(e) for e in shared])
-        table = np.tensordot(table_a, table_b, axes)
-        edges = tuple([e for e in edges_a + edges_b if e not in shared])
-        if not edges:
-            total *= int(table)
+        keep_a = [e for e in edges_a if e not in shared]
+        keep_b = [e for e in edges_b if e not in shared]
+        # np.tensordot's arithmetic without its wrapper, which costs more
+        # than the product on these small tables: shared axes last in a's
+        # table and first in b's, then one matrix product
+        table_a = table_a.transpose([edges_a.index(e) for e in keep_a + shared])
+        table_b = table_b.transpose([edges_b.index(e) for e in shared + keep_b])
+        table = np.dot(
+            table_a.reshape(3 ** len(keep_a), -1), table_b.reshape(3 ** len(shared), -1)
+        )
+        open_edges = keep_a + keep_b
+        if not open_edges:
+            total *= int(table[0, 0])
             continue
-        c = next(fresh)
-        clusters[c] = (edges, table, size_a + size_b)
-        for e in edges:
-            ends[e] = [c if x in (a, b) else x for x in ends[e]]
-        for d in {x for e in edges for x in ends[e]} - {c}:
-            heapq.heappush(heap, key(d, c))
+        c = len(tables)  # above every live id
+        link = links[a]
+        del link[b]
+        for d, k in links[b].items():
+            if d != a:
+                link[d] = link.get(d, 0) + k
+        for d, k in link.items():
+            other = links[d]
+            other.pop(a, None)
+            other.pop(b, None)
+            other[c] = k
+            heapq.heappush(heap, (len(open_edges) + len(edges[d]) - 2 * k, d, c))
+        edges.append(open_edges)
+        tables.append(table.reshape((3,) * len(open_edges)))
+        sizes.append(size)
+        links.append(link)
     return total
 
 

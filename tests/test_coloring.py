@@ -1,8 +1,9 @@
 """Tait-coloring counts against an independent exhaustive oracle."""
 
+import heapq
 import random
 import re
-from itertools import product
+from itertools import count, permutations, product
 
 import numpy as np
 import pytest
@@ -242,6 +243,70 @@ def test_count_multiplies_over_large_random_components(sizes):
     a, b = (random_planar_cubic(v, seed=4000 + v) for v in sizes)
     assert count_tait(disjoint_union(a, b)) == count_tait(a) * count_tait(b)
     assert count_tait(disjoint_union(b, a)) == count_tait(a) * count_tait(b)
+
+
+# ----------------------------------------------------------------------
+# the count against a reference that keeps clusters in a dict, keys a
+# pair by the symmetric difference of its open edges and merges with
+# np.tensordot
+
+
+def rekeying_count(cmap: CombinatorialMap) -> int:
+    """Reference: re-key every neighbour from its edge sets at each merge."""
+    if cmap.has_self_loop:
+        return 0
+    distinct = np.zeros((3, 3, 3), dtype=np.int64)
+    distinct[tuple(zip(*permutations(range(3))))] = 1
+    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    endpoints = [cmap.edge_endpoints(e) for e in range(cmap.n_paired_edges)]
+    clusters = {v: (edges, distinct, 1) for v, edges in enumerate(at_vertex)}
+    ends = [list(pair) for pair in endpoints]
+    fresh = count(len(at_vertex))
+
+    def key(a, b):
+        return (len(set(clusters[a][0]).symmetric_difference(clusters[b][0])), a, b)
+
+    heap = sorted({key(min(pair), max(pair)) for pair in endpoints})
+    total = 3**cmap.free_loops
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in clusters or b not in clusters:
+            continue
+        (edges_a, table_a, size_a), (edges_b, table_b, size_b) = clusters.pop(a), clusters.pop(b)
+        if size_a + size_b > 60:
+            table_a, table_b = table_a.astype(object), table_b.astype(object)
+        shared = [e for e in edges_a if e in edges_b]
+        axes = ([edges_a.index(e) for e in shared], [edges_b.index(e) for e in shared])
+        table = np.tensordot(table_a, table_b, axes)
+        edges = tuple([e for e in edges_a + edges_b if e not in shared])
+        if not edges:
+            total *= int(table)
+            continue
+        c = next(fresh)
+        clusters[c] = (edges, table, size_a + size_b)
+        for e in edges:
+            ends[e] = [c if x in (a, b) else x for x in ends[e]]
+        for d in {x for e in edges for x in ends[e]} - {c}:
+            heapq.heappush(heap, key(d, c))
+    return total
+
+
+# random maps past the backtracker's reach, across the 60-vertex switch
+# from int64 to Python-int tables, long chains, and the unions with free
+# loops and a self-loop
+REKEYING_MAPS = [
+    *[(f"random{v}", random_planar_cubic(v, seed=7000 + v)) for v in range(60, 201, 10)],
+    *[(f"prism{n}", prism(n)) for n in range(29, 32)],
+    *[(f"necklace{k}", necklace(k)) for k in range(29, 32)],
+    *UNIONS,
+]
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in REKEYING_MAPS], ids=[n for n, _ in REKEYING_MAPS]
+)
+def test_count_matches_rekeying_reference(cmap):
+    assert count_tait(cmap) == rekeying_count(cmap)
 
 
 def test_count_has_no_depth_limit():
