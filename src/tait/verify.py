@@ -271,8 +271,11 @@ def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
     Trials rotate through the roundtrip fixtures; each samples a fresh
     admissible decoration, converts it both ways, and measures the line
     recovery defect 1 - |<v, v'>| per edge plus the vertex products.  A
-    trial whose sampling exhausts its retries fails, and the report counts
-    such trials per fixture.  Raises ``ValueError`` as :func:`run_lemma5` does.
+    trial whose one sampling attempt fails (``RetriesExhaustedError``)
+    fails, and the report counts such trials per fixture as exhausted.
+    All trials draw from one Generator, so a failed attempt shifts the
+    draws of the trials after it by that attempt's draws alone.  Raises
+    ``ValueError`` as :func:`run_lemma5` does.
     """
     _check_campaign(trials, seed)
     rng = np.random.default_rng(seed)

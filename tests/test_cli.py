@@ -337,7 +337,7 @@ def test_roundtrip_counts_an_exhausted_sample_as_a_failed_trial(capsys, monkeypa
     def exhausts_first(graph, rng):
         calls.append(graph)
         if len(calls) == 1:
-            raise RetriesExhaustedError("no admissible decoration found in 100 attempts", 100)
+            raise RetriesExhaustedError("no admissible decoration found in one attempt", 1)
         return sample(graph, rng)
 
     monkeypatch.setattr(verify, "sample_admissible_decoration", exhausts_first)

@@ -45,7 +45,7 @@ def test_every_public_name_resolves():
 
 
 def test_reduction_and_sampler_take_no_settings():
-    # move order and the retry budget are fixed: priority order, 100 attempts;
+    # move order and the sampler's budget are fixed: priority order, one attempt;
     # the move queries take the map alone, and a move its map and site; a map
     # is checked whole unless a move spliced it, which no option can ask for
     for f, params in (
