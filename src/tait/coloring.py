@@ -1,24 +1,29 @@
-"""Tait-coloring count and the small-graph enumeration oracle.
+"""Tait-coloring count, random draw and the small-graph enumeration oracle.
 
 A Tait coloring assigns one of three colors to every edge so that the
 three edges at each vertex get three different colors.  Free loops are
 unconstrained and contribute a factor of 3 each; a vertex self-loop
 meets its vertex twice and kills every coloring.
 
-Both functions use only the abstract incidence structure: the rotation
-data of the map is ignored, and non-planar maps are accepted.  The
-count contracts a tensor network of one 3x3x3 table per vertex along a
-tree (bucket elimination; Dechter, AIJ 1999), so its cost grows with
-the edges the largest merge touches, not with the number of colorings.
+Every function here uses only the abstract incidence structure: the
+rotation data of the map is ignored, and non-planar maps are accepted.
+The count contracts a tensor network of one 3x3x3 table per vertex
+along a tree (bucket elimination; Dechter, AIJ 1999), so its cost grows
+with the edges the largest merge touches, not with the number of
+colorings.
 Each cluster keeps how many open edges it shares with each neighbour,
 so a pair's merge key costs O(1), and each merge is one matrix product.
-Enumeration is exact backtracking over the edges, for small graphs.
+The same merges, walked back from the last, draw a uniformly random
+coloring at about the cost of one count.  Enumeration is exact
+backtracking over the edges, for small graphs.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import permutations
+import random
+from bisect import bisect_right
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -49,8 +54,8 @@ _DISTINCT = np.zeros((3, 3, 3), dtype=np.int64)
 _DISTINCT[tuple(zip(*permutations(range(3))))] = 1
 
 
-def count_tait(cmap: CombinatorialMap) -> int:
-    """Number of Tait colorings of the map's underlying multigraph.
+def _merges(cmap: CombinatorialMap):
+    """The merges that contract the map's vertex tables, in order.
 
     Every vertex starts as a cluster whose table, indexed by the colors of
     its three edges, is 1 where the colors differ.  The two adjacent
@@ -66,9 +71,16 @@ def count_tait(cmap: CombinatorialMap) -> int:
     neighbour of the new cluster.  The merge itself moves the shared axes
     of the two tables to meet, flattens each to a matrix and multiplies
     them with one ``np.dot``.
+
+    Yields each merge as ``(keep_a, shared, keep_b, a, b)``: the open
+    edges each side keeps, the edges the two share, and the operands,
+    ``a`` with a row per coloring of ``keep_a`` and a column per coloring
+    of ``shared``, ``b`` with a row per coloring of ``shared`` and a
+    column per coloring of ``keep_b`` (base-3 indices, first edge most
+    significant).  The merged table is ``a @ b``; a merge that keeps no
+    edge closes a component, whose one entry the caller computes.  The
+    map must have no vertex self-loop.
     """
-    if cmap.has_self_loop:
-        return 0
     # per cluster id: open edges, table with one axis per open edge (None
     # once merged away), vertices, and each neighbouring cluster -> the
     # number of open edges the two share
@@ -83,7 +95,6 @@ def count_tait(cmap: CombinatorialMap) -> int:
     # a cluster's open edges are distinct, so a key equals the size of the
     # symmetric difference of the two clusters' open edges; sorted is a heap
     heap = sorted({(6 - 2 * links[u][v], min(u, v), max(u, v)) for u, v in endpoints})
-    total = 3**cmap.free_loops
     while heap:
         _, a, b = heapq.heappop(heap)
         table_a, table_b = tables[a], tables[b]
@@ -102,12 +113,11 @@ def count_tait(cmap: CombinatorialMap) -> int:
         # table and first in b's, then one matrix product
         table_a = table_a.transpose([edges_a.index(e) for e in keep_a + shared])
         table_b = table_b.transpose([edges_b.index(e) for e in shared + keep_b])
-        table = np.dot(
-            table_a.reshape(3 ** len(keep_a), -1), table_b.reshape(3 ** len(shared), -1)
-        )
+        matrix_a = table_a.reshape(3 ** len(keep_a), -1)
+        matrix_b = table_b.reshape(3 ** len(shared), -1)
+        yield keep_a, shared, keep_b, matrix_a, matrix_b
         open_edges = keep_a + keep_b
         if not open_edges:
-            total *= int(table[0, 0])
             continue
         c = len(tables)  # above every live id
         link = links[a]
@@ -122,10 +132,61 @@ def count_tait(cmap: CombinatorialMap) -> int:
             other[c] = k
             heapq.heappush(heap, (len(open_edges) + len(edges[d]) - 2 * k, d, c))
         edges.append(open_edges)
-        tables.append(table.reshape((3,) * len(open_edges)))
+        tables.append(np.dot(matrix_a, matrix_b).reshape((3,) * len(open_edges)))
         sizes.append(size)
         links.append(link)
+
+
+def count_tait(cmap: CombinatorialMap) -> int:
+    """Number of Tait colorings of the map's underlying multigraph.
+
+    The product, over the merges of :func:`_merges` that close a
+    component, of each closed component's count, times 3 per free loop.
+    """
+    if cmap.has_self_loop:
+        return 0
+    total = 3**cmap.free_loops
+    for keep_a, _, keep_b, a, b in _merges(cmap):
+        if not keep_a and not keep_b:
+            total *= int(np.dot(a, b)[0, 0])
     return total
+
+
+def _index(color: list[int], edges: list[int]) -> int:
+    """Base-3 index of the colors of ``edges``, the first most significant."""
+    i = 0
+    for e in edges:
+        i = 3 * i + color[e]
+    return i
+
+
+def _random_coloring(cmap: CombinatorialMap, rng: np.random.Generator) -> list[int] | None:
+    """A uniformly random Tait coloring, or ``None`` when the map has none.
+
+    The coloring gives each paired edge, by id, a color 0, 1 or 2; free
+    loops get none.  The merges of :func:`_merges` are walked last-first,
+    so the edges a merge keeps already have their colors when it is
+    reached.  At each merge the colors of its shared edges are drawn with
+    weight ``a[row, s] * b[s, col]``, the row and column being the colors
+    of the kept edges: the number of colorings of the two clusters that
+    agree with every color fixed so far.  The weights are exact ints and
+    each draw is one ``randrange`` over their sum, from a ``random.Random``
+    seeded from ``rng``, so every coloring has probability 1 / count and
+    no draw reaches a dead end.
+    """
+    if cmap.has_self_loop:
+        return None
+    randrange = random.Random(int(rng.integers(2**63))).randrange
+    color = [0] * cmap.n_paired_edges
+    for keep_a, shared, keep_b, a, b in reversed(list(_merges(cmap))):
+        row, col = a[_index(color, keep_a)].tolist(), b[:, _index(color, keep_b)].tolist()
+        cumulative = list(accumulate(x * y for x, y in zip(row, col)))
+        if not cumulative[-1]:  # only a closing merge can meet a zero total
+            return None
+        s = bisect_right(cumulative, randrange(cumulative[-1]))
+        for e in reversed(shared):
+            s, color[e] = divmod(s, 3)
+    return color
 
 
 def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:

@@ -7,7 +7,10 @@ Sending a line to the special unitary involution that fixes it and
 negates its orthogonal complement turns an admissible decoration into a
 family of order-2 matrices whose product around every vertex is the
 identity, and the 1-eigenspace recovers the line; both directions are
-implemented and numerically inverse to each other.
+implemented and numerically inverse to each other.  Decorations are
+sampled from Tait colorings: a coloring's basis lines are admissible, and
+rotating each of its Kempe cycles within the plane of its two colors
+keeps them so.
 
 Whole decorations are processed as stacked arrays: a decoration is one
 (E, 3) array, a representation one (E, 3, 3) array, and the vertex
@@ -26,12 +29,11 @@ on 3x3 products, so no caller has a reason to set another.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .coloring import _random_coloring
 from .planar import CombinatorialMap
 
 __all__ = [
@@ -65,16 +67,7 @@ class InadmissibleDecorationError(ValueError):
 
 
 class RetriesExhaustedError(RuntimeError):
-    """Raised when decoration sampling fails.
-
-    Carries the number of attempts made on ``retries``: 1, or 0 for a
-    vertex self-loop, refused before any attempt.  Exhaustion means this run
-    found no admissible decoration, not that none exists.
-    """
-
-    def __init__(self, message: str, retries: int):
-        super().__init__(message)
-        self.retries = retries
+    """Raised when a map has no Tait coloring for decoration sampling to start from."""
 
 
 _NOT_SPECIAL_UNITARY = "matrix is not special unitary within tolerance"
@@ -413,136 +406,69 @@ def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
     return float(np.max(_norm(products - _I3, (-2, -1)), initial=0.0))
 
 
-def _edge_neighbors(cmap: CombinatorialMap) -> list[list[int]]:
-    """For each paired edge, the other edges at its endpoints.
+def _kempe_cycles(triples: np.ndarray, color: np.ndarray) -> tuple[int, np.ndarray]:
+    """The (0, 1) Kempe cycles of a Tait coloring: how many, and each edge's.
 
-    An edge appears once per vertex it shares, so the two edges parallel
-    to a theta edge appear twice each.
+    At every vertex two edges are colored 0 or 1, and they are consecutive
+    on one cycle.  Returns the number of cycles and, per paired edge, its
+    cycle's index, or -1 for an edge colored 2.
     """
-    triples = _vertex_triples(cmap).tolist()
-    vertex_of = cmap.vertex_of
-    return [
-        [f for h in half_edges for f in triples[vertex_of[h]] if f != e]
-        for e, half_edges in enumerate(cmap.edges)
-    ]
-
-
-def _edge_bfs_order(neighbors: list[list[int]]) -> list[int]:
-    """Paired-edge ids in breadth-first order over a neighbour table.
-
-    Decoration sampling breaks its ties by this order, which keeps
-    neighboring edges close together and seeded runs reproducible.  Rigid
-    maps sample only with it: tied by edge id, ``prism(5)``, ``prism(7)``,
-    ... fail, and of the benchmark's 1,096 ``su3-roundtrip`` samples at
-    seeds 0-7 (one per map, seeded as there) 287 fail, not 38.
-    """
-    order = []
-    seen = [False] * len(neighbors)
-    for e0 in range(len(neighbors)):
-        if seen[e0]:
+    along: list[list[int]] = [[] for _ in color]
+    for e, f in triples[color[triples] < 2].reshape(-1, 2).tolist():
+        along[e].append(f)
+        along[f].append(e)
+    cycle = [-1] * len(color)
+    n = 0
+    for start in np.flatnonzero(color < 2).tolist():
+        if cycle[start] >= 0:
             continue
-        seen[e0] = True
-        queue = deque([e0])
-        while queue:
-            e = queue.popleft()
-            order.append(e)
-            for x in sorted(neighbors[e]):
-                if not seen[x]:
-                    seen[x] = True
-                    queue.append(x)
-    return order
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            if cycle[e] < 0:
+                cycle[e] = n
+                stack += along[e]
+        n += 1
+    return n, np.array(cycle, dtype=np.intp)
 
 
 def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.ndarray]:
-    """Random admissible decoration by constraint propagation over edges.
+    """Random admissible decoration on a uniformly random Tait coloring.
 
-    Repeatedly assigns the most-constrained unfixed edge (ties broken
-    by breadth-first order): an edge whose fixed neighbors span a plane
-    is forced to the remaining line, otherwise it gets a Haar-random
-    line in the orthogonal complement of whatever is fixed.  If the
-    fixed neighbors of some edge span all of C^3, or the finished lines
-    are not admissible, the sample fails.
-    An edge's free subspace, rows spanning the orthogonal complement of
-    its fixed neighbors, is solved only when the edge reaches the top of
-    one heap of (key, breadth-first rank, edge) entries.  A key is a lower
-    bound on the edge's free rows: fixing an edge pushes 3 minus the
-    number of fixed neighbor slots at each unfixed neighbor, as k fixed
-    lines leave at least 3 - k free rows.  A popped edge whose solved row
-    count exceeds its key goes back with the exact count; one whose count
-    equals its key is the most constrained edge, and is fixed.  A solve is
-    one SVD, kept for the rest of the sample by the fixed neighbors it
-    spans: an edge that sees the same fixed edges reuses it.
-    Assigning forced edges first makes every constraint a consequence
-    of earlier choices on frame-rigid graphs (theta, K4, the prisms,
-    the necklaces), which therefore always sample.  Other graphs leave
-    independent free choices that often never close up: the
-    dodecahedron and the Petersen graph fail, and
-    so do most small random planar cubic maps that have Tait colorings
-    (with ``rng`` 0, 5 of the 8 colorable ``random_planar_cubic(14,
-    seed)`` maps of the tests at seeds 0-7, and 7 of 8 at 20 vertices).
-    Failure is a statement about this sampler, not about the decoration
-    space being empty.
-
-    The sampler makes one attempt and does not retry.  The order of fixes,
-    and whether each edge is forced or free, depends only on the numerical
-    ranks of the fixed neighbor lines; Haar-random free choices almost
-    surely meet the same ranks, and so the same closure, so fresh draws
-    fail where the first failed.  Allowed 100 attempts, the sampler found
-    all of its 5,111 successes at the first (the benchmark's
-    ``su3-roundtrip`` corpus at seeds 0-19, the tests' reference maps at
-    seeds 0-4, and 340 random planar cubic maps of 8-40 vertices at seeds
-    0-4), and no map both succeeded and failed.
+    A Tait coloring c, drawn uniformly, gives the admissible decoration
+    u_e = e_c(e), a fixed point of the diagonal torus of SU(3).  The edges
+    colored 0 or 1 form disjoint Kempe cycles; each cycle's lines are
+    moved by its own Haar-random unitary of span(e_0, e_1), which keeps
+    the two cycle lines at each of its vertices orthogonal to each other
+    and to the third line, e_2.  One Haar-random special unitary then
+    rotates every line, and each free loop gets a random line.  Every step
+    is exact up to rounding, so the result is admissible whenever the map
+    has a Tait coloring.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts; a Generator
-    passed in is advanced by the one attempt's draws.  Raises
-    :class:`RetriesExhaustedError`, with ``retries`` 1, when the attempt fails.
+    passed in is advanced by the sample's draws.  Raises
+    :class:`RetriesExhaustedError` when the map has no Tait coloring: at
+    a vertex self-loop, which admits no decoration at all, and where the
+    count is 0, as on the Petersen graph, which says nothing about
+    whether admissible decorations exist.
     """
     rng = np.random.default_rng(rng)
     if cmap.has_self_loop:
-        raise RetriesExhaustedError(
-            "a vertex self-loop admits no admissible decoration", retries=0
-        )
-    triples = _vertex_triples(cmap)
-    neighbors = _edge_neighbors(cmap)
-    bfs_rank = {e: i for i, e in enumerate(_edge_bfs_order(neighbors))}
-
-    lines: list[np.ndarray | None] = [None] * len(neighbors)
-    # fixed neighbour slots of each edge; a repeated neighbour counts twice
-    seen = [0] * len(neighbors)
-    # (lower bound on free rows, bfs_rank, edge): every unfixed edge has
-    # an entry whose key is at most its free-row count
-    heap = [(3, bfs_rank[e], e) for e in range(len(neighbors))]
-    heapq.heapify(heap)
-    # rows spanning the lines an edge may take, by the fixed neighbours
-    # that determine them
-    solved: dict[tuple[int, ...], np.ndarray] = {(): _I3}
-    while heap:
-        n, tie, e = heapq.heappop(heap)
-        if lines[e] is not None:
-            continue
-        fixed = tuple(g for g in neighbors[e] if lines[g] is not None)
-        if fixed not in solved:
-            _, s, vh = np.linalg.svd(np.conj(np.array([lines[g] for g in fixed])))
-            solved[fixed] = np.conj(vh[np.count_nonzero(s > s[0] * 1e-8):])
-        basis = solved[fixed]
-        if len(basis) != n:
-            heapq.heappush(heap, (len(basis), tie, e))
-            continue
-        if not n:
-            break
-        if n == 1:
-            x = basis[0]
-        else:
-            coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = coef @ basis
-        lines[e] = x / np.linalg.norm(x)
-        for f in neighbors[e]:
-            seen[f] += 1
-        for f in dict.fromkeys(neighbors[e]):
-            if lines[f] is None:
-                heapq.heappush(heap, (max(0, 3 - seen[f]), bfs_rank[f], f))
-    else:
-        if _worst_overlap(cmap, triples, np.array(lines)) <= _TOL:
-            lines.extend(random_line(rng) for _ in range(cmap.free_loops))
-            return lines
-    raise RetriesExhaustedError("no admissible decoration found in one attempt", retries=1)
+        raise RetriesExhaustedError("a vertex self-loop admits no admissible decoration")
+    color = _random_coloring(cmap, rng)
+    if color is None:
+        raise RetriesExhaustedError("the map has no Tait coloring to decorate")
+    color = np.array(color, dtype=np.intp)
+    n, cycle = _kempe_cycles(_vertex_triples(cmap), color)
+    # per cycle, the Haar-random SU(2) matrix with columns (a, b) and
+    # (-conj b, conj a), for a uniform unit vector (a, b); a phase, the rest
+    # of U(2), would move no line
+    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    a, b = (z / _norm(z, -1)[:, None]).T
+    turns = np.array([[a, -b.conj()], [b, a.conj()]]).transpose(2, 0, 1)
+    on = color < 2
+    lines = np.zeros((len(color), 3), dtype=complex)
+    lines[on, :2] = turns[cycle[on], :, color[on]]
+    lines[~on, 2] = 1
+    lines = lines @ random_special_unitary(rng).T
+    return [*lines, *(random_line(rng) for _ in range(cmap.free_loops))]

@@ -3,6 +3,7 @@
 import heapq
 import random
 import re
+from collections import Counter
 from itertools import count, permutations, product
 
 import numpy as np
@@ -18,7 +19,7 @@ from tait.catalog import (
     prism,
     theta,
 )
-from tait.coloring import count_tait, enumerate_tait
+from tait.coloring import _random_coloring, count_tait, enumerate_tait
 from tait.planar import CombinatorialMap, build_map, disjoint_union, serialize_map
 
 
@@ -320,3 +321,48 @@ def test_enumerate_has_no_depth_limit():
     assert len(coloring) == g.n_edges
     for v in range(g.n_vertices):
         assert sorted(coloring[e] for e in g.vertex_edges(v)) == [1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# colorings drawn from the count's merges
+
+
+def is_coloring(cmap: CombinatorialMap, color: list[int]) -> bool:
+    """Whether ``color`` gives the paired edges colors 0-2, three distinct at each vertex."""
+    return len(color) == cmap.n_paired_edges and all(
+        sorted(color[e] for e in cmap.vertex_edges(v)) == [0, 1, 2]
+        for v in range(cmap.n_vertices)
+    )
+
+
+def test_random_coloring_past_int64():
+    g = necklace(70)
+    assert count_tait(g) > 2**63  # its merges switch to Python-int tables
+    for seed in range(3):
+        assert is_coloring(g, _random_coloring(g, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in CATALOG_MAPS + UNIONS], ids=[n for n, _ in CATALOG_MAPS + UNIONS]
+)
+def test_random_coloring_exists_exactly_where_the_count_is_not_zero(cmap):
+    color = _random_coloring(cmap, np.random.default_rng(0))
+    if count_tait(cmap):
+        assert is_coloring(cmap, color)
+    else:
+        assert color is None
+
+
+@pytest.mark.parametrize(
+    "cmap", [cube(), prism(5), random_planar_cubic(14, 0)], ids=["cube", "prism5", "random14-0"]
+)
+def test_random_colorings_are_uniform(cmap):
+    # 100 draws per coloring; the chi-squared statistic stays below its
+    # 0.999 quantile (Wilson-Hilferty) and every coloring is drawn
+    colorings = [tuple(c - 1 for c in x) for x in enumerate_tait(cmap, 10**6)]
+    rng, per = np.random.default_rng(2024), 100
+    seen = Counter(tuple(_random_coloring(cmap, rng)) for _ in range(per * len(colorings)))
+    assert set(seen) == set(colorings)
+    chi2 = sum((seen[x] - per) ** 2 / per for x in colorings)
+    df = len(colorings) - 1
+    assert chi2 < df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3

@@ -3,13 +3,13 @@
 import dataclasses
 import inspect
 import re
-from collections import deque
 
 import numpy as np
 import pytest
 
 from tait import su3, verify
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
+from tait.coloring import _random_coloring, count_tait
 from tait.planar import disjoint_union
 from tait.su3 import (
     STANDARD_INVOLUTION,
@@ -28,7 +28,6 @@ from tait.su3 import (
     sample_admissible_decoration,
     vertex_product_deviation,
 )
-from tait.su3 import _edge_bfs_order, _edge_neighbors
 from tait.verify import roundtrip_corpus
 from test_coloring import dumbbell, random_planar_cubic
 
@@ -260,13 +259,6 @@ def test_roundtrip_counts_a_nan_deviation_as_a_failure(monkeypatch):
     assert not report.passed
 
 
-def test_edge_bfs_order_is_permutation_and_deterministic():
-    for g in (theta(), k4(), cube(), necklace(3), disjoint_union(theta(), cube())):
-        order = _edge_bfs_order(_edge_neighbors(g))
-        assert sorted(order) == list(range(g.n_paired_edges))
-        assert order == _edge_bfs_order(_edge_neighbors(g))
-
-
 @pytest.mark.parametrize(
     "g", [theta(), k4(), prism(3), cube()], ids=["theta", "k4", "prism3", "cube"]
 )
@@ -297,17 +289,17 @@ def test_sampler_handles_free_loops():
 
 
 def test_sampler_rejects_self_loops_immediately():
-    with pytest.raises(RetriesExhaustedError) as info:
+    with pytest.raises(
+        RetriesExhaustedError, match="^a vertex self-loop admits no admissible decoration$"
+    ):
         sample_admissible_decoration(dumbbell(), rng=0)
-    assert info.value.retries == 0
 
 
-def test_sampler_retry_budget_is_reported():
-    # one attempt and no budget to set: a failed attempt is final
-    with pytest.raises(RetriesExhaustedError) as info:
-        sample_admissible_decoration(dodecahedron(), rng=0)
-    assert info.value.retries == 1
-    assert str(info.value) == "no admissible decoration found in one attempt"
+@pytest.mark.parametrize("g", [petersen(), disjoint_union(petersen(), theta())])
+def test_sampler_raises_where_the_count_is_zero(g):
+    gen = np.random.default_rng(0)
+    with pytest.raises(RetriesExhaustedError, match="^the map has no Tait coloring to decorate$"):
+        sample_admissible_decoration(g, gen)
 
 
 def test_one_tolerance_and_no_tolerance_parameter():
@@ -315,140 +307,6 @@ def test_one_tolerance_and_no_tolerance_parameter():
     functions = [getattr(su3, name) for name in su3.__all__] + [*verify.SUITES.values()]
     for f in filter(inspect.isfunction, functions):
         assert "tol" not in inspect.signature(f).parameters, f.__name__
-
-
-def rescanning_sampler(cmap, rng, tol=1e-9, max_retries=100):
-    """Reference: the sampler that rescans every unfixed edge at every step.
-
-    It retries a failed attempt with fresh draws, up to ``max_retries``
-    attempts, so it shows what a retry budget would rescue.
-    """
-    rng = np.random.default_rng(rng)
-    triples = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    if any(len(set(t)) < 3 for t in triples):
-        raise RetriesExhaustedError(
-            "a vertex self-loop admits no admissible decoration", retries=0
-        )
-    n_paired = cmap.n_paired_edges
-    endpoints = [cmap.edge_endpoints(e) for e in range(n_paired)]
-    neighbors = [set() for _ in range(n_paired)]
-    for tri in triples:
-        for e in tri:
-            neighbors[e].update(x for x in tri if x != e)
-    order, seen = [], [False] * n_paired
-    for e0 in range(n_paired):
-        if seen[e0]:
-            continue
-        seen[e0] = True
-        queue = deque([e0])
-        while queue:
-            e = queue.popleft()
-            order.append(e)
-            for x in sorted(neighbors[e]):
-                if not seen[x]:
-                    seen[x] = True
-                    queue.append(x)
-    bfs_rank = {e: i for i, e in enumerate(order)}
-
-    def fixed_neighbors(e, lines):
-        return [
-            lines[other]
-            for v in endpoints[e]
-            for other in triples[v]
-            if other != e and lines[other] is not None
-        ]
-
-    for _ in range(max_retries):
-        lines = [None] * n_paired
-        conflict = False
-        unfixed = set(range(n_paired))
-        while unfixed and not conflict:
-            best = None
-            for e in unfixed:
-                fixed = fixed_neighbors(e, lines)
-                if fixed:
-                    s = np.linalg.svd(np.conj(np.array(fixed)), compute_uv=False)
-                    rank = int(np.count_nonzero(s > s[0] * 1e-8))
-                else:
-                    rank = 0
-                key = (-rank, bfs_rank[e])
-                if best is None or key < best[0]:
-                    best = (key, e, rank)
-            _, e, rank = best
-            if rank >= 3:
-                conflict = True
-                break
-            fixed = fixed_neighbors(e, lines)
-            if fixed:
-                _, _, vh = np.linalg.svd(np.conj(np.array(fixed)))
-                null_basis = np.conj(vh[rank:])
-            else:
-                null_basis = np.eye(3, dtype=complex)
-            if rank == 2:
-                x = null_basis[0]
-            else:
-                coef = rng.standard_normal(len(null_basis)) + 1j * rng.standard_normal(
-                    len(null_basis)
-                )
-                x = coef @ null_basis
-            lines[e] = x / np.linalg.norm(x)
-            unfixed.discard(e)
-        if conflict:
-            continue
-        # free loops meet no vertex, so any line stands in for theirs here
-        if admissibility_deviation(cmap, lines + [np.eye(3)[0]] * cmap.free_loops) <= tol:
-            lines.extend(random_line(rng) for _ in range(cmap.free_loops))
-            return lines
-    raise RetriesExhaustedError(
-        f"no admissible decoration found in {max_retries} attempts",
-        retries=max_retries,
-    )
-
-
-@pytest.mark.parametrize(
-    "g", [theta(), k4(), cube(), prism(5), necklace(3)],
-    ids=["theta", "k4", "cube", "prism5", "necklace3"],
-)
-def test_sampler_solves_each_constraint_once(g, monkeypatch):
-    # These maps sample on the first attempt.  Of two adjacent edges, the
-    # one fixed second has its free subspace solved when the first is
-    # fixed and is later fixed from it.  A solve is stored under the ids of
-    # the fixed neighbours it spans, so one attempt never solves a matrix
-    # twice, and where two edges see the same fixed neighbours it makes
-    # fewer solves than there are pairs of adjacent edges.
-    svd, solved = np.linalg.svd, []
-
-    def spy(a, *args, **kwargs):
-        solved.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    sample_admissible_decoration(g, rng=0)
-    assert len({(m.shape, m.tobytes()) for m in solved}) == len(solved)
-    adjacent = {frozenset((e, f)) for e, near in enumerate(_edge_neighbors(g)) for f in near}
-    assert len(solved) < len(adjacent)
-
-
-def test_sampler_solves_only_what_it_fixes_from(monkeypatch):
-    # An edge's free rows are solved when it reaches the top of the heap,
-    # not each time a neighbour is fixed.  On a necklace no solve is
-    # outdated before its edge is fixed and no two edges see the same
-    # fixed neighbours, so every edge but the first, which takes all of
-    # C^3, is fixed from exactly one solve.  A sampler that solved every
-    # unfixed neighbour at each fix would make k - 1 more.
-    svd, solved = np.linalg.svd, []
-
-    def spy(a, *args, **kwargs):
-        solved.append(a)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    for k in range(1, 21):
-        g = necklace(k)
-        for rng in range(3):
-            solved.clear()
-            sample_admissible_decoration(g, rng=rng)
-            assert len(solved) == g.n_paired_edges - 1, (k, rng)
 
 
 RIGID_MAPS = (
@@ -461,129 +319,58 @@ RIGID_MAPS = (
 
 @pytest.mark.parametrize("g", [g for _, g in RIGID_MAPS], ids=[name for name, _ in RIGID_MAPS])
 def test_sampler_succeeds_on_rigid_maps_at_the_first_attempt(g):
-    # README: frame-rigid maps always sample.  This rests on the breadth-first
-    # tie order; with ties by edge id, prism(5), prism(7), ... fail.
     for rng in range(3):
         lines = sample_admissible_decoration(g, rng=rng)
         assert admissibility_deviation(g, lines) <= 1e-9
 
 
-def sampler_outcome(sampler, g, seed):
-    """The lines a sampler returns, or the text and attempt count of its exhaustion."""
-    try:
-        return sampler(g, seed)
-    except RetriesExhaustedError as exc:
-        return str(exc), exc.retries
-
-
-REFERENCE_MAPS = (
-    [("theta", theta()), ("k4", k4()), ("cube", cube())]
-    + [(f"prism{n}", prism(n)) for n in range(3, 9)]
-    + [(f"necklace{k}", necklace(k)) for k in range(1, 7)]
-    + [("necklace2+circle2", disjoint_union(necklace(2), circle(2)))]
-    # seed 3 samples at every size; seed 2 exhausts from V=12 on
+# every catalog family but the Petersen graph, whose count is 0
+COLORABLE_MAPS = (
+    [("circle3", circle(3)), ("theta", theta()), ("k4", k4()), ("cube", cube())]
+    + [("dodecahedron", dodecahedron())]
+    + [(f"prism{n}", prism(n)) for n in (2, 5, 9)]
+    + [(f"necklace{k}", necklace(k)) for k in (1, 4, 70)]
+    + [("cube+necklace2+circle", disjoint_union(disjoint_union(cube(), necklace(2)), circle()))]
     + [
         (f"random{v}-{seed}", random_planar_cubic(v, seed))
-        for v in range(8, 23, 2)
-        for seed in (2, 3)
-    ]
-    + [("dodecahedron", dodecahedron()), ("dumbbell", dumbbell())]
-)
-
-ONE_ATTEMPT = ("no admissible decoration found in one attempt", 1)
-
-
-@pytest.mark.parametrize("g", [g for _, g in REFERENCE_MAPS], ids=[n for n, _ in REFERENCE_MAPS])
-def test_sampler_matches_rescanning_reference(g):
-    # The reference may take 100 attempts; the sampler takes one.  Where the
-    # reference finds lines, the sampler returns the same bytes, and where
-    # the reference exhausts all 100, the sampler's one attempt fails: a
-    # retry budget would rescue nothing.
-    for seed in range(5):
-        want = sampler_outcome(rescanning_sampler, g, seed)
-        got = sampler_outcome(sample_admissible_decoration, g, seed)
-        if want == ("a vertex self-loop admits no admissible decoration", 0):
-            assert got == want
-        elif isinstance(want, tuple):
-            assert want[1] == 100
-            assert got == ONE_ATTEMPT
-        else:
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-# Maps whose fixed neighbour sets are often rank-deficient, so that a popped
-# edge solves to more rows than its key and goes back on the heap: 720
-# times over their 145 samples (five seeds each), against 870 over the
-# 170 of REFERENCE_MAPS.  At 24-32 vertices a random map mostly exhausts
-# all 100 attempts of the reference, and the sampler must fail where it does.
-LAZY_KEY_MAPS = (
-    [("prism12", prism(12)), ("prism20", prism(20)), ("necklace12", necklace(12))]
-    + [("necklace5+prism9", disjoint_union(necklace(5), prism(9)))]
-    + [
-        (f"random{v}-{seed}", random_planar_cubic(v, seed))
-        for v in range(24, 33, 2)
+        for v in range(14, 61, 2)
         for seed in range(5)
     ]
 )
 
 
-@pytest.mark.parametrize("g", [g for _, g in LAZY_KEY_MAPS], ids=[n for n, _ in LAZY_KEY_MAPS])
-def test_lazy_keys_match_rescanning_reference_at_scale(g):
-    test_sampler_matches_rescanning_reference(g)
-
-
 @pytest.mark.parametrize(
-    "g", [dodecahedron(), random_planar_cubic(12, 2)], ids=["dodecahedron", "random12-2"]
+    "g", [g for _, g in COLORABLE_MAPS], ids=[name for name, _ in COLORABLE_MAPS]
 )
-@pytest.mark.parametrize("seed", range(3))
-def test_failed_sample_advances_a_generator_by_one_attempt(g, seed):
-    # A caller that shares one Generator across samples, as run_roundtrip
-    # does, sees it moved by the one failed attempt's draws and no more.
-    gen, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    with pytest.raises(RetriesExhaustedError):
-        sample_admissible_decoration(g, gen)
-    with pytest.raises(RetriesExhaustedError):
-        rescanning_sampler(g, oracle, max_retries=1)
-    assert gen.random() == oracle.random()
+def test_sampler_decorates_every_colorable_map(g):
+    # the sampler fails only where the count is 0
+    assert count_tait(g)
+    for seed in range(2):
+        lines = sample_admissible_decoration(g, rng=seed)
+        assert len(lines) == g.n_edges
+        assert admissibility_deviation(g, lines) <= 1e-9
+        mats = decoration_to_representation(g, lines)
+        assert vertex_product_deviation(g, mats) <= 1e-9
+        for a, b in zip(representation_to_decoration(mats), lines):
+            assert line_overlap(a, b) >= 1.0 - 1e-9
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_sampler_skips_an_entry_whose_edge_gained_free_rows(seed, monkeypatch):
-    # In exact arithmetic an edge's free rows only shrink as its neighbours
-    # are fixed.  A numerical rank can drop instead: here the SVD reports
-    # one rank less for the first three-row input of an unpatched run,
-    # chosen by its content, so that edge's free rows grow.  A heap key is
-    # 3 minus the edge's fixed neighbour slots, a lower bound that a rank
-    # drop only widens: the sampler must put the edge back with its exact,
-    # larger row count, and so pick the edge the rescanning reference picks.
-    g, svd, inputs = k4(), np.linalg.svd, []
-
-    def spy(a, *args, **kwargs):
-        inputs.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    sample_admissible_decoration(g, rng=seed)
-    chosen = next(a for a in inputs if len(a) == 3)
-    lowered = []
-
-    def lower_rank(a, *args, **kwargs):
-        out = svd(a, *args, **kwargs)
-        if np.array_equal(a, chosen):
-            lowered.append(a)
-            s = out[1] if kwargs.get("compute_uv", True) else out
-            s[np.count_nonzero(s > s[0] * 1e-8) - 1] = 0
-        return out
-
-    monkeypatch.setattr(np.linalg, "svd", lower_rank)
-    want = rescanning_sampler(g, seed)
-    assert lowered
-    lowered.clear()
-    got = sample_admissible_decoration(g, rng=seed)
-    assert lowered
-    assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def test_kempe_cycles_of_a_drawn_coloring():
+    # the (0, 1) edges at each vertex share a cycle, and each cycle alternates
+    # its two colors around a closed walk, so it has as many 0s as 1s
+    for seed in range(5):
+        g = random_planar_cubic(40, seed)
+        color = np.array(_random_coloring(g, np.random.default_rng(seed)))
+        triples = su3._vertex_triples(g)
+        n, cycle = su3._kempe_cycles(triples, color)
+        assert (cycle[color == 2] == -1).all()
+        assert sorted(set(cycle[color < 2].tolist())) == list(range(n))
+        for tri in triples:
+            assert len({cycle[e] for e in tri if color[e] < 2}) == 1
+        for k in range(n):
+            assert np.count_nonzero(color[cycle == k] == 0) == np.count_nonzero(
+                color[cycle == k] == 1
+            )
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +536,7 @@ CONVERSION_MAPS = (
 
 
 def decorations_of(g, seed):
-    """A sampled decoration when the sampler finds one, and random lines."""
+    """Random lines, and a sampled decoration when the map has a Tait coloring."""
     rng = np.random.default_rng(seed)
     out = [[random_line(rng) for _ in range(g.n_edges)]]
     try:
