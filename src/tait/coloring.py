@@ -5,8 +5,9 @@ three edges at each vertex get three different colors.  Free loops are
 unconstrained and contribute a factor of 3 each; a vertex self-loop
 meets its vertex twice and kills every coloring.
 
-Every function here uses only the abstract incidence structure: the
-rotation data of the map is ignored, and non-planar maps are accepted.
+Every function here uses only the abstract incidence structure, read
+from the map (``vertex_edges``, ``_endpoints``): the rotation order is
+ignored, and non-planar maps are accepted.
 The count contracts a tensor network of one 3x3x3 table per vertex
 along a tree (bucket elimination; Dechter, AIJ 1999), so its cost grows
 with the edges the largest merge touches, not with the number of
@@ -32,15 +33,6 @@ from .planar import CombinatorialMap
 __all__ = ["count_tait", "enumerate_tait"]
 
 
-def _incidences(cmap: CombinatorialMap):
-    """Edge ids at each vertex, in rotation order, and the two vertices
-    of each paired edge, read from the map's cached tables."""
-    edge_of, vertex_of = cmap._edge_of, cmap.vertex_of
-    at_vertex = [(edge_of[a], edge_of[b], edge_of[c]) for a, b, c in cmap._rotations]
-    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in cmap.edges]
-    return at_vertex, endpoints
-
-
 # A connected cluster of k vertices with the colors of its open edges
 # fixed has at most 6 * 2**(k-1) = 3 * 2**k colorings: in a BFS order of
 # the cluster the first vertex has at most 6 ways and every later vertex,
@@ -58,10 +50,11 @@ def _merges(cmap: CombinatorialMap):
     """The merges that contract the map's vertex tables, in order.
 
     Every vertex starts as a cluster whose table, indexed by the colors of
-    its three edges, is 1 where the colors differ.  The two adjacent
-    clusters whose merge leaves the fewest open edges, ties going to the
-    smaller pair of ids, are merged by summing over the colors of the
-    edges they share, until each connected component is one number.
+    its three edges (the map's ``vertex_edges``), is 1 where the colors
+    differ.  The two adjacent clusters whose merge leaves the fewest open
+    edges, ties going to the smaller pair of ids, are merged by summing
+    over the colors of the edges they share, until each connected
+    component is one number.
     Each table entry counts the colorings of its cluster, over the actual
     colors, that give its open edges the colors of the entry's index.
 
@@ -84,7 +77,8 @@ def _merges(cmap: CombinatorialMap):
     # per cluster id: open edges, table with one axis per open edge (None
     # once merged away), vertices, and each neighbouring cluster -> the
     # number of open edges the two share
-    edges, endpoints = _incidences(cmap)
+    edges = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    endpoints = cmap._endpoints()
     tables = [_DISTINCT] * len(edges)
     sizes = [1] * len(edges)
     links: list[dict[int, int]] = [{} for _ in edges]
@@ -202,7 +196,8 @@ def enumerate_tait(cmap: CombinatorialMap, limit: int) -> list[tuple[int, ...]]:
         return []
     n_edges = cmap.n_paired_edges
     n_total = cmap.n_edges
-    at_vertex, endpoints = _incidences(cmap)
+    at_vertex = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
+    endpoints = cmap._endpoints()
 
     color = [0] * n_total
     found: list[tuple[int, ...]] = []

@@ -23,20 +23,22 @@ child, and for the map where a reduction's trunk ends, made by a run of
 such moves on one working copy of the root's tables.  Everything
 derived from the two permutations is a
 :func:`functools.cached_property`, built on first read and kept:
-``_rotations``, ``vertex_of``, ``edges``, ``_edge_of``,
-``has_self_loop`` and ``_faces``.  ``_faces`` is one pass: it traces
-the face orbits as tuples of half-edge ids, noting the face of each
-half-edge, and runs the Euler count, which finds components by walking
-from face to face across ``twin``; ``face_orbits``, ``is_planar`` and
-``parse_map(check_planar=True)`` read it.  The methods ``rotation``,
-``vertex_edges``, ``edge_of`` and ``edge_endpoints`` read the vertex
-and edge tables.  So a map that is only searched for moves and
-rewritten, as in a reduction, or tested for bipartiteness never builds
-those, and a map that is only counted, printed or decorated never
-traces its faces.  Nor does a map searched for moves: ``find_move`` and
-``available_moves`` share one search that walks the face permutation
-built from the two permutations, and a move keeps a planar map planar,
-so a reduction traces only its root.
+``_rotations``, ``vertex_of``, ``edges``, ``_vertex_edges``,
+``has_self_loop`` and ``_faces``.  ``_vertex_edges`` holds each
+vertex's edge ids in rotation order (a self-loop repeats its edge):
+``vertex_edges``, ``edge_of``, :mod:`tait.coloring` and :mod:`tait.su3`
+read it, and edge endpoints are derived per call, not kept.  ``_faces``
+is one pass: it traces the face orbits as tuples of half-edge ids,
+noting the face of each half-edge, and runs the Euler count, which
+finds components by walking from face to face across ``twin``;
+``face_orbits``, ``is_planar`` and ``parse_map(check_planar=True)``
+read it.  So a map that is only searched for moves and rewritten, as
+in a reduction, or tested for bipartiteness never builds the vertex
+and edge tables, and a map that is only counted, printed or decorated
+never traces its faces.  Nor does a map searched for moves:
+``find_move`` and ``available_moves`` share one search that walks the
+face permutation built from the two permutations, and a move keeps a
+planar map planar, so a reduction traces only its root.
 
 Map text is read in bulk when it is canonical, exactly what
 :func:`serialize_map` writes (as ``tait gen`` and a stuck map on stderr
@@ -292,11 +294,17 @@ class CombinatorialMap:
         return tuple((h, t) for h, t in enumerate(self._twin) if h < t)
 
     @cached_property
-    def _edge_of(self) -> tuple[int, ...]:
+    def _vertex_edges(self) -> tuple[int, ...]:
+        # edge ids in rotation order, vertex v's at 3v, 3v + 1 and 3v + 2
         edge_of = [0] * len(self._twin)
         for e, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = e
-        return tuple(edge_of)
+        return tuple(map(edge_of.__getitem__, chain.from_iterable(self._rotations)))
+
+    def _endpoints(self) -> list[tuple[int, int]]:
+        """The two vertices of every paired edge, by edge id; built anew on each call."""
+        vertex_of = self.vertex_of
+        return [(vertex_of[a], vertex_of[b]) for a, b in self.edges]
 
     @property
     def is_planar(self) -> bool:
@@ -313,7 +321,8 @@ class CombinatorialMap:
 
     def edge_of(self, h: int) -> int:
         """Edge id of half-edge ``h``."""
-        return self._edge_of[_in_range(h, len(self._twin), "half-edge", "half-edges")]
+        v = self.vertex_of[_in_range(h, len(self._twin), "half-edge", "half-edges")]
+        return self._vertex_edges[3 * v + self._rotations[v].index(h)]
 
     def rotation(self, v: int) -> tuple[int, int, int]:
         """Counterclockwise half-edge rotation at ``v``, smallest first."""
@@ -321,8 +330,8 @@ class CombinatorialMap:
 
     def vertex_edges(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to ``v`` in rotation order (a self-loop repeats)."""
-        r = self.rotation(v)
-        return (self._edge_of[r[0]], self._edge_of[r[1]], self._edge_of[r[2]])
+        i = 3 * _in_range(v, len(self._twin) // 3, "vertex", "vertices")
+        return self._vertex_edges[i : i + 3]
 
     def edge_endpoints(self, e: int) -> tuple[int, int] | None:
         """Vertices of edge ``e``; ``None`` for a free-loop edge."""
@@ -400,15 +409,15 @@ def build_map(
     vids = [v for v, _ in rotations]
     if len(set(vids)) != len(vids):
         raise MapError("duplicate vertex id")
-    all_halves: list[int] = []
+    rows: list[tuple[int, ...]] = []
     for v, rot in rotations:
         rot = tuple(rot)
         if len(rot) != 3:
             raise MapError(f"vertex {v} lists {len(rot)} half-edges, expected 3")
-        all_halves.extend(rot)
-    if len(set(all_halves)) != len(all_halves):
+        rows.append(rot)
+    known = set(chain.from_iterable(rows))
+    if len(known) != 3 * len(rows):
         raise MapError("half-edge used twice in vertex rotations")
-    known = set(all_halves)
 
     used = set()
     for a, b in pairs:
@@ -424,19 +433,10 @@ def build_map(
     if unmatched:
         raise MapError(f"unmatched half-edge {min(unmatched)} (no edge pair)")
 
-    hid = {h: i for i, h in enumerate(sorted(known))}
-
-    n = len(hid)
-    twin = [0] * n
-    sigma = [0] * n
-    for a, b in pairs:
-        twin[hid[a]] = hid[b]
-        twin[hid[b]] = hid[a]
-    for _, rot in rotations:
-        h1, h2, h3 = (hid[h] for h in rot)
-        sigma[h1] = h2
-        sigma[h2] = h3
-        sigma[h3] = h1
+    hid = {h: i for i, h in enumerate(sorted(known))}.__getitem__
+    n = len(known)
+    sigma = _cycle_table([[hid(rot[i]) for rot in rows] for i in range(3)], n)
+    twin = _cycle_table([[hid(a) for a, _ in pairs], [hid(b) for _, b in pairs]], n)
     return CombinatorialMap(twin, sigma, free_loops)
 
 
@@ -467,7 +467,9 @@ def _cycle_table(columns: list[list[int]], n: int) -> tuple[int, ...] | None:
     """The table sending each id to the next in its row across ``columns``,
     the last to the first, or ``None`` unless the ids are ``0..n-1`` once each.
 
-    A row is a line's ids: a vertex's rotation, or an edge's two halves.
+    A row is a vertex's rotation or an edge's two halves, so this builds
+    ``next_at_vertex`` and ``twin`` for :func:`build_map`, after it
+    relabels the ids, and for the canonical reader, as it reads them.
     """
     if len(columns[0]) * len(columns) != n:
         return None

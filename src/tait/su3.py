@@ -14,10 +14,11 @@ keeps them so.
 
 Whole decorations are processed as stacked arrays: a decoration is one
 (E, 3) array, a representation one (E, 3, 3) array, and the vertex
-triples one (V, 3) index array, so every check and conversion is one
-numpy expression over all edges or vertices.  The scalar functions
-(``is_order_two``, ``reflection_from_line``, ``axis_of``,
-``line_overlap``) are the same kernels applied to a stack of one.
+triples, the map's own table of edge ids at each vertex, one (V, 3)
+index array, so every check and conversion is one numpy expression over
+all edges or vertices.  The scalar functions (``is_order_two``,
+``reflection_from_line``, ``axis_of``, ``line_overlap``) are the same
+kernels applied to a stack of one.
 Every check runs on every edge; when some fail, the error names the
 first failing edge in index order and that edge's first failing
 check (shape, then special unitary, then order two).
@@ -67,7 +68,9 @@ class InadmissibleDecorationError(ValueError):
 
 
 class RetriesExhaustedError(RuntimeError):
-    """Raised when a map has no Tait coloring for decoration sampling to start from."""
+    """Raised when a map has no Tait coloring for decoration sampling to start from.
+
+    Named for an earlier sampler that retried; callers catch it by this name."""
 
 
 _NOT_SPECIAL_UNITARY = "matrix is not special unitary within tolerance"
@@ -321,9 +324,8 @@ def _require_one_per_edge(cmap: CombinatorialMap, items, kind: str, unit: str) -
 
 
 def _vertex_triples(cmap: CombinatorialMap) -> np.ndarray:
-    """(V, 3) edge ids at every vertex, in rotation order (a self-loop repeats)."""
-    edge_of = np.array(cmap._edge_of, dtype=np.intp)
-    return edge_of[np.array(cmap._rotations, dtype=np.intp).reshape(-1, 3)]
+    """The map's edge ids at every vertex, in rotation order, as a (V, 3) array."""
+    return np.array(cmap._vertex_edges, dtype=np.intp).reshape(-1, 3)
 
 
 def _worst_overlap(cmap: CombinatorialMap, triples: np.ndarray, lines: np.ndarray) -> float:

@@ -34,7 +34,7 @@ from tait.planar import (
 )
 from tait.reduction import apply_move, available_moves, find_move, reduce_map
 from tait.su3 import decoration_to_representation, sample_admissible_decoration
-from test_coloring import CATALOG_MAPS, dumbbell, random_planar_cubic
+from test_coloring import CATALOG_MAPS, UNIONS, dumbbell, random_planar_cubic
 from test_reduction import SEARCH_MAPS, built_tables, priority_path_maps
 
 THETA_ROTATIONS = [(0, (0, 1, 2)), (1, (5, 4, 3))]
@@ -95,8 +95,8 @@ def test_vertex_edges_and_endpoints():
     g = theta()
     assert g.vertex_edges(0) == (0, 1, 2)
     assert g.edge_endpoints(2) == (0, 1)
-    d = dumbbell()
-    assert sorted(d.vertex_edges(0)) == [0, 0, 1]
+    d = dumbbell()  # each vertex meets its self-loop twice
+    assert [d.vertex_edges(v) for v in range(2)] == [(0, 0, 1), (1, 2, 2)]
 
 
 def test_edge_endpoints_rejects_ids_that_name_no_edge():
@@ -115,9 +115,11 @@ def test_vertex_and_half_edge_queries_reject_ids_out_of_range():
     for query, n, name in (
         (g.rotation, 2, "vertex"), (g.vertex_edges, 2, "vertex"), (g.edge_of, 6, "half-edge")
     ):
+        plural = "vertices" if name == "vertex" else "half-edges"
         for i in (-1, -n, n, 99):
-            with pytest.raises(IndexError, match=f"^{name} {i} out of range"):
+            with pytest.raises(IndexError) as info:
                 query(i)
+            assert str(info.value) == f"{name} {i} out of range for a map with {n} {plural}"
 
 
 @pytest.mark.parametrize(
@@ -453,6 +455,64 @@ def test_build_map_inverts_a_maps_tables():
     for g in (theta(), k4(), necklace(2), disjoint_union(theta(), circle(2))):
         rotations = [(v, g.rotation(v)) for v in range(g.n_vertices)]
         assert build_map(rotations, g.edges, g.free_loops) == g
+
+
+# ----------------------------------------------------------------------
+# the one incidence table, which the coloring and SU(3) modules read
+
+INCIDENCE_MAPS = (
+    CATALOG_MAPS
+    + UNIONS  # the dumbbell among them: each triple repeats its self-loop
+    + [
+        (f"random{v}-{seed}", random_planar_cubic(v, seed))
+        for v in range(8, 61, 2)
+        for seed in range(3)
+    ]
+)
+
+
+def eager_incidence(g: CombinatorialMap):
+    """Reference: edge ids at each vertex and each edge's endpoints, from
+    ``rotation(v)``, ``edges`` and ``vertex_of``."""
+    edge_of = {h: e for e, pair in enumerate(g.edges) for h in pair}
+    triples = [tuple(edge_of[h] for h in g.rotation(v)) for v in range(g.n_vertices)]
+    endpoints = [(g.vertex_of[a], g.vertex_of[b]) for a, b in g.edges]
+    return triples, endpoints
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in INCIDENCE_MAPS], ids=[name for name, _ in INCIDENCE_MAPS]
+)
+def test_incidence_tables_match_eager_derivation(cmap):
+    triples, endpoints = eager_incidence(cmap)
+    g = CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops)
+    assert [g.vertex_edges(v) for v in range(g.n_vertices)] == triples
+    # the cached table lists the triples in vertex order, three ids each
+    assert g._vertex_edges == sum(triples, ())
+    assert g._endpoints() == endpoints
+    # the endpoints are derived on each call: the map keeps no table for them
+    tables = ["edges", "_rotations", "vertex_of", "_vertex_edges"]
+    assert built_tables(g) == tables
+    assert set(vars(g)) == {"_twin", "_sigma", "_free_loops", *tables}
+
+
+@pytest.mark.parametrize(
+    "cmap", [g for _, g in INCIDENCE_MAPS], ids=[name for name, _ in INCIDENCE_MAPS]
+)
+def test_build_map_from_shuffled_scaled_rows(cmap):
+    # ids scaled by 7, rows and pairs in a shuffled order, each rotation
+    # started at a shuffled half-edge and each pair's halves swapped at random
+    rng = random.Random(cmap.n_half_edges)
+    rotations = [(v, cmap.rotation(v)) for v in range(cmap.n_vertices)]
+    assert build_map(rotations, cmap.edges, cmap.free_loops) == cmap
+    scaled = []
+    for v, rot in rotations:
+        k = rng.randrange(3)
+        scaled.append((7 * v, tuple(7 * h for h in rot[k:] + rot[:k])))
+    pairs = [(7 * a, 7 * b) if rng.random() < 0.5 else (7 * b, 7 * a) for a, b in cmap.edges]
+    rng.shuffle(scaled)
+    rng.shuffle(pairs)
+    assert build_map(scaled, pairs, cmap.free_loops) == cmap
 
 
 # ----------------------------------------------------------------------

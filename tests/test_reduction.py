@@ -900,7 +900,8 @@ def test_every_face_a_move_changes_runs_through_a_survivor_it_touched():
 
 def built_tables(g: CombinatorialMap) -> list[str]:
     """The lazily built tables that ``g`` holds, read without building any."""
-    return [name for name in ("edges", "_edge_of", "_rotations", "vertex_of") if name in vars(g)]
+    names = ("edges", "_rotations", "vertex_of", "_vertex_edges")
+    return [name for name in names if name in vars(g)]
 
 
 @pytest.mark.parametrize(
@@ -915,8 +916,8 @@ def test_reduction_builds_no_edge_or_rotation_table(cmap):
     assert built_tables(root) == ["edges"]
     assert len(root.vertex_of) == root.n_half_edges
     assert built_tables(root) == ["edges", "_rotations", "vertex_of"]
-    assert len(root._edge_of) == root.n_half_edges
-    assert built_tables(root) == ["edges", "_edge_of", "_rotations", "vertex_of"]
+    assert len(root._vertex_edges) == root.n_half_edges
+    assert built_tables(root) == ["edges", "_rotations", "vertex_of", "_vertex_edges"]
 
 
 @pytest.mark.parametrize(
