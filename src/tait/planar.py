@@ -24,13 +24,14 @@ such moves on one working copy of the root's tables.  Everything
 derived from the two permutations is a
 :func:`functools.cached_property`, built on first read and kept:
 ``_rotations``, ``vertex_of``, ``edges``, ``_vertex_edges``,
-``has_self_loop`` and ``_faces``.  ``_vertex_edges`` holds each
-vertex's edge ids in rotation order (a self-loop repeats its edge):
-``vertex_edges``, ``edge_of``, :mod:`tait.coloring` and :mod:`tait.su3`
-read it, and edge endpoints are derived per call, not kept.  ``_faces``
-is one pass: it traces the face orbits as tuples of half-edge ids,
-noting the face of each half-edge, and runs the Euler count, which
-finds components by walking from face to face across ``twin``;
+``has_self_loop`` and ``_faces``.  ``_rotations`` and ``_vertex_edges``
+are flat: vertex v's half-edges and edge ids, in rotation order, sit at
+3v..3v + 2 (a self-loop repeats its edge).  The vertex queries,
+:mod:`tait.coloring` and :mod:`tait.su3` read them, and edge endpoints
+are derived per call, not kept.  ``_faces`` is one pass: it traces the
+face orbits as tuples of half-edge ids, noting the face of each
+half-edge, and runs the Euler count, which finds components by walking
+from face to face across ``twin``;
 ``face_orbits``, ``is_planar`` and ``parse_map(check_planar=True)``
 read it.  So a map that is only searched for moves and rewritten, as
 in a reduction, or tested for bipartiteness never builds the vertex
@@ -254,17 +255,18 @@ class CombinatorialMap:
         return self._sigma
 
     @cached_property
-    def _rotations(self) -> tuple[tuple[int, int, int], ...]:
-        # each vertex's 3-cycle, read from its smallest half-edge
+    def _rotations(self) -> tuple[int, ...]:
+        # each vertex's 3-cycle from its smallest half-edge, vertex v's at 3v..3v + 2
         sigma = self._sigma
-        return tuple((h, s, sigma[s]) for h, s in enumerate(sigma) if h < s and h < sigma[s])
+        cycles = ((h, s, sigma[s]) for h, s in enumerate(sigma) if h < s and h < sigma[s])
+        return tuple(chain.from_iterable(cycles))
 
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
         """Vertex of each half-edge; vertices go by smallest half-edge."""
         vertex_of = [0] * len(self._sigma)
-        for v, (a, b, c) in enumerate(self._rotations):
-            vertex_of[a] = vertex_of[b] = vertex_of[c] = v
+        for i, h in enumerate(self._rotations):
+            vertex_of[h] = i // 3
         return tuple(vertex_of)
 
     @property
@@ -299,7 +301,7 @@ class CombinatorialMap:
         edge_of = [0] * len(self._twin)
         for e, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = e
-        return tuple(map(edge_of.__getitem__, chain.from_iterable(self._rotations)))
+        return _gather(edge_of, self._rotations)
 
     def _endpoints(self) -> list[tuple[int, int]]:
         """The two vertices of every paired edge, by edge id; built anew on each call."""
@@ -321,12 +323,13 @@ class CombinatorialMap:
 
     def edge_of(self, h: int) -> int:
         """Edge id of half-edge ``h``."""
-        v = self.vertex_of[_in_range(h, len(self._twin), "half-edge", "half-edges")]
-        return self._vertex_edges[3 * v + self._rotations[v].index(h)]
+        i = 3 * self.vertex_of[_in_range(h, len(self._twin), "half-edge", "half-edges")]
+        return self._vertex_edges[self._rotations.index(h, i, i + 3)]
 
     def rotation(self, v: int) -> tuple[int, int, int]:
         """Counterclockwise half-edge rotation at ``v``, smallest first."""
-        return self._rotations[_in_range(v, len(self._twin) // 3, "vertex", "vertices")]
+        i = 3 * _in_range(v, len(self._twin) // 3, "vertex", "vertices")
+        return self._rotations[i : i + 3]
 
     def vertex_edges(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to ``v`` in rotation order (a self-loop repeats)."""
@@ -596,4 +599,5 @@ def _canonical_text(
 
 def serialize_map(cmap: CombinatorialMap) -> str:
     """Canonical text for a map; ``parse_map`` inverts it exactly."""
-    return _canonical_text(cmap._rotations, cmap.edges, cmap.free_loops)
+    rot = cmap._rotations
+    return _canonical_text(zip(rot[::3], rot[1::3], rot[2::3]), cmap.edges, cmap.free_loops)

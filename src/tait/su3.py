@@ -12,7 +12,7 @@ sampled from Tait colorings: a coloring's basis lines are admissible, and
 rotating each of its Kempe cycles within the plane of its two colors
 keeps them so.
 
-Whole decorations are processed as stacked arrays: a decoration is one
+Whole decorations are held as stacked arrays: a decoration is one
 (E, 3) array, a representation one (E, 3, 3) array, and the vertex
 triples, the map's own table of edge ids at each vertex, one (V, 3)
 index array, so every check and conversion is one numpy expression over
@@ -351,8 +351,8 @@ def admissibility_deviation(cmap: CombinatorialMap, decoration) -> float:
     return _worst_overlap(cmap, _vertex_triples(cmap), lines)
 
 
-def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.ndarray]:
-    """Order-2 matrices of an admissible decoration, indexed by edge.
+def decoration_to_representation(cmap: CombinatorialMap, decoration) -> np.ndarray:
+    """Order-2 matrices of an admissible decoration, as one (E, 3, 3) stack by edge.
 
     Raises :class:`InadmissibleDecorationError` when incident lines are
     not pairwise orthogonal within tolerance.  Around every vertex the
@@ -369,11 +369,11 @@ def decoration_to_representation(cmap: CombinatorialMap, decoration) -> list[np.
         raise InadmissibleDecorationError(
             f"incident lines overlap by {deviation:.3e} (tolerance {_TOL:.1e})"
         )
-    return list(_reflections(lines))
+    return _reflections(lines)
 
 
-def representation_to_decoration(matrices) -> list[np.ndarray]:
-    """Fixed lines of a family of order-2 matrices, indexed like the input.
+def representation_to_decoration(matrices) -> np.ndarray:
+    """Fixed lines of order-2 matrices, as one (E, 3) stack indexed like the input.
 
     Raises ``ValueError`` naming the edge if some matrix is not an
     order-2 special unitary within tolerance.
@@ -386,7 +386,7 @@ def representation_to_decoration(matrices) -> list[np.ndarray]:
         fault = len(M), str(error)
     if fault is not None:
         raise ValueError(f"edge {fault[0]}: {fault[1]}")
-    return list(_axes(M))
+    return _axes(M)
 
 
 def vertex_product_deviation(cmap: CombinatorialMap, matrices) -> float:
@@ -434,7 +434,7 @@ def _kempe_cycles(triples: np.ndarray, color: np.ndarray) -> tuple[int, np.ndarr
     return n, np.array(cycle, dtype=np.intp)
 
 
-def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.ndarray]:
+def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> np.ndarray:
     """Random admissible decoration on a uniformly random Tait coloring.
 
     A Tait coloring c, drawn uniformly, gives the admissible decoration
@@ -445,7 +445,7 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     and to the third line, e_2.  One Haar-random special unitary then
     rotates every line, and each free loop gets a random line.  Every step
     is exact up to rounding, so the result is admissible whenever the map
-    has a Tait coloring.
+    has a Tait coloring.  The (E, 3) stack lists paired edges by id, then free loops.
 
     ``rng`` is anything ``numpy.random.default_rng`` accepts; a Generator
     passed in is advanced by the sample's draws.  Raises
@@ -473,4 +473,4 @@ def sample_admissible_decoration(cmap: CombinatorialMap, rng=None) -> list[np.nd
     lines[on, :2] = turns[cycle[on], :, color[on]]
     lines[~on, 2] = 1
     lines = lines @ random_special_unitary(rng).T
-    return [*lines, *(random_line(rng) for _ in range(cmap.free_loops))]
+    return np.vstack([lines, *(random_line(rng) for _ in range(cmap.free_loops))])

@@ -295,7 +295,7 @@ def run_roundtrip(trials: int = 100, seed: int = 0) -> SuiteReport:
         per_graph[name] += 1
         matrices = decoration_to_representation(graph, decoration)
         recovered = representation_to_decoration(matrices)
-        overlaps = _line_overlaps(np.array(decoration), np.array(recovered))
+        overlaps = _line_overlaps(decoration, recovered)
         vertex_dev = vertex_product_deviation(graph, matrices)
         # np.max, unlike max, lets a NaN through, and a NaN deviation fails
         deviation = float(np.max(1.0 - overlaps, initial=vertex_dev))

@@ -10,7 +10,7 @@ import pytest
 from tait import su3, verify
 from tait.catalog import circle, cube, dodecahedron, k4, necklace, petersen, prism, theta
 from tait.coloring import _random_coloring, count_tait
-from tait.planar import disjoint_union
+from tait.planar import CombinatorialMap, disjoint_union
 from tait.su3 import (
     STANDARD_INVOLUTION,
     InadmissibleDecorationError,
@@ -517,7 +517,8 @@ def assert_same_outcome(got, want):
     if isinstance(want, tuple):
         assert got == want
     elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want)
+        # the reference builds a list of rows, the stacked functions one array of them
+        assert isinstance(got, np.ndarray) and len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.abs(a - b).max() <= 1e-14
     else:
@@ -567,10 +568,32 @@ def test_stacked_functions_match_per_edge_reference(g):
             )
 
 
+# the maps the sampler decorates; necklace2+circle2 has paired edges and free loops
+STACK_MAPS = [(name, g) for name, g in CONVERSION_MAPS if count_tait(g)]
+
+
+@pytest.mark.parametrize("g", [g for _, g in STACK_MAPS], ids=[n for n, _ in STACK_MAPS])
+def test_decoration_functions_return_one_stack(g):
+    n = g.n_edges
+    lines = sample_admissible_decoration(g, rng=3)
+    mats = decoration_to_representation(g, lines)
+    back = representation_to_decoration(mats)
+    for got, shape in ((lines, (n, 3)), (mats, (n, 3, 3)), (back, (n, 3))):
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == shape
+    # the paired edges by id, then one random line per free loop, drawn after them
+    rng = np.random.default_rng(3)
+    paired = sample_admissible_decoration(CombinatorialMap(g.twin, g.next_at_vertex), rng)
+    loops = [random_line(rng) for _ in range(g.free_loops)]
+    assert lines.tobytes() == np.vstack([paired, *loops]).tobytes()
+    # rows in, the same stack out
+    assert decoration_to_representation(g, list(lines)).tobytes() == mats.tobytes()
+    assert representation_to_decoration(list(mats)).tobytes() == back.tobytes()
+
+
 def test_maps_without_paired_edges():
     rng = np.random.default_rng(5)
-    assert decoration_to_representation(circle(0), []) == []
-    assert representation_to_decoration([]) == []
+    assert decoration_to_representation(circle(0), []).shape == (0, 3, 3)
+    assert representation_to_decoration([]).shape == (0, 3)
     assert admissibility_deviation(circle(0), []) == 0.0
     assert vertex_product_deviation(circle(0), []) == 0.0
     lines = [random_line(rng) for _ in range(3)]
