@@ -6,22 +6,23 @@ unconstrained and contribute a factor of 3 each; a vertex self-loop
 meets its vertex twice and kills every coloring.
 
 Every function here uses only the abstract incidence structure, read
-from the map (``vertex_edges``, ``_endpoints``): the rotation order is
-ignored, and non-planar maps are accepted.
+from the map (``vertex_edges``, ``_endpoints``, ``_merge_plan``): the
+rotation order is ignored, and non-planar maps are accepted.
 The count contracts a tensor network of one 3x3x3 table per vertex
 along a tree (bucket elimination; Dechter, AIJ 1999), so its cost grows
 with the edges the largest merge touches, not with the number of
 colorings.
-Each cluster keeps how many open edges it shares with each neighbour,
-so a pair's merge key costs O(1), and each merge is one matrix product.
-The same merges, walked back from the last, draw a uniformly random
-coloring at about the cost of one count.  Enumeration is exact
-backtracking over the edges, for small graphs.
+The order of the merges depends only on the map, so the map derives it
+once, on the first count or draw, and keeps it as one flat tuple
+(``CombinatorialMap._merge_plan``); each count replays it with the
+arithmetic alone, one matrix product per merge.  The same merges,
+walked back from the last, draw a uniformly random coloring at the cost
+of the count's arithmetic.  Enumeration is exact backtracking over the
+edges, for small graphs.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_right
 from itertools import accumulate, permutations
@@ -49,21 +50,16 @@ _DISTINCT[tuple(zip(*permutations(range(3))))] = 1
 def _merges(cmap: CombinatorialMap):
     """The merges that contract the map's vertex tables, in order.
 
+    Replays the map's merge schedule, ``cmap._merge_plan`` (derived on the
+    first count or draw and kept with the map), with the arithmetic alone.
     Every vertex starts as a cluster whose table, indexed by the colors of
     its three edges (the map's ``vertex_edges``), is 1 where the colors
-    differ.  The two adjacent clusters whose merge leaves the fewest open
-    edges, ties going to the smaller pair of ids, are merged by summing
-    over the colors of the edges they share, until each connected
-    component is one number.
+    differ; each merge sums over the colors of the edges its two clusters
+    share, until each connected component is one number.
     Each table entry counts the colorings of its cluster, over the actual
     colors, that give its open edges the colors of the entry's index.
-
-    A pair's key is the open edge count of its merge, ``len(Ea) +
-    len(Eb) - 2 * shared``, read from each cluster's map of neighbour to
-    shared edge count; a merge adds the two maps and pushes one key per
-    neighbour of the new cluster.  The merge itself moves the shared axes
-    of the two tables to meet, flattens each to a matrix and multiplies
-    them with one ``np.dot``.
+    A merge moves the shared axes of the two tables to meet, flattens each
+    to a matrix and multiplies them with one ``np.dot``.
 
     Yields each merge as ``(keep_a, shared, keep_b, a, b)``: the open
     edges each side keeps, the edges the two share, and the operands,
@@ -74,61 +70,31 @@ def _merges(cmap: CombinatorialMap):
     edge closes a component, whose one entry the caller computes.  The
     map must have no vertex self-loop.
     """
-    # per cluster id: open edges, table with one axis per open edge (None
-    # once merged away), vertices, and each neighbouring cluster -> the
-    # number of open edges the two share
-    edges = [cmap.vertex_edges(v) for v in range(cmap.n_vertices)]
-    endpoints = cmap._endpoints()
-    tables = [_DISTINCT] * len(edges)
-    sizes = [1] * len(edges)
-    links: list[dict[int, int]] = [{} for _ in edges]
-    for u, v in endpoints:
-        links[u][v] = links[u].get(v, 0) + 1
-        links[v][u] = links[v].get(u, 0) + 1
-
-    # a cluster's open edges are distinct, so a key equals the size of the
-    # symmetric difference of the two clusters' open edges; sorted is a heap
-    heap = sorted({(6 - 2 * links[u][v], min(u, v), max(u, v)) for u, v in endpoints})
-    while heap:
-        _, a, b = heapq.heappop(heap)
+    plan = cmap._merge_plan
+    # per cluster id: table with one axis per open edge (None once merged
+    # away) and vertices
+    tables = [_DISTINCT] * cmap.n_vertices
+    sizes = [1] * cmap.n_vertices
+    i = 0
+    while i < len(plan):
+        a, b, ka, ns, kb = plan[i : i + 5]
+        # where the merge's kept, shared and kept edges and its axis orders start
+        keep_a, shared, keep_b, axes = i + 5, i + 5 + ka, i + 5 + ka + ns, i + 5 + ka + ns + kb
+        i = axes + ka + 2 * ns + kb
         table_a, table_b = tables[a], tables[b]
-        if table_a is None or table_b is None:
-            continue
         tables[a] = tables[b] = None
         size = sizes[a] + sizes[b]
         if size > _INT64_VERTICES:
             table_a, table_b = table_a.astype(object), table_b.astype(object)
-        edges_a, edges_b = edges[a], edges[b]
-        shared = [e for e in edges_a if e in edges_b]
-        keep_a = [e for e in edges_a if e not in shared]
-        keep_b = [e for e in edges_b if e not in shared]
         # np.tensordot's arithmetic without its wrapper, which costs more
         # than the product on these small tables: shared axes last in a's
         # table and first in b's, then one matrix product
-        table_a = table_a.transpose([edges_a.index(e) for e in keep_a + shared])
-        table_b = table_b.transpose([edges_b.index(e) for e in shared + keep_b])
-        matrix_a = table_a.reshape(3 ** len(keep_a), -1)
-        matrix_b = table_b.reshape(3 ** len(shared), -1)
-        yield keep_a, shared, keep_b, matrix_a, matrix_b
-        open_edges = keep_a + keep_b
-        if not open_edges:
-            continue
-        c = len(tables)  # above every live id
-        link = links[a]
-        del link[b]
-        for d, k in links[b].items():
-            if d != a:
-                link[d] = link.get(d, 0) + k
-        for d, k in link.items():
-            other = links[d]
-            other.pop(a, None)
-            other.pop(b, None)
-            other[c] = k
-            heapq.heappush(heap, (len(open_edges) + len(edges[d]) - 2 * k, d, c))
-        edges.append(open_edges)
-        tables.append(np.dot(matrix_a, matrix_b).reshape((3,) * len(open_edges)))
-        sizes.append(size)
-        links.append(link)
+        matrix_a = table_a.transpose(plan[axes : axes + ka + ns]).reshape(3**ka, -1)
+        matrix_b = table_b.transpose(plan[axes + ka + ns : i]).reshape(3**ns, -1)
+        yield plan[keep_a:shared], plan[shared:keep_b], plan[keep_b:axes], matrix_a, matrix_b
+        if ka + kb:
+            tables.append(np.dot(matrix_a, matrix_b).reshape((3,) * (ka + kb)))
+            sizes.append(size)
 
 
 def count_tait(cmap: CombinatorialMap) -> int:

@@ -24,22 +24,25 @@ such moves on one working copy of the root's tables.  Everything
 derived from the two permutations is a
 :func:`functools.cached_property`, built on first read and kept:
 ``_rotations``, ``vertex_of``, ``edges``, ``_vertex_edges``,
-``has_self_loop`` and ``_faces``.  ``_rotations`` and ``_vertex_edges``
-are flat: vertex v's half-edges and edge ids, in rotation order, sit at
-3v..3v + 2 (a self-loop repeats its edge).  The vertex queries,
-:mod:`tait.coloring` and :mod:`tait.su3` read them, and edge endpoints
-are derived per call, not kept.  ``_faces`` is one pass: it traces the
-face orbits as tuples of half-edge ids, noting the face of each
-half-edge, and runs the Euler count, which finds components by walking
-from face to face across ``twin``;
+``has_self_loop``, ``_merge_plan`` and ``_faces``.  ``_rotations`` and
+``_vertex_edges`` are flat: vertex v's half-edges and edge ids, in
+rotation order, sit at 3v..3v + 2 (a self-loop repeats its edge).  The
+vertex queries, :mod:`tait.coloring` and :mod:`tait.su3` read them, and
+edge endpoints are derived per call, not kept.  ``_merge_plan`` is the
+order in which :mod:`tait.coloring` contracts the vertex tables, one
+flat tuple derived from the incidence alone on the first count or draw,
+so every later count or draw of the map replays it.  ``_faces`` is one
+pass: it traces the face orbits as tuples of half-edge ids, noting the
+face of each half-edge, and runs the Euler count, which finds
+components by walking from face to face across ``twin``;
 ``face_orbits``, ``is_planar`` and ``parse_map(check_planar=True)``
 read it.  So a map that is only searched for moves and rewritten, as
 in a reduction, or tested for bipartiteness never builds the vertex
-and edge tables, and a map that is only counted, printed or decorated
-never traces its faces.  Nor does a map searched for moves:
-``find_move`` and ``available_moves`` share one search that walks the
-face permutation built from the two permutations, and a move keeps a
-planar map planar, so a reduction traces only its root.
+and edge tables or the merge plan, and a map that is only counted,
+printed or decorated never traces its faces.  Nor does a map searched
+for moves: ``find_move`` and ``available_moves`` share one search that
+walks the face permutation built from the two permutations, and a move
+keeps a planar map planar, so a reduction traces only its root.
 
 Map text is read in bulk when it is canonical, exactly what
 :func:`serialize_map` writes (as ``tait gen`` and a stuck map on stderr
@@ -60,6 +63,7 @@ half-edge, which keeps every query deterministic under rebuilds.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Iterable, Sequence
@@ -115,8 +119,9 @@ class CombinatorialMap:
     The constructor runs every structural check, each as a comparison
     of whole tables; only a reduction move's child, checked where the
     move rewrote it, skips them (:meth:`_spliced`).  Faces, planarity,
-    the self-loop test and the vertex, edge and rotation tables are
-    cached properties, built on first read.
+    the self-loop test, the vertex, edge and rotation tables and the
+    coloring count's merge plan are cached properties, built on first
+    read.
     """
 
     def __init__(
@@ -302,6 +307,77 @@ class CombinatorialMap:
         for e, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = e
         return _gather(edge_of, self._rotations)
+
+    @cached_property
+    def _merge_plan(self) -> tuple[int, ...]:
+        """The order in which :mod:`tait.coloring` contracts the vertex
+        tables, as one flat tuple; the map must have no vertex self-loop.
+
+        Every vertex starts as a cluster whose open edges are its three
+        edges (``_vertex_edges``).  The two adjacent clusters whose merge
+        leaves the fewest open edges, ties going to the smaller pair of
+        ids, are merged, until each connected component is one cluster
+        with no open edge.  A merge that leaves open edges makes a new
+        cluster, whose id is the next after every cluster so far and whose
+        open edges are those ``a`` keeps, then those ``b`` keeps.
+
+        A pair's key is the open edge count of its merge, ``len(Ea) +
+        len(Eb) - 2 * shared``, read from each cluster's map of neighbour
+        to shared edge count; a merge adds the two maps and pushes one key
+        per neighbour of the new cluster.  Entries for a cluster already
+        merged away stay in the heap and are skipped when popped.
+
+        Each merge adds ``a, b, ka, ns, kb``: the two cluster ids and how
+        many edges ``a`` keeps, the two share and ``b`` keeps; then those
+        edge ids, ``a``'s kept edges, the shared ones and ``b``'s kept
+        ones; then the axis order of ``a``'s table with its kept edges
+        first and the shared ones last (ka + ns positions in ``a``'s open
+        edges), and that of ``b``'s with the shared ones first (ns + kb).
+        """
+        ve = self._vertex_edges
+        # per cluster id: open edges (None once merged away) and each
+        # neighbouring cluster -> the number of open edges the two share
+        edges: list = [ve[i : i + 3] for i in range(0, len(ve), 3)]
+        links: list[dict[int, int]] = [{} for _ in edges]
+        endpoints = self._endpoints()
+        for u, v in endpoints:
+            links[u][v] = links[u].get(v, 0) + 1
+            links[v][u] = links[v].get(u, 0) + 1
+
+        # a cluster's open edges are distinct, so a key equals the size of the
+        # symmetric difference of the two clusters' open edges; sorted is a heap
+        heap = sorted({(6 - 2 * links[u][v], min(u, v), max(u, v)) for u, v in endpoints})
+        plan: list[int] = []
+        while heap:
+            _, a, b = heappop(heap)
+            edges_a, edges_b = edges[a], edges[b]
+            if edges_a is None or edges_b is None:
+                continue
+            edges[a] = edges[b] = None
+            shared = [e for e in edges_a if e in edges_b]
+            keep_a = [e for e in edges_a if e not in shared]
+            keep_b = [e for e in edges_b if e not in shared]
+            plan += (a, b, len(keep_a), len(shared), len(keep_b), *keep_a, *shared, *keep_b)
+            plan += map(edges_a.index, keep_a + shared)
+            plan += map(edges_b.index, shared + keep_b)
+            open_edges = keep_a + keep_b
+            if not open_edges:
+                continue
+            c = len(edges)  # above every live id
+            link = links[a]
+            del link[b]
+            for d, k in links[b].items():
+                if d != a:
+                    link[d] = link.get(d, 0) + k
+            for d, k in link.items():
+                other = links[d]
+                other.pop(a, None)
+                other.pop(b, None)
+                other[c] = k
+                heappush(heap, (len(open_edges) + len(edges[d]) - 2 * k, d, c))
+            edges.append(open_edges)
+            links.append(link)
+        return tuple(plan)
 
     def _endpoints(self) -> list[tuple[int, int]]:
         """The two vertices of every paired edge, by edge id; built anew on each call."""

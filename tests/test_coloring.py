@@ -21,6 +21,7 @@ from tait.catalog import (
 )
 from tait.coloring import _random_coloring, count_tait, enumerate_tait
 from tait.planar import CombinatorialMap, build_map, disjoint_union, serialize_map
+from tait.su3 import RetriesExhaustedError, sample_admissible_decoration
 
 
 def dumbbell() -> CombinatorialMap:
@@ -366,3 +367,76 @@ def test_random_colorings_are_uniform(cmap):
     chi2 = sum((seen[x] - per) ** 2 / per for x in colorings)
     df = len(colorings) - 1
     assert chi2 < df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+
+
+# ----------------------------------------------------------------------
+# one merge schedule per map, shared by the count and the draw
+
+
+def fresh(cmap: CombinatorialMap) -> CombinatorialMap:
+    """A copy of ``cmap`` that has built none of its cached tables."""
+    return CombinatorialMap(cmap.twin, cmap.next_at_vertex, cmap.free_loops)
+
+
+PLAN_MAPS = [
+    *[(name, g) for name, g in CATALOG_MAPS + UNIONS if not g.has_self_loop],
+    *[(f"random{v}-{s}", random_planar_cubic(v, s)) for v in range(8, 61, 4) for s in range(3)],
+]
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in PLAN_MAPS], ids=[n for n, _ in PLAN_MAPS])
+def test_count_builds_the_plan_a_draw_reads(cmap):
+    g = fresh(cmap)
+    assert "_merge_plan" not in vars(g)
+    count = count_tait(g)
+    plan = vars(g)["_merge_plan"]
+    # one flat tuple of ints per map, not a container per merge
+    assert type(plan) is tuple and all(type(x) is int for x in plan)
+    if count:
+        sample_admissible_decoration(g, 0)
+    else:
+        with pytest.raises(RetriesExhaustedError):
+            sample_admissible_decoration(g, 0)
+    assert g._merge_plan is plan
+    # a draw on a map never counted builds the same schedule
+    h = fresh(cmap)
+    _random_coloring(h, np.random.default_rng(0))
+    assert vars(h)["_merge_plan"] == plan
+
+
+def test_plan_of_theta_and_k4():
+    # per merge: cluster ids a, b; how many edges a keeps, they share, b
+    # keeps; those edges; then a's axes (kept, shared) and b's (shared, kept)
+    assert theta()._merge_plan == (0, 1, 0, 3, 0, 0, 1, 2, 0, 1, 2, 0, 2, 1)
+    g = k4()
+    assert [g.vertex_edges(v) for v in range(4)] == [(0, 1, 2), (3, 4, 0), (2, 5, 3), (1, 4, 5)]
+    # every pair of vertices shares one edge, so the smallest ids merge
+    # first into cluster 4 with open edges 1, 2, 3, 4; vertices 2 and 3 tie
+    # at three open edges with it, and 2 goes first, into cluster 5 with
+    # open edges 5, 1, 4, which closes with vertex 3
+    assert g._merge_plan == (
+        *(0, 1, 2, 1, 2, 1, 2, 0, 3, 4, 1, 2, 0, 2, 0, 1),
+        *(2, 4, 1, 2, 2, 5, 2, 3, 1, 4, 1, 0, 2, 1, 2, 0, 3),
+        *(3, 5, 0, 3, 0, 1, 4, 5, 0, 1, 2, 1, 2, 0),
+    )
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in PLAN_MAPS], ids=[n for n, _ in PLAN_MAPS])
+def test_counted_map_draws_what_a_fresh_map_draws(cmap):
+    counted = fresh(cmap)
+    count_tait(counted)
+    for seed in range(3):
+        got = _random_coloring(counted, np.random.default_rng(seed))
+        assert got == _random_coloring(fresh(cmap), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "cmap", [dumbbell(), disjoint_union(dumbbell(), theta())], ids=["dumbbell", "dumbbell+theta"]
+)
+def test_self_loop_builds_no_plan(cmap):
+    g = fresh(cmap)
+    assert count_tait(g) == 0
+    assert _random_coloring(g, np.random.default_rng(0)) is None
+    with pytest.raises(RetriesExhaustedError):
+        sample_admissible_decoration(g, 0)
+    assert "_merge_plan" not in vars(g)

@@ -900,7 +900,7 @@ def test_every_face_a_move_changes_runs_through_a_survivor_it_touched():
 
 def built_tables(g: CombinatorialMap) -> list[str]:
     """The lazily built tables that ``g`` holds, read without building any."""
-    names = ("edges", "_rotations", "vertex_of", "_vertex_edges")
+    names = ("edges", "_rotations", "vertex_of", "_vertex_edges", "_merge_plan")
     return [name for name in names if name in vars(g)]
 
 
