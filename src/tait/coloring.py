@@ -15,10 +15,14 @@ colorings.
 The order of the merges depends only on the map, so the map derives it
 once, on the first count or draw, and keeps it as one flat tuple
 (``CombinatorialMap._merge_plan``); each count replays it with the
-arithmetic alone, one matrix product per merge.  The same merges,
-walked back from the last, draw a uniformly random coloring at the cost
-of the count's arithmetic.  Enumeration is exact backtracking over the
-edges, for small graphs.
+arithmetic alone, one matrix product per merge, and keeps nothing else.
+The same merges, walked back from the last, draw a uniformly random
+coloring.  Their operands depend only on the map too, so the first draw
+of a map runs the merges once and keeps every operand that is not a
+vertex table, in two flat arrays (``CombinatorialMap._merge_tables``);
+every draw then walks them back, reading one row of each operand per
+merge, and does no matrix product.  Enumeration is exact backtracking
+over the edges, for small graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, permutations
+from operator import mul
 
 import numpy as np
 
@@ -61,14 +66,14 @@ def _merges(cmap: CombinatorialMap):
     A merge moves the shared axes of the two tables to meet, flattens each
     to a matrix and multiplies them with one ``np.dot``.
 
-    Yields each merge as ``(keep_a, shared, keep_b, a, b)``: the open
-    edges each side keeps, the edges the two share, and the operands,
-    ``a`` with a row per coloring of ``keep_a`` and a column per coloring
-    of ``shared``, ``b`` with a row per coloring of ``shared`` and a
-    column per coloring of ``keep_b`` (base-3 indices, first edge most
-    significant).  The merged table is ``a @ b``; a merge that keeps no
-    edge closes a component, whose one entry the caller computes.  The
-    map must have no vertex self-loop.
+    Yields each merge as ``(i, a, b)``: where the merge starts in the plan,
+    and the operands, ``a`` with a row per coloring of the edges cluster
+    ``a`` keeps and a column per coloring of the shared edges, ``b`` with a
+    row per coloring of the shared edges and a column per coloring of the
+    edges cluster ``b`` keeps (base-3 indices, first edge most significant,
+    in the plan's edge order).  The merged table is ``a @ b``; a merge that
+    keeps no edge closes a component, whose one entry the caller computes.
+    The map must have no vertex self-loop.
     """
     plan = cmap._merge_plan
     # per cluster id: table with one axis per open edge (None once merged
@@ -78,9 +83,9 @@ def _merges(cmap: CombinatorialMap):
     i = 0
     while i < len(plan):
         a, b, ka, ns, kb = plan[i : i + 5]
-        # where the merge's kept, shared and kept edges and its axis orders start
-        keep_a, shared, keep_b, axes = i + 5, i + 5 + ka, i + 5 + ka + ns, i + 5 + ka + ns + kb
-        i = axes + ka + 2 * ns + kb
+        # where the merge's axis orders start, and where the next merge starts
+        axes = i + 5 + ka + ns + kb
+        start, i = i, axes + ka + 2 * ns + kb
         table_a, table_b = tables[a], tables[b]
         tables[a] = tables[b] = None
         size = sizes[a] + sizes[b]
@@ -91,7 +96,7 @@ def _merges(cmap: CombinatorialMap):
         # table and first in b's, then one matrix product
         matrix_a = table_a.transpose(plan[axes : axes + ka + ns]).reshape(3**ka, -1)
         matrix_b = table_b.transpose(plan[axes + ka + ns : i]).reshape(3**ns, -1)
-        yield plan[keep_a:shared], plan[shared:keep_b], plan[keep_b:axes], matrix_a, matrix_b
+        yield start, matrix_a, matrix_b
         if ka + kb:
             tables.append(np.dot(matrix_a, matrix_b).reshape((3,) * (ka + kb)))
             sizes.append(size)
@@ -102,22 +107,62 @@ def count_tait(cmap: CombinatorialMap) -> int:
 
     The product, over the merges of :func:`_merges` that close a
     component, of each closed component's count, times 3 per free loop.
+    Nothing but the schedule is kept with the map.
     """
     if cmap.has_self_loop:
         return 0
     total = 3**cmap.free_loops
-    for keep_a, _, keep_b, a, b in _merges(cmap):
-        if not keep_a and not keep_b:
+    plan = cmap._merge_plan
+    for i, a, b in _merges(cmap):
+        if not plan[i + 2] + plan[i + 4]:  # keeps no edge: closes a component
             total *= int(np.dot(a, b)[0, 0])
     return total
 
 
-def _index(color: list[int], edges: list[int]) -> int:
-    """Base-3 index of the colors of ``edges``, the first most significant."""
-    i = 0
-    for e in edges:
-        i = 3 * i + color[e]
-    return i
+# A vertex operand is _DISTINCT whatever its axis order, since permuting
+# three distinct colors keeps them distinct, so on either side of a merge
+# the weights for the coloring r of its k kept edges are _VERTEX_ROWS[k][r].
+_VERTEX_ROWS = [_DISTINCT.reshape(3**k, -1).tolist() for k in range(3)]
+
+
+def _keep_tables(cmap: CombinatorialMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every operand of the merges of :func:`_merges` that is not a vertex table.
+
+    Built once per map, on its first draw, and kept as
+    ``cmap._merge_tables``: ``(ints, objects, marks)``.  ``ints`` holds
+    the operands of the merges whose tables fit int64, as one flat
+    read-only array of the narrowest unsigned type that holds every entry;
+    ``objects`` holds, as one flat read-only object array, those of the
+    merges past the 60-vertex cutoff.
+    Each operand is stored as one row per coloring of the edges its
+    cluster keeps (``b`` transposed), each row a weight per coloring of the
+    shared edges.  ``marks``, one flat read-only int64 array, has four
+    entries per merge, in order: where the merge starts in the plan, 1
+    when its operands are in ``objects`` and 0 when in ``ints``, and where
+    ``a``'s rows and ``b``'s start there, or -1 for a vertex operand, whose
+    rows are in ``_VERTEX_ROWS``.
+    """
+    plan, n = cmap._merge_plan, cmap.n_vertices
+    kept: tuple[list, list] = ([], [])  # raveled operands, per store
+    ends = [0, 0]
+    marks: list[int] = []
+    for i, a, b in _merges(cmap):
+        big = int(a.dtype == object)
+        marks += (i, big)
+        for cluster, rows in ((plan[i], a), (plan[i + 1], b.T)):
+            if cluster < n:
+                marks.append(-1)
+            else:
+                marks.append(ends[big])
+                kept[big].append(rows.ravel())
+                ends[big] += rows.size
+    ints = np.concatenate([np.zeros(0, np.int64), *kept[0]])
+    ints = ints.astype(np.min_scalar_type(ints.max(initial=0)))  # entries are >= 0
+    objects = np.concatenate([np.zeros(0, object), *kept[1]])
+    tables = ints, objects, np.array(marks, dtype=np.int64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _random_coloring(cmap: CombinatorialMap, rng: np.random.Generator) -> list[int] | None:
@@ -129,22 +174,45 @@ def _random_coloring(cmap: CombinatorialMap, rng: np.random.Generator) -> list[i
     reached.  At each merge the colors of its shared edges are drawn with
     weight ``a[row, s] * b[s, col]``, the row and column being the colors
     of the kept edges: the number of colorings of the two clusters that
-    agree with every color fixed so far.  The weights are exact ints and
-    each draw is one ``randrange`` over their sum, from a ``random.Random``
-    seeded from ``rng``, so every coloring has probability 1 / count and
-    no draw reaches a dead end.
+    agree with every color fixed so far.  The operands depend on the map
+    alone, so the first draw of a map runs the merges once and keeps them
+    (:func:`_keep_tables`), and every draw walks the kept tables, reading
+    one row of ``a`` and one column of ``b`` per merge.  The weights are
+    exact ints and each draw is one ``randrange`` over their sum, from a
+    ``random.Random`` seeded from ``rng``, so every coloring has
+    probability 1 / count and no draw reaches a dead end.
     """
     if cmap.has_self_loop:
         return None
     randrange = random.Random(int(rng.integers(2**63))).randrange
+    plan = cmap._merge_plan
+    *stores, marks = cmap._merge_tables
+    marks = marks.tolist()  # Python ints slice and add faster than numpy's
     color = [0] * cmap.n_paired_edges
-    for keep_a, shared, keep_b, a, b in reversed(list(_merges(cmap))):
-        row, col = a[_index(color, keep_a)].tolist(), b[:, _index(color, keep_b)].tolist()
-        cumulative = list(accumulate(x * y for x, y in zip(row, col)))
+    for j in range(len(marks) - 4, -1, -4):
+        i, big, at_a, at_b = marks[j : j + 4]
+        ka, ns, kb = plan[i + 2 : i + 5]
+        shared, keep_b = i + 5 + ka, i + 5 + ka + ns
+        r = c = 0  # base-3 index of the colors of the edges a and b keep
+        for e in plan[i + 5 : shared]:
+            r = 3 * r + color[e]
+        for e in plan[keep_b : keep_b + kb]:
+            c = 3 * c + color[e]
+        width = 3**ns
+        store = stores[big]
+        if at_a < 0:
+            row = _VERTEX_ROWS[ka][r]
+        else:
+            row = store[at_a + r * width : at_a + (r + 1) * width].tolist()
+        if at_b < 0:
+            col = _VERTEX_ROWS[kb][c]
+        else:
+            col = store[at_b + c * width : at_b + (c + 1) * width].tolist()
+        cumulative = list(accumulate(map(mul, row, col)))
         if not cumulative[-1]:  # only a closing merge can meet a zero total
             return None
         s = bisect_right(cumulative, randrange(cumulative[-1]))
-        for e in reversed(shared):
+        for e in reversed(plan[shared:keep_b]):
             s, color[e] = divmod(s, 3)
     return color
 

@@ -24,24 +24,28 @@ such moves on one working copy of the root's tables.  Everything
 derived from the two permutations is a
 :func:`functools.cached_property`, built on first read and kept:
 ``_rotations``, ``vertex_of``, ``edges``, ``_vertex_edges``,
-``has_self_loop``, ``_merge_plan`` and ``_faces``.  ``_rotations`` and
-``_vertex_edges`` are flat: vertex v's half-edges and edge ids, in
-rotation order, sit at 3v..3v + 2 (a self-loop repeats its edge).  The
-vertex queries, :mod:`tait.coloring` and :mod:`tait.su3` read them, and
-edge endpoints are derived per call, not kept.  ``_merge_plan`` is the
-order in which :mod:`tait.coloring` contracts the vertex tables, one
-flat tuple derived from the incidence alone on the first count or draw,
-so every later count or draw of the map replays it.  ``_faces`` is one
-pass: it traces the face orbits as tuples of half-edge ids, noting the
-face of each half-edge, and runs the Euler count, which finds
-components by walking from face to face across ``twin``;
-``face_orbits``, ``is_planar`` and ``parse_map(check_planar=True)``
-read it.  So a map that is only searched for moves and rewritten, as
-in a reduction, or tested for bipartiteness never builds the vertex
-and edge tables or the merge plan, and a map that is only counted,
-printed or decorated never traces its faces.  Nor does a map searched
-for moves: ``find_move`` and ``available_moves`` share one search that
-walks the face permutation built from the two permutations, and a move
+``has_self_loop``, ``_merge_plan``, ``_merge_tables`` and ``_faces``.
+``_rotations`` and ``_vertex_edges`` are flat: vertex v's half-edges
+and edge ids, in rotation order, sit at 3v..3v + 2 (a self-loop repeats
+its edge).  The vertex queries, :mod:`tait.coloring` and
+:mod:`tait.su3` read them, and edge endpoints are derived per call, not
+kept.  ``_merge_plan`` is the order in which :mod:`tait.coloring`
+contracts the vertex tables, one flat tuple derived from the incidence
+alone on the first count or draw, so every later count or draw of the
+map replays it.  ``_merge_tables`` holds the operands of that
+contraction, three flat arrays (the operands and their offsets) that
+:mod:`tait.coloring` builds on a map's first draw (a count keeps none),
+so every later draw only walks them back.  ``_faces`` is one pass: it
+traces the face orbits as tuples of half-edge ids, noting the face of
+each half-edge, and runs the Euler count, which finds components by
+walking from face to face across ``twin``; ``face_orbits``,
+``is_planar`` and ``parse_map(check_planar=True)`` read it.  So a map
+that is only searched for moves and rewritten, as in a reduction, or
+tested for bipartiteness never builds the vertex and edge tables, the
+merge plan or its operands, and a map that is only counted, printed or
+decorated never traces its faces.  Nor does a map searched for moves:
+``find_move`` and ``available_moves`` share one search that walks the
+face permutation built from the two permutations, and a move
 keeps a planar map planar, so a reduction traces only its root.
 
 Map text is read in bulk when it is canonical, exactly what
@@ -119,9 +123,9 @@ class CombinatorialMap:
     The constructor runs every structural check, each as a comparison
     of whole tables; only a reduction move's child, checked where the
     move rewrote it, skips them (:meth:`_spliced`).  Faces, planarity,
-    the self-loop test, the vertex, edge and rotation tables and the
-    coloring count's merge plan are cached properties, built on first
-    read.
+    the self-loop test, the vertex, edge and rotation tables, the
+    coloring count's merge plan and the draw's contraction operands are
+    cached properties, built on first read.
     """
 
     def __init__(
@@ -378,6 +382,17 @@ class CombinatorialMap:
             edges.append(open_edges)
             links.append(link)
         return tuple(plan)
+
+    @cached_property
+    def _merge_tables(self) -> tuple:
+        """The operands of the contraction that ``_merge_plan`` schedules,
+        kept for the draws of :mod:`tait.coloring`: three flat read-only
+        arrays, the operands and their offsets, built on the first draw
+        (``tait.coloring._keep_tables``); the map must have no vertex
+        self-loop."""
+        from .coloring import _keep_tables  # coloring imports this module
+
+        return _keep_tables(self)
 
     def _endpoints(self) -> list[tuple[int, int]]:
         """The two vertices of every paired edge, by edge id; built anew on each call."""

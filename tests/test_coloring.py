@@ -3,8 +3,9 @@
 import heapq
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
-from itertools import count, permutations, product
+from itertools import accumulate, count, permutations, product
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from tait.catalog import (
     prism,
     theta,
 )
-from tait.coloring import _random_coloring, count_tait, enumerate_tait
+from tait import coloring
+from tait.coloring import _merges, _random_coloring, count_tait, enumerate_tait
 from tait.planar import CombinatorialMap, build_map, disjoint_union, serialize_map
 from tait.su3 import RetriesExhaustedError, sample_admissible_decoration
 
@@ -341,6 +343,8 @@ def test_random_coloring_past_int64():
     assert count_tait(g) > 2**63  # its merges switch to Python-int tables
     for seed in range(3):
         assert is_coloring(g, _random_coloring(g, np.random.default_rng(seed)))
+    _, objects, _ = g._merge_tables
+    assert objects.dtype == object and objects.size
 
 
 @pytest.mark.parametrize(
@@ -440,3 +444,80 @@ def test_self_loop_builds_no_plan(cmap):
     with pytest.raises(RetriesExhaustedError):
         sample_admissible_decoration(g, 0)
     assert "_merge_plan" not in vars(g)
+    assert "_merge_tables" not in vars(g)
+
+
+# ----------------------------------------------------------------------
+# the operands the first draw keeps, against a draw that contracts anew
+
+
+def contracting_coloring(cmap: CombinatorialMap, rng: np.random.Generator) -> list[int] | None:
+    """Reference: runs every merge of ``_merges`` on each draw and walks them back."""
+    if cmap.has_self_loop:
+        return None
+    randrange = random.Random(int(rng.integers(2**63))).randrange
+    plan = cmap._merge_plan
+    color = [0] * cmap.n_paired_edges
+
+    def index(edges):
+        i = 0
+        for e in edges:
+            i = 3 * i + color[e]
+        return i
+
+    for i, a, b in reversed(list(_merges(cmap))):
+        ka, ns, kb = plan[i + 2 : i + 5]
+        keep_a = plan[i + 5 : i + 5 + ka]
+        shared = plan[i + 5 + ka : i + 5 + ka + ns]
+        keep_b = plan[i + 5 + ka + ns : i + 5 + ka + ns + kb]
+        row, col = a[index(keep_a)].tolist(), b[:, index(keep_b)].tolist()
+        cumulative = list(accumulate(x * y for x, y in zip(row, col)))
+        if not cumulative[-1]:
+            return None
+        s = bisect_right(cumulative, randrange(cumulative[-1]))
+        for e in reversed(shared):
+            s, color[e] = divmod(s, 3)
+    return color
+
+
+# necklace(70) keeps object tables: its merges pass 60 vertices
+KEPT_MAPS = [*PLAN_MAPS, ("necklace70", necklace(70))]
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in KEPT_MAPS], ids=[n for n, _ in KEPT_MAPS])
+def test_kept_draw_equals_the_contracting_draw(cmap):
+    drawn = fresh(cmap)
+    for seed in range(3):
+        expected = contracting_coloring(fresh(cmap), np.random.default_rng(seed))
+        # a map's first draw, and one on a map that has drawn before
+        assert _random_coloring(fresh(cmap), np.random.default_rng(seed)) == expected
+        assert _random_coloring(drawn, np.random.default_rng(seed)) == expected
+
+
+@pytest.mark.parametrize("cmap", [g for _, g in KEPT_MAPS], ids=[n for n, _ in KEPT_MAPS])
+def test_first_draw_keeps_the_tables_every_draw_reads(cmap, monkeypatch):
+    g = fresh(cmap)
+    count_tait(g)
+    assert "_merge_tables" not in vars(g)  # a count keeps no operand
+    first = _random_coloring(g, np.random.default_rng(0))
+    tables = vars(g)["_merge_tables"]
+    # three flat read-only arrays, not a container per merge
+    assert type(tables) is tuple
+    ints, objects, marks = tables
+    assert ints.dtype.kind == "u" and objects.dtype == object and marks.dtype == np.int64
+    for table in tables:
+        assert table.ndim == 1 and not table.flags.writeable
+    # every operand but the vertex tables, each once
+    merges = [(i, a, b) for i, a, b in _merges(g)]
+    assert len(marks) == 4 * len(merges)
+    n, plan = g.n_vertices, g._merge_plan
+    kept = sum(a.size * (plan[i] >= n) + b.size * (plan[i + 1] >= n) for i, a, b in merges)
+    assert ints.size + objects.size == kept
+
+    def contract(*args):
+        raise AssertionError("a repeated draw ran the contraction")
+
+    monkeypatch.setattr(coloring, "_merges", contract)
+    monkeypatch.setattr(np, "dot", contract)
+    assert _random_coloring(g, np.random.default_rng(0)) == first
+    assert g._merge_tables is tables
